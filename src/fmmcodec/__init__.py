@@ -6,12 +6,13 @@ minimum plus bit-packed deltas. ``compress``/``decompress`` speak the .fmm
 container; ``read_netpbm``/``write_netpbm`` handle uncompressed I/O.
 """
 
+from .bitstream import BLOCK_SIZE
 from .container import compress, decompress, read_header
 from .core import (
-    BLOCK_SIZE,
     DEFAULT_MODULUS,
     from_indices,
     max_index,
+    quantize_indices,
     quantize_plane,
     quantize_sample,
     to_indices,
@@ -59,6 +60,7 @@ __all__ = [
     "max_index",
     "mse",
     "psnr",
+    "quantize_indices",
     "quantize_plane",
     "quantize_sample",
     "read_header",

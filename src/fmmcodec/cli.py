@@ -137,8 +137,8 @@ def _cmd_inspect(args) -> int:
     header = container.read_header(blob)
     print(f"modulus {header.modulus}, {header.width}x{header.height}, "
           f"{header.channels} channel(s)")
-    for channel, row, col, fields in container.iter_block_fields(blob):
-        line = (f"ch={channel} block={row},{col} "
+    for channel, fields in container.iter_block_fields(blob):
+        line = (f"ch={channel} block={fields.row},{fields.col} "
                 f"min={fields.min_index} rep={int(fields.repeated)}")
         if not fields.repeated:
             line += f" max={fields.max_delta} width={fields.delta_width}"

@@ -21,10 +21,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from . import core
-from .bitstream import BitReader, BitWriter, BlockFields, encode_block, read_block_fields
+from .bitstream import BlockFields, decode_plane, encode_plane, iter_blocks
 from .errors import CorruptStreamError, FormatError, ModulusError
 from .image import RasterImage
 
@@ -48,11 +46,7 @@ def compress(image: RasterImage, modulus: int = core.DEFAULT_MODULUS) -> bytes:
     k = core.validate_modulus(modulus)
     parts = [_HEADER.pack(MAGIC, VERSION, k, image.width, image.height, image.channels)]
     for channel in range(image.channels):
-        indices = core.to_indices(core.quantize_plane(image.plane(channel), k), k)
-        writer = BitWriter()
-        for block in core.split_blocks(indices):
-            encode_block(block.values, k, writer)
-        stream = writer.getvalue()
+        stream = encode_plane(core.quantize_indices(image.plane(channel), k), k)
         parts.append(_STREAM_LEN.pack(len(stream)))
         parts.append(stream)
     return b"".join(parts)
@@ -98,44 +92,20 @@ def _channel_streams(data: bytes, header: ContainerHeader) -> list[bytes]:
     return streams
 
 
-def _iter_stream_blocks(
-    stream: bytes, header: ContainerHeader
-) -> Iterator[tuple[int, int, BlockFields]]:
-    """Blocks of one channel stream, enforcing the exact byte length."""
-    reader = BitReader(stream)
-    for row, col, rows, cols in core.block_grid(header.height, header.width):
-        yield row, col, read_block_fields(reader, rows, cols, header.modulus)
-    expected = (reader.bit_position + 7) // 8
-    if len(stream) != expected:
-        raise CorruptStreamError(
-            f"stream is {len(stream)} bytes but its blocks need {expected}"
-        )
-
-
-def _decode_stream(stream: bytes, header: ContainerHeader) -> np.ndarray:
-    blocks = [
-        core.Block(row, col, fields.values)
-        for row, col, fields in _iter_stream_blocks(stream, header)
-    ]
-    plane = core.assemble_plane(blocks, header.height, header.width)
-    if int(plane.max()) > core.max_index(header.modulus):
-        raise CorruptStreamError("decoded index exceeds the modulus limit")
-    return plane
-
-
 def decompress(data: bytes) -> RasterImage:
     """Decode a container back to the quantized image it stores."""
     header = read_header(data)
+    k = header.modulus
     planes = [
-        core.from_indices(_decode_stream(stream, header), header.modulus)
+        core.from_indices(decode_plane(stream, header.height, header.width, k), k)
         for stream in _channel_streams(data, header)
     ]
     return RasterImage.from_planes(planes)
 
 
-def iter_block_fields(data: bytes) -> Iterator[tuple[int, int, int, BlockFields]]:
-    """Walk a container block by block: (channel, block_row, block_col, fields)."""
+def iter_block_fields(data: bytes) -> Iterator[tuple[int, BlockFields]]:
+    """Walk a container block by block: (channel, fields)."""
     header = read_header(data)
     for channel, stream in enumerate(_channel_streams(data, header)):
-        for row, col, fields in _iter_stream_blocks(stream, header):
-            yield channel, row, col, fields
+        for fields in iter_blocks(stream, header.height, header.width, header.modulus):
+            yield channel, fields

@@ -1,35 +1,27 @@
-"""Modulus quantization and 8x8 block tiling.
+"""Modulus quantization and the index mapping.
 
 Quantization moves every 8-bit sample to the nearest multiple of the
-modulus k (odd, 3..127), staying inside [0, 255]. For the default k = 5
-this is the remainder map
+modulus k (odd, 3..127) inside [0, 255]. For the default k = 5 this is
+the remainder map
 
     r = v mod 5:  0 -> +0,  1 -> -1,  2 -> -2,  3 -> +2,  4 -> +1
 
-so no sample moves by more than 2. Quantized samples divided by k give
-compact indices in [0, 255 // k] (0..51 for k = 5). Planes are tiled into
-row-major 8x8 blocks; edge blocks keep their true, smaller size.
+so no sample moves by more than 2. In general a sample moves by at most
+max(k // 2, 255 % k): samples above the largest multiple 255 // k * k
+cannot round up, so for k with 255 % k > k // 2 (13, 29, 33, ...) the
+top of the range moves further than k // 2. Quantized samples divided by
+k give compact indices in [0, 255 // k] (0..51 for k = 5).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModulusError
 
-BLOCK_SIZE = 8
 DEFAULT_MODULUS = 5
-
-
-class Block(NamedTuple):
-    """One tile of a channel plane, at (row, col) in the block grid."""
-
-    row: int
-    col: int
-    values: np.ndarray
 
 
 def validate_modulus(k) -> int:
@@ -52,7 +44,8 @@ def _as_sample_array(values) -> np.ndarray:
     arr = np.asarray(values)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
+    # uint8 samples are in range by their type; only wider types are scanned
+    if arr.dtype != np.uint8 and arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
         raise ValueError("samples must lie in [0, 255]")
     return arr
 
@@ -61,25 +54,29 @@ def quantize_sample(value: int, k: int = DEFAULT_MODULUS) -> int:
     """Nearest multiple of k to one sample, clamped into [0, 255].
 
     k is odd, so there are no rounding ties. When 255 is not close to a
-    multiple of k the nearest in-range multiple is returned, which for
-    k with 255 % k > k // 2 can move a near-peak sample by more than
-    k // 2; for k in {3, 5, 7, 9} the k // 2 bound always holds.
+    multiple of k the nearest in-range multiple is returned, so the
+    sample moves by at most max(k // 2, 255 % k); for k in {3, 5, 7, 9}
+    that is k // 2.
     """
     k = validate_modulus(k)
-    value = operator.index(value)
-    if not 0 <= value <= 255:
-        raise ValueError(f"sample {value} out of range 0..255")
-    nearest = (value + k // 2) // k * k
-    return min(nearest, 255 // k * k)
+    return int(quantize_indices([operator.index(value)], k)[0]) * k
+
+
+def quantize_indices(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
+    """Index of the nearest in-range multiple of k for every sample.
+
+    The quantize and divide stages in one pass: to_indices(quantize_plane(p))
+    without the intermediate samples. Shape preserved, uint8 result.
+    """
+    k = validate_modulus(k)
+    nearest = (_as_sample_array(plane).astype(np.uint16) + k // 2) // k
+    np.minimum(nearest, 255 // k, out=nearest)
+    return nearest.astype(np.uint8)
 
 
 def quantize_plane(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
     """Elementwise quantize_sample over an integer array; shape preserved."""
-    k = validate_modulus(k)
-    arr = _as_sample_array(plane)
-    nearest = (arr.astype(np.int32) + k // 2) // k * k
-    np.minimum(nearest, 255 // k * k, out=nearest)
-    return nearest.astype(np.uint8)
+    return quantize_indices(plane, k) * np.uint8(k)
 
 
 def to_indices(values, k: int = DEFAULT_MODULUS) -> np.ndarray:
@@ -101,46 +98,3 @@ def from_indices(indices, k: int = DEFAULT_MODULUS) -> np.ndarray:
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) > top):
         raise ValueError(f"index out of range 0..{top}")
     return (arr.astype(np.int32) * k).astype(np.uint8)
-
-
-def block_grid(height: int, width: int) -> list[tuple[int, int, int, int]]:
-    """Row-major (row, col, rows, cols) geometry of the plane's block tiling."""
-    if height < 1 or width < 1:
-        raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
-    return [
-        (row, col, min(BLOCK_SIZE, height - top), min(BLOCK_SIZE, width - left))
-        for row, top in enumerate(range(0, height, BLOCK_SIZE))
-        for col, left in enumerate(range(0, width, BLOCK_SIZE))
-    ]
-
-
-def split_blocks(plane) -> list[Block]:
-    """Tile a 2D plane into row-major blocks of up to 8x8, as views."""
-    arr = np.asarray(plane)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2D plane, got {arr.ndim}D")
-    height, width = arr.shape
-    blocks = []
-    for row, col, rows, cols in block_grid(height, width):
-        top, left = row * BLOCK_SIZE, col * BLOCK_SIZE
-        blocks.append(Block(row, col, arr[top : top + rows, left : left + cols]))
-    return blocks
-
-
-def assemble_plane(blocks, height: int, width: int, dtype=np.uint8) -> np.ndarray:
-    """Inverse of split_blocks: place positioned blocks back onto a plane."""
-    out = np.zeros((height, width), dtype=dtype)
-    for block in blocks:
-        rows, cols = block.values.shape
-        top, left = block.row * BLOCK_SIZE, block.col * BLOCK_SIZE
-        out[top : top + rows, left : left + cols] = block.values
-    return out
-
-
-def block_stats(values) -> tuple[int, int]:
-    """Minimum of a block and its spread max - min."""
-    arr = np.asarray(values)
-    if arr.size == 0:
-        raise ValueError("empty block")
-    lo = int(arr.min())
-    return lo, int(arr.max()) - lo

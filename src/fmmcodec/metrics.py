@@ -16,20 +16,19 @@ from .image import RasterImage
 #: PSNR reported for a zero-error comparison.
 LOSSLESS = math.inf
 
-#: Default PSNR peak for 8-bit samples.
+#: PSNR peak for 8-bit samples.
 PEAK_8BIT = 255.0
 
 
 @dataclass(frozen=True)
 class QualityReport:
-    """One comparison's numbers; ``cr`` only when a compressed size is known."""
+    """One comparison's numbers."""
 
     mse: float
     rmse: float
     psnr: float
     sigma_original: float
     sigma_reconstructed: float
-    cr: float | None = None
 
 
 def _check_geometry(original: RasterImage, reconstructed: RasterImage) -> None:
@@ -46,28 +45,18 @@ def mse(original: RasterImage, reconstructed: RasterImage) -> float:
     return float(np.mean(diff * diff))
 
 
-def _psnr_from_mse(mse_value: float, peak: float) -> float:
-    if peak <= 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
+def _psnr_from_mse(mse_value: float) -> float:
     if mse_value == 0.0:
         return LOSSLESS
-    return 20.0 * math.log10(peak / math.sqrt(mse_value))
+    return 20.0 * math.log10(PEAK_8BIT / math.sqrt(mse_value))
 
 
-def psnr(
-    original: RasterImage,
-    reconstructed: RasterImage,
-    peak: float | None = PEAK_8BIT,
-) -> float:
+def psnr(original: RasterImage, reconstructed: RasterImage) -> float:
     """Peak signal-to-noise ratio in decibels, ``LOSSLESS`` when MSE is zero.
 
-    The peak defaults to 255 so values are comparable across images. Passing
-    ``peak=None`` uses the original's own maximum sample instead, for callers
-    that want the literal per-image reading.
+    The peak is 255 for every image, so values are comparable across images.
     """
-    err = mse(original, reconstructed)
-    top = float(original.pixels.max()) if peak is None else float(peak)
-    return _psnr_from_mse(err, top)
+    return _psnr_from_mse(mse(original, reconstructed))
 
 
 def compression_ratio(original_bytes: int, compressed_bytes: int) -> float:
@@ -93,26 +82,13 @@ def stddev(samples) -> float:
     return float(arr.std(ddof=1))
 
 
-def compare(
-    original: RasterImage,
-    reconstructed: RasterImage,
-    compressed_bytes: int | None = None,
-) -> QualityReport:
-    """Full report for a pair of same-geometry images.
-
-    When ``compressed_bytes`` is given, ``cr`` relates it to the raw sample
-    count; otherwise ``cr`` is None.
-    """
+def compare(original: RasterImage, reconstructed: RasterImage) -> QualityReport:
+    """Full report for a pair of same-geometry images."""
     err = mse(original, reconstructed)
-    cr = None
-    if compressed_bytes is not None:
-        raw = original.height * original.width * original.channels
-        cr = compression_ratio(raw, compressed_bytes)
     return QualityReport(
         mse=err,
         rmse=math.sqrt(err),
-        psnr=_psnr_from_mse(err, PEAK_8BIT),
+        psnr=_psnr_from_mse(err),
         sigma_original=stddev(original.pixels.ravel()),
         sigma_reconstructed=stddev(reconstructed.pixels.ravel()),
-        cr=cr,
     )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fmmcodec import cli, container, core, metrics
-from fmmcodec.bitstream import BitReader, encode_block, read_block_fields
+from fmmcodec.bitstream import encode_plane, iter_blocks
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import write_netpbm
 
@@ -62,10 +62,10 @@ def test_criterion_1_divide_stage():
 
 
 def test_criterion_1_min_subtract_stage():
-    low, spread = core.block_stats(INDEX_BLOCK)
-    assert low == INDEX_MIN
-    assert spread == MAX_DELTA
-    assert np.array_equal(INDEX_BLOCK.astype(np.int16) - low, DELTA_BLOCK)
+    (block,) = iter_blocks(encode_plane(INDEX_BLOCK), 8, 8)
+    assert block.min_index == INDEX_MIN
+    assert block.max_delta == MAX_DELTA
+    assert np.array_equal(block.values.astype(np.int16) - block.min_index, DELTA_BLOCK)
 
 
 # --- criterion 2: dispersion statistics ---
@@ -81,17 +81,16 @@ def test_criterion_2_dispersion():
 
 def test_criterion_3_uniform_block():
     block = np.full((8, 8), 11, dtype=np.uint8)
-    writer = encode_block(block)
-    assert writer.bit_length == 7
-    assert writer.getvalue() == bytes([0b00101110])  # 0010111 zero-padded
-    decoded = read_block_fields(BitReader(writer.getvalue()), 8, 8)
+    stream = encode_plane(block)
+    assert stream == bytes([0b00101110])  # 0010111 zero-padded
+    (decoded,) = iter_blocks(stream, 8, 8)
+    assert decoded.bit_length == 7
     assert np.array_equal(decoded.values, block)
 
 
 def test_criterion_3_mixed_block():
-    writer = encode_block(INDEX_BLOCK)
-    assert writer.bit_length == BLOCK_BITS == 269
-    fields = read_block_fields(BitReader(writer.getvalue()), 8, 8)
+    (fields,) = iter_blocks(encode_plane(INDEX_BLOCK), 8, 8)
+    assert fields.bit_length == BLOCK_BITS == 269
     assert (fields.min_index, fields.repeated) == (INDEX_MIN, False)
     assert (fields.max_delta, fields.delta_width) == (MAX_DELTA, 4)
     assert np.array_equal(fields.values, INDEX_BLOCK)

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmmcodec import bitstream
-from fmmcodec.bitstream import BitReader, BitWriter, decode_block, encode_block, read_block_fields
+from fmmcodec.bitstream import decode_plane, encode_plane, iter_blocks
 from fmmcodec.errors import CorruptStreamError, TruncatedStreamError
 
 from golden import BLOCK_BITS, INDEX_BLOCK
+
+MODULI = range(3, 128, 2)
 
 
 def reference_block_bits(values: np.ndarray, k: int = 5) -> str:
@@ -22,122 +24,25 @@ def reference_block_bits(values: np.ndarray, k: int = 5) -> str:
     return bits + "".join(format(int(v) - lo, f"0{dw}b") for v in values.ravel())
 
 
+def reference_plane_bits(plane: np.ndarray, k: int = 5) -> str:
+    """reference_block_bits over the row-major 8x8 grid, concatenated."""
+    height, width = plane.shape
+    return "".join(
+        reference_block_bits(plane[y : y + 8, x : x + 8], k)
+        for y in range(0, height, 8)
+        for x in range(0, width, 8)
+    )
+
+
 def bits_to_bytes(bits: str) -> bytes:
     padded = bits + "0" * (-len(bits) % 8)
     return int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
 
 
-fields = st.lists(
-    st.integers(min_value=1, max_value=32).flatmap(
-        lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=2**w - 1))
-    ),
-    max_size=60,
-)
-
-
-class TestBitWriter:
-    def test_msb_first_packing(self):
-        w = BitWriter()
-        w.write_bits(0b101, 3)
-        w.write_bits(0b01, 2)
-        assert w.bit_length == 5
-        assert w.getvalue() == bytes([0b10101000])
-
-    def test_multibyte_value(self):
-        w = BitWriter()
-        w.write_bits(0xABCDE, 20)
-        assert w.getvalue() == bytes([0xAB, 0xCD, 0xE0])
-
-    def test_six_bit_index_fields(self):
-        # the index alphabet for k = 5: 11 -> 001011, 42 -> 101010
-        for value, bits in [(11, "001011"), (42, "101010"), (51, "110011"), (0, "000000")]:
-            w = BitWriter()
-            w.write_bits(value, 6)
-            assert w.getvalue() == bits_to_bytes(bits)
-            assert BitReader(w.getvalue()).read_bits(6) == value
-
-    def test_rejects_overwide_value(self):
-        w = BitWriter()
-        with pytest.raises(ValueError):
-            w.write_bits(8, 3)
-        with pytest.raises(ValueError):
-            w.write_bits(-1, 3)
-
-    def test_rejects_bad_width(self):
-        w = BitWriter()
-        for width in (0, 33):
-            with pytest.raises(ValueError):
-                w.write_bits(0, width)
-
-    def test_roundtrip_many_random_fields(self):
-        rng = np.random.default_rng(12)
-        pairs = [
-            (int(w), int(rng.integers(0, 2**int(w))))
-            for w in rng.integers(1, 33, size=10_000)
-        ]
-        writer = BitWriter()
-        for width, value in pairs:
-            writer.write_bits(value, width)
-        reader = BitReader(writer.getvalue())
-        for width, value in pairs:
-            assert reader.read_bits(width) == value
-
-    @given(fields)
-    def test_roundtrip_with_reader(self, pairs):
-        w = BitWriter()
-        for width, value in pairs:
-            w.write_bits(value, width)
-        assert w.bit_length == sum(width for width, _ in pairs)
-        r = BitReader(w.getvalue())
-        assert [r.read_bits(width) for width, _ in pairs] == [v for _, v in pairs]
-
-    @given(
-        st.integers(min_value=1, max_value=8).flatmap(
-            lambda w: st.tuples(
-                st.just(w),
-                st.lists(st.integers(min_value=0, max_value=2**w - 1), max_size=80),
-            )
-        )
-    )
-    def test_write_array_matches_scalar_writes(self, case):
-        width, values = case
-        bulk, scalar = BitWriter(), BitWriter()
-        bulk.write_array(np.array(values, dtype=np.uint8), width)
-        for v in values:
-            scalar.write_bits(v, width)
-        assert bulk.getvalue() == scalar.getvalue()
-        assert bulk.bit_length == scalar.bit_length
-
-    def test_write_array_rejects_overwide(self):
-        w = BitWriter()
-        with pytest.raises(ValueError):
-            w.write_array(np.array([4], dtype=np.uint8), 2)
-
-
-class TestBitReader:
-    def test_truncation(self):
-        r = BitReader(b"\xff")
-        r.read_bits(6)
-        with pytest.raises(TruncatedStreamError):
-            r.read_bits(3)
-
-    def test_read_array(self):
-        w = BitWriter()
-        for v in (3, 1, 4, 1, 5):
-            w.write_bits(v, 3)
-        r = BitReader(w.getvalue())
-        assert r.read_array(5, 3).tolist() == [3, 1, 4, 1, 5]
-
-    def test_read_array_truncation(self):
-        r = BitReader(b"\xff\xff")
-        with pytest.raises(TruncatedStreamError):
-            r.read_array(5, 4)
-
-    def test_positions(self):
-        r = BitReader(b"\xaa\xaa")
-        assert (r.bit_position, r.bits_remaining) == (0, 16)
-        r.read_bits(5)
-        assert (r.bit_position, r.bits_remaining) == (5, 11)
+def only_block(stream: bytes, rows: int, cols: int, k: int = 5):
+    """Fields of the one block of a rows x cols plane's stream."""
+    (fields,) = iter_blocks(stream, rows, cols, k)
+    return fields
 
 
 @pytest.mark.parametrize("k,width", [(3, 7), (5, 6), (7, 6), (9, 5), (127, 2)])
@@ -155,16 +60,16 @@ blocks = st.tuples(
 
 class TestBlockCodec:
     def test_uniform_block_bits(self):
-        w = encode_block(np.full((8, 8), 11, dtype=np.uint8))
-        assert w.bit_length == 7
-        assert w.getvalue() == bytes([0b00101110])
+        stream = encode_plane(np.full((8, 8), 11, dtype=np.uint8))
+        assert only_block(stream, 8, 8).bit_length == 7
+        assert stream == bytes([0b00101110])
 
     def test_golden_block_matches_reference(self):
         arr = INDEX_BLOCK
-        w = encode_block(arr)
+        stream = encode_plane(arr)
         bits = reference_block_bits(arr)
-        assert w.bit_length == len(bits) == BLOCK_BITS
-        assert w.getvalue() == bits_to_bytes(bits)
+        assert only_block(stream, 8, 8).bit_length == len(bits) == BLOCK_BITS
+        assert stream == bits_to_bytes(bits)
 
     @given(blocks)
     @settings(max_examples=150)
@@ -175,17 +80,16 @@ class TestBlockCodec:
             [[rnd.randint(0, top) for _ in range(cols)] for _ in range(rows)],
             dtype=np.uint8,
         )
-        w = encode_block(arr, k)
+        stream = encode_plane(arr, k)
         bits = reference_block_bits(arr, k)
-        assert w.bit_length == len(bits)
-        assert w.getvalue() == bits_to_bytes(bits)
-        out = decode_block(BitReader(w.getvalue()), rows, cols, k)
-        assert np.array_equal(out, arr)
+        assert only_block(stream, rows, cols, k).bit_length == len(bits)
+        assert stream == bits_to_bytes(bits)
+        assert np.array_equal(decode_plane(stream, rows, cols, k), arr)
 
     def test_single_cell_zero_block(self):
-        w = encode_block(np.zeros((1, 1), dtype=np.uint8))
-        assert w.bit_length == 7
-        assert w.getvalue() == bits_to_bytes("0000001")
+        stream = encode_plane(np.zeros((1, 1), dtype=np.uint8))
+        assert only_block(stream, 1, 1).bit_length == 7
+        assert stream == bits_to_bytes("0000001")
 
     def test_roundtrip_many_random_blocks(self):
         rng = np.random.default_rng(13)
@@ -193,79 +97,94 @@ class TestBlockCodec:
             k = int(rng.choice([3, 5, 7, 9, 127]))
             rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             arr = rng.integers(0, 255 // k + 1, (rows, cols)).astype(np.uint8)
-            out = decode_block(BitReader(encode_block(arr, k).getvalue()), rows, cols, k)
+            out = decode_plane(encode_plane(arr, k), rows, cols, k)
             assert np.array_equal(out, arr)
 
     def test_blocks_concatenate_unaligned(self):
-        a = np.full((3, 3), 2, dtype=np.uint8)
-        b = np.array([[0, 5], [1, 3]], dtype=np.uint8)
-        w = encode_block(a)
-        encode_block(b, writer=w)
-        r = BitReader(w.getvalue())
-        assert np.array_equal(decode_block(r, 3, 3), a)
-        assert np.array_equal(decode_block(r, 2, 2), b)
+        # a 3x10 plane tiles into a 3x8 and a 3x2 block; the second block
+        # starts at bit 7, inside the first byte
+        a = np.full((3, 8), 2, dtype=np.uint8)
+        b = np.array([[0, 5], [1, 3], [4, 2]], dtype=np.uint8)
+        stream = encode_plane(np.hstack([a, b]))
+        assert stream == bits_to_bytes(reference_block_bits(a) + reference_block_bits(b))
+        first, second = iter_blocks(stream, 3, 10)
+        assert np.array_equal(first.values, a)
+        assert np.array_equal(second.values, b)
 
     def test_full_block_bit_bounds(self):
         # a full 8x8 block at k = 5 spans 7 bits (uniform) to 397 (max spread)
-        lo = encode_block(np.zeros((8, 8), dtype=np.uint8))
+        lo = encode_plane(np.zeros((8, 8), dtype=np.uint8))
         spread = np.zeros((8, 8), dtype=np.uint8)
         spread[0, 0] = 51
-        hi = encode_block(spread)
-        assert lo.bit_length == 7
-        assert hi.bit_length == 6 + 1 + 6 + 64 * 6 == 397
+        hi = encode_plane(spread)
+        assert only_block(lo, 8, 8).bit_length == 7
+        assert only_block(hi, 8, 8).bit_length == 6 + 1 + 6 + 64 * 6 == 397
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            encode_block(np.zeros((9, 8), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            encode_block(np.zeros(8, dtype=np.uint8))
+        for shape in [(0, 8), (8,), (2, 2, 2)]:
+            with pytest.raises(ValueError):
+                encode_plane(np.zeros(shape, dtype=np.uint8))
 
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError):
-            encode_block(np.full((2, 2), 52, dtype=np.uint8))
+            encode_plane(np.full((2, 2), 52, dtype=np.uint8))
 
     def test_decoder_fields(self):
-        w = encode_block(INDEX_BLOCK)
-        f = read_block_fields(BitReader(w.getvalue()), 8, 8)
+        f = only_block(encode_plane(INDEX_BLOCK), 8, 8)
         assert (f.min_index, f.repeated, f.max_delta, f.delta_width) == (42, False, 8, 4)
         assert f.bit_length == BLOCK_BITS
         assert f.payload_bits == 256
         assert np.array_equal(f.values, INDEX_BLOCK)
 
     def test_decoder_fields_repeated(self):
-        w = encode_block(np.full((4, 7), 9, dtype=np.uint8))
-        f = read_block_fields(BitReader(w.getvalue()), 4, 7)
+        f = only_block(encode_plane(np.full((4, 7), 9, dtype=np.uint8)), 4, 7)
         assert (f.min_index, f.repeated, f.max_delta, f.delta_width) == (9, True, None, None)
         assert f.bit_length == 7
         assert f.payload_bits == 0
 
     def test_rejects_zero_max_delta(self):
-        w = BitWriter()
-        w.write_bits(10, 6)
-        w.write_bits(0, 1)
-        w.write_bits(0, 6)
+        stream = bits_to_bytes("001010" "0" "000000")
         with pytest.raises(CorruptStreamError):
-            read_block_fields(BitReader(w.getvalue()), 2, 2)
+            only_block(stream, 2, 2)
 
     def test_rejects_min_over_limit(self):
-        w = BitWriter()
-        w.write_bits(63, 6)  # 63 > 51, impossible for k = 5
-        w.write_bits(1, 1)
+        stream = bits_to_bytes("111111" "1")  # 63 > 51, impossible for k = 5
         with pytest.raises(CorruptStreamError):
-            read_block_fields(BitReader(w.getvalue()), 2, 2)
+            only_block(stream, 2, 2)
 
     def test_rejects_range_over_limit(self):
-        w = BitWriter()
-        w.write_bits(50, 6)
-        w.write_bits(0, 1)
-        w.write_bits(5, 6)  # 50 + 5 > 51
+        stream = bits_to_bytes("110010" "0" "000101")  # 50 + 5 > 51
         with pytest.raises(CorruptStreamError):
-            read_block_fields(BitReader(w.getvalue()), 2, 2)
+            only_block(stream, 2, 2)
 
     def test_truncated_deltas(self):
-        w = BitWriter()
-        w.write_bits(0, 6)
-        w.write_bits(0, 1)
-        w.write_bits(8, 6)  # promises 4-bit deltas that never arrive
+        # promises 4-bit deltas that never arrive
+        stream = bits_to_bytes("000000" "0" "001000")
         with pytest.raises(TruncatedStreamError):
-            read_block_fields(BitReader(w.getvalue()), 8, 8)
+            only_block(stream, 8, 8)
+
+
+@pytest.mark.parametrize("k", MODULI)
+@given(
+    height=st.integers(min_value=1, max_value=40),
+    width=st.integers(min_value=1, max_value=40),
+    span=st.integers(min_value=0, max_value=85),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_plane_bytes_match_reference(k, height, width, span, seed):
+    # span 0 gives constant planes; random planes draw their range too, so
+    # every delta width, up to 7 bits for k = 3, occurs
+    rng = np.random.default_rng(seed)
+    span = min(span, 255 // k)
+    lo = int(rng.integers(0, 255 // k - span + 1))
+    plane = (lo + rng.integers(0, span + 1, (height, width))).astype(np.uint8)
+    stream = encode_plane(plane, k)
+    assert stream == bits_to_bytes(reference_plane_bits(plane, k))
+    assert np.array_equal(decode_plane(stream, height, width, k), plane)
+
+
+def test_short_stream_rejected_before_any_block():
+    # 4 blocks need at least 4 * 7 = 28 bits; 3 bytes hold only 24
+    with pytest.raises(TruncatedStreamError, match="at least 28 bits"):
+        iter_blocks(bytes(3), 16, 16)

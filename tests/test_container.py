@@ -1,10 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmmcodec import container, core
-from fmmcodec.bitstream import BitWriter
-from fmmcodec.errors import CorruptStreamError, FormatError, TruncatedStreamError
+from fmmcodec.errors import CorruptStreamError, FmmError, FormatError, TruncatedStreamError
 from fmmcodec.image import RasterImage
 
 from golden import ORIGINAL_BLOCK
@@ -159,14 +160,22 @@ class TestStreamErrors:
     def test_index_over_limit(self):
         # 1x1 block: min 46, not repeated, max_delta 5, single delta 7
         # decodes to index 53 > 51 although 46 + 5 passes the field check
-        w = BitWriter()
-        w.write_bits(46, 6)
-        w.write_bits(0, 1)
-        w.write_bits(5, 6)
-        w.write_bits(7, 3)
-        blob = frame([w.getvalue()], width=1, height=1)
+        stream = bytes([0b101110_0_0, 0b00101_111])  # 101110 0 000101 111
+        blob = frame([stream], width=1, height=1)
         with pytest.raises(CorruptStreamError):
             container.decompress(blob)
+
+    def test_huge_declared_plane_fails_fast(self):
+        # 16384x16384 needs 2048 * 2048 blocks of at least 7 bits each; a
+        # 5-byte stream of five repeated blocks cannot hold them, so it is
+        # rejected before a plane is allocated or a block is read
+        stream = int("0000001" * 5 + "00000", 2).to_bytes(5, "big")
+        blob = frame([stream], width=16384, height=16384)
+        assert len(blob) == 24
+        started = time.perf_counter()
+        with pytest.raises(TruncatedStreamError):
+            container.decompress(blob)
+        assert time.perf_counter() - started < 0.05
 
 
 class TestIterBlockFields:
@@ -174,12 +183,12 @@ class TestIterBlockFields:
         rng = np.random.default_rng(5)
         img = RasterImage(rng.integers(0, 256, (13, 21), dtype=np.uint8))
         blob = container.compress(img)
-        seen = [(ch, row, col) for ch, row, col, _ in container.iter_block_fields(blob)]
-        assert seen == [(0, row, col) for row, col, _, _ in core.block_grid(13, 21)]
+        seen = [(ch, f.row, f.col) for ch, f in container.iter_block_fields(blob)]
+        assert seen == [(0, row, col) for row in range(2) for col in range(3)]
 
     def test_three_channels(self):
         img = RasterImage(np.zeros((8, 8, 3), dtype=np.uint8))
-        channels = [ch for ch, _, _, _ in container.iter_block_fields(container.compress(img))]
+        channels = [ch for ch, _ in container.iter_block_fields(container.compress(img))]
         assert channels == [0, 1, 2]
 
 
@@ -199,3 +208,44 @@ def test_roundtrip_property(height, width, channels, k, seed):
     assert (header.modulus, header.width, header.height) == (k, width, height)
     out = container.decompress(blob)
     assert out == RasterImage(core.quantize_plane(pixels, k))
+
+
+def _mutants(blob: bytes, rng: np.random.Generator, count: int):
+    """Seeded bit flips and truncations of a container.
+
+    A third of the flips land in the high bytes of the width and height,
+    which is where a flip declares a plane far larger than its stream.
+    """
+    for i in range(count):
+        if i % 4 == 3:
+            yield blob[: int(rng.integers(0, len(blob)))]
+            continue
+        data = bytearray(blob)
+        for _ in range(int(rng.integers(1, 5))):
+            if i % 4 == 0:
+                byte = int(rng.choice([6, 7, 8, 10, 11, 12]))
+            else:
+                byte = int(rng.integers(0, len(data)))
+            data[byte] ^= 1 << int(rng.integers(0, 8))
+        yield bytes(data)
+
+
+@pytest.mark.parametrize("k", [3, 5, 9, 127])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_mutation_fuzz(k, channels):
+    # every mutant decodes or raises an FmmError subclass, quickly; any
+    # other exception (MemoryError, IndexError, a numpy error) fails the test
+    rng = np.random.default_rng(1000 + k * 10 + channels)
+    for _ in range(6):
+        shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)), channels)
+        pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+        if rng.integers(0, 2):
+            pixels[: shape[0] // 2] = pixels[0, 0]  # repeated blocks too
+        blob = container.compress(RasterImage(pixels), k)
+        for data in _mutants(blob, rng, 150):
+            started = time.perf_counter()
+            try:
+                container.decompress(data)
+            except FmmError:
+                pass
+            assert time.perf_counter() - started < 0.5

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fmmcodec import core
+from fmmcodec.bitstream import decode_plane, encode_plane, iter_blocks
 from fmmcodec.errors import ModulusError
 
 from golden import INDEX_BLOCK, ORIGINAL_BLOCK, QUANTIZED_BLOCK
@@ -77,6 +78,24 @@ class TestQuantize:
         once = core.quantize_plane(plane, 7)
         assert np.array_equal(core.quantize_plane(once, 7), once)
 
+    def test_error_bound_is_exact_for_every_modulus(self):
+        # samples above the largest multiple of k cannot round up, so the
+        # bound is max(k // 2, 255 % k), not k // 2; it is attained for all k
+        samples = np.arange(256, dtype=np.uint8)
+        beyond_half = 0
+        for k in range(3, 128, 2):
+            error = np.abs(core.quantize_plane(samples, k).astype(np.int16) - samples)
+            assert int(error.max()) == max(k // 2, 255 % k)
+            beyond_half += 255 % k > k // 2
+        assert beyond_half == 21
+
+    def test_indices_fuse_quantize_and_divide(self):
+        samples = np.arange(256, dtype=np.uint8)
+        for k in range(3, 128, 2):
+            fused = core.quantize_indices(samples, k)
+            assert np.array_equal(fused, core.to_indices(core.quantize_plane(samples, k), k))
+            assert [int(i) * k for i in fused] == [nearest_multiple(v, k) for v in range(256)]
+
     def test_all_zeros_fixed_point(self):
         zeros = np.zeros((4, 4), dtype=np.uint8)
         assert np.array_equal(core.quantize_plane(zeros), zeros)
@@ -113,33 +132,51 @@ class TestIndices:
 
 
 class TestBlocks:
+    """The 8x8 tiling, as the codec applies it: bitstream.iter_blocks."""
+
+    @staticmethod
+    def tiles(plane, k=5):
+        """(row, col, rows, cols) of every block of a plane, in stream order."""
+        plane = np.asarray(plane, dtype=np.uint8)
+        blocks = iter_blocks(encode_plane(plane, k), *plane.shape, k)
+        return [(b.row, b.col, *b.values.shape) for b in blocks]
+
+    @staticmethod
+    def only_block(plane, k=5):
+        plane = np.asarray(plane, dtype=np.uint8)
+        (block,) = iter_blocks(encode_plane(plane, k), *plane.shape, k)
+        return block
+
     def test_grid_exact_fit(self):
-        grid = core.block_grid(16, 8)
+        grid = self.tiles(np.zeros((16, 8)))
         assert grid == [(0, 0, 8, 8), (1, 0, 8, 8)]
 
     def test_grid_partial_edges(self):
-        grid = core.block_grid(13, 21)
+        grid = self.tiles(np.zeros((13, 21)))
         assert len(grid) == 2 * 3
         assert grid[0] == (0, 0, 8, 8)
         assert grid[2] == (0, 2, 8, 5)
         assert grid[-1] == (1, 2, 5, 5)
 
     def test_grid_single_pixel(self):
-        assert core.block_grid(1, 1) == [(0, 0, 1, 1)]
+        assert self.tiles([[0]]) == [(0, 0, 1, 1)]
 
     def test_split_10x10(self):
-        plane = np.arange(100, dtype=np.uint8).reshape(10, 10)
-        shapes = [block.values.shape for block in core.split_blocks(plane)]
-        assert shapes == [(8, 8), (8, 2), (2, 8), (2, 2)]
+        plane = np.arange(100, dtype=np.uint8).reshape(10, 10) % 52
+        blocks = list(iter_blocks(encode_plane(plane), 10, 10))
+        assert [block.values.shape for block in blocks] == [(8, 8), (8, 2), (2, 8), (2, 2)]
+        for block in blocks:
+            y, x = block.row * 8, block.col * 8
+            assert np.array_equal(block.values, plane[y : y + 8, x : x + 8])
 
     def test_split_16x16(self):
-        blocks = core.split_blocks(np.zeros((16, 16), dtype=np.uint8))
-        assert len(blocks) == 4
-        assert all(block.values.shape == (8, 8) for block in blocks)
+        grid = self.tiles(np.zeros((16, 16)))
+        assert len(grid) == 4
+        assert all((rows, cols) == (8, 8) for _, _, rows, cols in grid)
 
     def test_split_exact_block_is_identity(self):
         plane = np.arange(64, dtype=np.uint8).reshape(8, 8)
-        (block,) = core.split_blocks(plane)
+        block = self.only_block(plane, k=3)
         assert (block.row, block.col) == (0, 0)
         assert np.array_equal(block.values, plane)
 
@@ -150,21 +187,23 @@ class TestBlocks:
     def test_split_assemble_roundtrip(self, height, width):
         rng = np.random.default_rng(height * 64 + width)
         plane = rng.integers(0, 52, (height, width), dtype=np.uint8)
-        blocks = core.split_blocks(plane)
-        assert len(blocks) == len(core.block_grid(height, width))
-        rebuilt = core.assemble_plane(blocks, height, width)
+        stream = encode_plane(plane)
+        assert len(list(iter_blocks(stream, height, width))) == -(-height // 8) * -(-width // 8)
+        rebuilt = decode_plane(stream, height, width)
         assert np.array_equal(rebuilt, plane)
 
     def test_block_stats_mixed(self):
-        low, spread = core.block_stats(INDEX_BLOCK)
-        assert (low, spread) == (42, 8)
+        block = self.only_block(INDEX_BLOCK)
+        assert (block.min_index, block.max_delta) == (42, 8)
 
     def test_block_stats_uniform(self):
-        assert core.block_stats(np.full((8, 8), 11, dtype=np.uint8)) == (11, 0)
+        block = self.only_block(np.full((8, 8), 11))
+        assert (block.min_index, block.repeated, block.max_delta) == (11, True, None)
 
     def test_block_stats_single_cell(self):
-        assert core.block_stats(np.array([[7]], dtype=np.uint8)) == (7, 0)
+        block = self.only_block([[7]])
+        assert (block.min_index, block.repeated, block.max_delta) == (7, True, None)
 
     def test_block_stats_empty(self):
         with pytest.raises(ValueError):
-            core.block_stats(np.zeros((0, 0), dtype=np.uint8))
+            encode_plane(np.zeros((0, 0), dtype=np.uint8))
