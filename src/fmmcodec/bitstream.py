@@ -27,13 +27,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_MODULUS, max_index
+from .core import DEFAULT_MODULUS, checked_array, max_index
 from .errors import CorruptStreamError, TruncatedStreamError
 
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # _ONES[n] has the value 1 in each of its n low byte lanes.
 _ONES = [(256**n - 1) // 255 for n in range(_CELLS + 1)]
+_HIGH = [128 * ones for ones in _ONES]
 
 
 def _lane_mask(lane_bits: int, field_bits: int) -> int:
@@ -95,11 +96,7 @@ def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
     plane = np.asarray(indices)
     if plane.ndim != 2 or plane.size == 0:
         raise ValueError(f"expected a nonempty 2D plane, got shape {plane.shape}")
-    if not np.issubdtype(plane.dtype, np.integer):
-        raise ValueError(f"indices must be integers, got dtype {plane.dtype}")
-    if int(plane.min()) < 0 or int(plane.max()) > top:
-        raise ValueError(f"index out of range 0..{top}")
-    plane = plane.astype(np.uint8, copy=False)
+    plane = checked_array(plane, top).astype(np.uint8, copy=False)
     w = top.bit_length()
     height, width = plane.shape
     out = bytearray()
@@ -132,9 +129,10 @@ def iter_blocks(
     """Checked fields of every block of a stream, in row-major grid order.
 
     The stream must hold exactly the blocks of a height x width plane.
-    Corrupt fields raise CorruptStreamError and a short stream raises
-    TruncatedStreamError. A stream too short for even one header per
-    block is rejected here, before any block is read.
+    Corrupt fields, including any decoded index above 255 // k, raise
+    CorruptStreamError, and a short stream raises TruncatedStreamError.
+    A stream too short for even one header per block is rejected here,
+    before any block is read.
     """
     top = max_index(k)
     w = top.bit_length()
@@ -185,7 +183,13 @@ def _blocks(stream: bytes, height: int, width: int, w: int, top: int) -> Iterato
                 raise TruncatedStreamError(f"needed {n * dw} bits, only {total - pos} left")
             fields = int.from_bytes(stream[pos >> 3 : (end + 7) >> 3], "big")
             fields = (fields >> (-end & 7)) & ((1 << n * dw) - 1)
-            cells = (_unpack(fields, n, dw) + lo * _ONES[n]).to_bytes(n, "big")
+            deltas = _unpack(fields, n, dw)
+            # a dw-bit delta may pass top even though lo + spread does not; as
+            # every delta is < 128, adding 127 - top + lo to each byte lane
+            # sets its high bit, with no carry, exactly when lo + delta > top
+            if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
+                raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
+            cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
             values = np.frombuffer(cells, dtype=np.uint8).reshape(rows, cols)
             pos = end
             yield BlockFields(row, col, lo, False, spread, dw, pos - start, values)
@@ -202,6 +206,4 @@ def decode_plane(stream: bytes, height: int, width: int, k: int = DEFAULT_MODULU
     for block in blocks:
         y, x = block.row * BLOCK_SIZE, block.col * BLOCK_SIZE
         plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE] = block.values
-    if int(plane.max()) > max_index(k):
-        raise CorruptStreamError("decoded index exceeds the modulus limit")
     return plane

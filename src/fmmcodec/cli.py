@@ -190,9 +190,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ModulusError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -21,6 +21,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from . import core
 from .bitstream import BlockFields, decode_plane, encode_plane, iter_blocks
 from .errors import CorruptStreamError, FormatError, ModulusError
@@ -95,12 +97,10 @@ def _channel_streams(data: bytes, header: ContainerHeader) -> list[bytes]:
 def decompress(data: bytes) -> RasterImage:
     """Decode a container back to the quantized image it stores."""
     header = read_header(data)
-    k = header.modulus
-    planes = [
-        core.from_indices(decode_plane(stream, header.height, header.width, k), k)
-        for stream in _channel_streams(data, header)
-    ]
-    return RasterImage.from_planes(planes)
+    height, width, k = header.height, header.width, header.modulus
+    # each plane is allocated only after its own stream passed the size bound
+    planes = (decode_plane(stream, height, width, k) for stream in _channel_streams(data, header))
+    return RasterImage(core.from_indices(np.stack(list(planes), axis=-1), k))
 
 
 def iter_block_fields(data: bytes) -> Iterator[tuple[int, BlockFields]]:

@@ -40,13 +40,20 @@ def max_index(k: int = DEFAULT_MODULUS) -> int:
     return 255 // validate_modulus(k)
 
 
-def _as_sample_array(values) -> np.ndarray:
+def checked_array(values, top: int = 255) -> np.ndarray:
+    """Integer samples in [0, 255], or indices in [0, top] when top < 255; else ValueError."""
     arr = np.asarray(values)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
-    # uint8 samples are in range by their type; only wider types are scanned
-    if arr.dtype != np.uint8 and arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
-        raise ValueError("samples must lie in [0, 255]")
+    if arr.dtype.kind not in "ui":
+        noun = "samples" if top == 255 else "indices"
+        raise ValueError(f"{noun} must be integers, got dtype {arr.dtype}")
+    # an unsigned dtype proves the lower bound, and uint8 the sample range
+    if arr.size and (
+        (arr.dtype.kind == "i" and int(arr.min()) < 0)
+        or ((top < 255 or arr.dtype != np.uint8) and int(arr.max()) > top)
+    ):
+        if top == 255:
+            raise ValueError("samples must lie in [0, 255]")
+        raise ValueError(f"index out of range 0..{top}")
     return arr
 
 
@@ -69,7 +76,9 @@ def quantize_indices(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
     without the intermediate samples. Shape preserved, uint8 result.
     """
     k = validate_modulus(k)
-    nearest = (_as_sample_array(plane).astype(np.uint16) + k // 2) // k
+    nearest = checked_array(plane).astype(np.uint16)
+    nearest += k // 2
+    nearest //= k
     np.minimum(nearest, 255 // k, out=nearest)
     return nearest.astype(np.uint8)
 
@@ -82,19 +91,13 @@ def quantize_plane(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
 def to_indices(values, k: int = DEFAULT_MODULUS) -> np.ndarray:
     """Divide quantized samples by k, giving indices in [0, 255 // k]."""
     k = validate_modulus(k)
-    arr = _as_sample_array(values)
+    arr = checked_array(values)
     if np.any(arr % k):
         raise ValueError(f"samples must all be multiples of {k}; quantize first")
     return (arr // k).astype(np.uint8)
 
 
 def from_indices(indices, k: int = DEFAULT_MODULUS) -> np.ndarray:
-    """Multiply indices back to samples; inverse of to_indices."""
+    """Multiply indices back to samples, in uint8; inverse of to_indices."""
     k = validate_modulus(k)
-    arr = np.asarray(indices)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"indices must be integers, got dtype {arr.dtype}")
-    top = 255 // k
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) > top):
-        raise ValueError(f"index out of range 0..{top}")
-    return (arr.astype(np.int32) * k).astype(np.uint8)
+    return checked_array(indices, 255 // k).astype(np.uint8, copy=False) * np.uint8(k)

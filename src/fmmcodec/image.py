@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import checked_array
+
 
 @dataclass(frozen=True, eq=False)
 class RasterImage:
@@ -23,15 +25,12 @@ class RasterImage:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
             raise ValueError(f"expected a 2D or 3D pixel array, got {arr.ndim}D")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
+        arr = checked_array(arr)
         height, width, channels = arr.shape
         if height < 1 or width < 1:
             raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
         if channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {channels}")
-        if int(arr.min()) < 0 or int(arr.max()) > 255:
-            raise ValueError("samples must lie in [0, 255]")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
@@ -53,11 +52,6 @@ class RasterImage:
         if not 0 <= channel < self.channels:
             raise ValueError(f"channel {channel} out of range for {self.channels}-channel image")
         return self.pixels[:, :, channel]
-
-    @classmethod
-    def from_planes(cls, planes) -> "RasterImage":
-        """Stack per-channel (height, width) arrays into one image."""
-        return cls(np.stack([np.asarray(p) for p in planes], axis=-1))
 
     def __eq__(self, other):
         if not isinstance(other, RasterImage):

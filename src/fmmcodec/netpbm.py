@@ -85,4 +85,4 @@ def write_netpbm(image: RasterImage) -> bytes:
     """Serialize to the canonical binary form: read(write(img)) == img."""
     magic = b"P5" if image.channels == 1 else b"P6"
     header = b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
-    return header + image.pixels.tobytes()
+    return header + image.pixels.data

@@ -129,6 +129,14 @@ class TestInspect:
         empty.write_bytes(b"")
         assert cli.main(["inspect", str(empty)]) == cli.EXIT_FORMAT
 
+    def test_index_over_limit_fails_like_decompress(self, tmp_path, capsys):
+        # 2x1 plane, k = 5: min 49, max_delta 2, deltas 0 and 3, so index 52 > 51
+        path = tmp_path / "over.fmm"
+        path.write_bytes(bytes.fromhex("464d4d31 01 05 00000002 00000001 01 00000003 c41180"))
+        assert len(path.read_bytes()) == 22
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_FORMAT
+        assert cli.main(["decompress", str(path), str(tmp_path / "out.pgm")]) == cli.EXIT_FORMAT
+
 
 class TestBench:
     def test_rows_sorted_with_mean(self, tmp_path, capsys):

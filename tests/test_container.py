@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,22 @@ class TestDecompress:
         for ch in range(3):
             assert np.array_equal(out.plane(ch), core.quantize_plane(pixels[:, :, ch]))
 
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 61)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_decode_memory_is_bounded(self, shape, channels):
+        # uniform noise spends the most stream bits per sample; decoding it
+        # must stay within a few bytes per decoded sample
+        rng = np.random.default_rng(shape[0] + channels)
+        img = RasterImage(rng.integers(0, 256, (*shape, channels), dtype=np.uint8))
+        blob = container.compress(img)
+        tracemalloc.start()
+        try:
+            container.decompress(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * img.pixels.size
+
 
 class TestHeaderErrors:
     @pytest.mark.parametrize(
@@ -164,6 +181,9 @@ class TestStreamErrors:
         blob = frame([stream], width=1, height=1)
         with pytest.raises(CorruptStreamError):
             container.decompress(blob)
+        # the block walk behind inspect rejects it too, naming the block
+        with pytest.raises(CorruptStreamError, match="block 0,0"):
+            list(container.iter_block_fields(blob))
 
     def test_huge_declared_plane_fails_fast(self):
         # 16384x16384 needs 2048 * 2048 blocks of at least 7 bits each; a
@@ -234,7 +254,8 @@ def _mutants(blob: bytes, rng: np.random.Generator, count: int):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_mutation_fuzz(k, channels):
     # every mutant decodes or raises an FmmError subclass, quickly; any
-    # other exception (MemoryError, IndexError, a numpy error) fails the test
+    # other exception (MemoryError, IndexError, a numpy error) fails the test.
+    # The block walk behind inspect rejects exactly the mutants decode rejects.
     rng = np.random.default_rng(1000 + k * 10 + channels)
     for _ in range(6):
         shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)), channels)
@@ -246,6 +267,13 @@ def test_mutation_fuzz(k, channels):
             started = time.perf_counter()
             try:
                 container.decompress(data)
+                decoded = True
             except FmmError:
-                pass
+                decoded = False
             assert time.perf_counter() - started < 0.5
+            try:
+                list(container.iter_block_fields(data))
+                walked = True
+            except FmmError:
+                walked = False
+            assert walked == decoded

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fmmcodec import core
+from fmmcodec import core, metrics
 from fmmcodec.bitstream import decode_plane, encode_plane, iter_blocks
 from fmmcodec.errors import ModulusError
+from fmmcodec.image import RasterImage
 
 from golden import INDEX_BLOCK, ORIGINAL_BLOCK, QUANTIZED_BLOCK
 
@@ -80,12 +83,17 @@ class TestQuantize:
 
     def test_error_bound_is_exact_for_every_modulus(self):
         # samples above the largest multiple of k cannot round up, so the
-        # bound is max(k // 2, 255 % k), not k // 2; it is attained for all k
+        # bound is max(k // 2, 255 % k), not k // 2; it is attained for all k,
+        # and it gives every k the PSNR floor 20 log10(255 / bound)
         samples = np.arange(256, dtype=np.uint8)
         beyond_half = 0
         for k in range(3, 128, 2):
-            error = np.abs(core.quantize_plane(samples, k).astype(np.int16) - samples)
-            assert int(error.max()) == max(k // 2, 255 % k)
+            quantized = core.quantize_plane(samples, k)
+            error = np.abs(quantized.astype(np.int16) - samples)
+            bound = max(k // 2, 255 % k)
+            assert int(error.max()) == bound
+            psnr = metrics.psnr(RasterImage(samples[np.newaxis]), RasterImage(quantized[np.newaxis]))
+            assert psnr >= 20 * math.log10(255 / bound)
             beyond_half += 255 % k > k // 2
         assert beyond_half == 21
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,3 +96,40 @@ def test_roundtrip_many_random_images():
         shape = (int(rng.integers(1, 17)), int(rng.integers(1, 17)), rng.choice([1, 3]))
         img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
         assert read_netpbm(write_netpbm(img)) == img
+
+
+_COMMENTS = [b"#", b"# x\n", b"\n#", b" # 7 7\n"]
+
+
+def _netpbm_mutants(data: bytes, header_len: int, rng: np.random.Generator, count: int):
+    """Seeded header bit flips, digit and comment insertions, and truncations."""
+    for i in range(count):
+        out = bytearray(data)
+        at = int(rng.integers(0, header_len + 1))
+        if i % 4 == 0:
+            for _ in range(int(rng.integers(1, 4))):
+                out[int(rng.integers(0, header_len))] ^= 1 << int(rng.integers(0, 8))
+        elif i % 4 == 1:
+            out[at:at] = bytes(b"0123456789"[d] for d in rng.integers(0, 10, rng.integers(1, 6)))
+        elif i % 4 == 2:
+            out[at:at] = _COMMENTS[int(rng.integers(0, len(_COMMENTS)))]
+        else:
+            del out[int(rng.integers(0, len(out))) :]
+        yield bytes(out)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_mutation_fuzz(channels):
+    # every mutant of a small P5/P6 file parses or raises NetpbmError, quickly
+    rng = np.random.default_rng(77 + channels)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)), channels)
+        data = write_netpbm(RasterImage(rng.integers(0, 256, shape, dtype=np.uint8)))
+        header_len = len(data) - int(np.prod(shape))
+        for mutant in _netpbm_mutants(data, header_len, rng, 50):
+            started = time.perf_counter()
+            try:
+                assert isinstance(read_netpbm(mutant), RasterImage)
+            except NetpbmError:
+                pass
+            assert time.perf_counter() - started < 0.5
