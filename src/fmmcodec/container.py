@@ -74,7 +74,9 @@ def read_header(data: bytes) -> ContainerHeader:
     return ContainerHeader(k, width, height, channels)
 
 
-def _channel_streams(data: bytes, header: ContainerHeader) -> list[bytes]:
+def _channel_streams(data: bytes, header: ContainerHeader) -> list[memoryview]:
+    """Each channel's stream as a view into data, after checking the framing."""
+    view = memoryview(data)
     offset = HEADER_SIZE
     streams = []
     for channel in range(header.channels):
@@ -87,7 +89,7 @@ def _channel_streams(data: bytes, header: ContainerHeader) -> list[bytes]:
                 f"channel {channel} stream truncated: declared {length} bytes, "
                 f"{len(data) - offset} available"
             )
-        streams.append(data[offset : offset + length])
+        streams.append(view[offset : offset + length])
         offset += length
     if offset != len(data):
         raise CorruptStreamError(f"{len(data) - offset} trailing bytes after the last stream")

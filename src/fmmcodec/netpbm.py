@@ -16,6 +16,10 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 
+# No payload can satisfy a field with more significant digits than this,
+# and int() refuses digit strings of over 4,300 digits with a bare ValueError.
+_MAX_DIGITS = 20
+
 
 def _skip_filler(data: bytes, pos: int) -> int:
     """Advance past whitespace and # comments."""
@@ -48,6 +52,10 @@ def _int_field(data: bytes, pos: int, field: str) -> tuple[int, int]:
     token, pos = _token(data, pos, field)
     if not token.isdigit():
         raise NetpbmError(f"{field} must be a decimal integer, got {token!r}")
+    if len(token) > _MAX_DIGITS:
+        token = token.lstrip(b"0") or b"0"
+        if len(token) > _MAX_DIGITS:
+            raise NetpbmError(f"{field} has more than {_MAX_DIGITS} significant digits")
     return int(token), pos
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fmmcodec import bitstream
 from fmmcodec.bitstream import decode_plane, encode_plane, iter_blocks
-from fmmcodec.errors import CorruptStreamError, TruncatedStreamError
+from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 from golden import BLOCK_BITS, INDEX_BLOCK
 
@@ -21,7 +21,8 @@ def reference_block_bits(values: np.ndarray, k: int = 5) -> str:
     spread = hi - lo
     bits += "0" + format(spread, f"0{w}b")
     dw = spread.bit_length()
-    return bits + "".join(format(int(v) - lo, f"0{dw}b") for v in values.ravel())
+    fields = [format(delta, f"0{dw}b") for delta in range(spread + 1)]
+    return bits + "".join(fields[v - lo] for v in values.ravel().tolist())
 
 
 def reference_plane_bits(plane: np.ndarray, k: int = 5) -> str:
@@ -43,11 +44,6 @@ def only_block(stream: bytes, rows: int, cols: int, k: int = 5):
     """Fields of the one block of a rows x cols plane's stream."""
     (fields,) = iter_blocks(stream, rows, cols, k)
     return fields
-
-
-@pytest.mark.parametrize("k,width", [(3, 7), (5, 6), (7, 6), (9, 5), (127, 2)])
-def test_index_field_width(k, width):
-    assert bitstream.index_field_width(k) == width
 
 
 blocks = st.tuples(
@@ -157,6 +153,12 @@ class TestBlockCodec:
         with pytest.raises(CorruptStreamError):
             only_block(stream, 2, 2)
 
+    def test_rejects_range_one_over_limit(self):
+        # 50 + 2 > 51 although both deltas decode within the limit
+        stream = bits_to_bytes("110010" "0" "000010" "00" "01")
+        with pytest.raises(CorruptStreamError, match="block range"):
+            only_block(stream, 1, 2)
+
     def test_truncated_deltas(self):
         # promises 4-bit deltas that never arrive
         stream = bits_to_bytes("000000" "0" "001000")
@@ -164,24 +166,124 @@ class TestBlockCodec:
             only_block(stream, 8, 8)
 
 
+# Plane geometries on both sides of STRIP_BLOCKS: small planes (the
+# per-block loop), and wide-short, tall-narrow and square planes of 64+
+# blocks (the strip codec), most of them with partial edge blocks. Block
+# rows of more than 64 blocks are split into strips along the row.
+geometries = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    st.tuples(st.integers(1, 9), st.integers(505, 560)),
+    st.tuples(st.integers(505, 560), st.integers(1, 9)),
+    st.tuples(st.integers(57, 75), st.integers(57, 75)),
+    st.tuples(st.integers(9, 20), st.integers(1025, 1100)),
+)
+
+
 @pytest.mark.parametrize("k", MODULI)
 @given(
-    height=st.integers(min_value=1, max_value=40),
-    width=st.integers(min_value=1, max_value=40),
+    shape=geometries,
     span=st.integers(min_value=0, max_value=85),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(shape=(8, 520), span=85, seed=1)
+@example(shape=(520, 8), span=85, seed=2)
+@example(shape=(61, 77), span=3, seed=3)
+@example(shape=(17, 1030), span=85, seed=5)
 @settings(max_examples=20, deadline=None)
-def test_plane_bytes_match_reference(k, height, width, span, seed):
+def test_plane_bytes_match_reference(k, shape, span, seed):
     # span 0 gives constant planes; random planes draw their range too, so
     # every delta width, up to 7 bits for k = 3, occurs
     rng = np.random.default_rng(seed)
     span = min(span, 255 // k)
     lo = int(rng.integers(0, 255 // k - span + 1))
-    plane = (lo + rng.integers(0, span + 1, (height, width))).astype(np.uint8)
+    plane = (lo + rng.integers(0, span + 1, shape)).astype(np.uint8)
+    if seed % 2:
+        plane[: shape[0] // 2] = lo  # repeated blocks next to mixed ones
     stream = encode_plane(plane, k)
     assert stream == bits_to_bytes(reference_plane_bits(plane, k))
-    assert np.array_equal(decode_plane(stream, height, width, k), plane)
+    assert np.array_equal(decode_plane(stream, *shape, k), plane)
+
+
+def walked_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
+    """The plane assembled from iter_blocks, the per-block walk."""
+    plane = np.empty((height, width), dtype=np.uint8)
+    for block in iter_blocks(stream, height, width, k):
+        y, x = block.row * 8, block.col * 8
+        plane[y : y + 8, x : x + 8] = block.values
+    return plane
+
+
+def outcome(decode, stream: bytes, height: int, width: int, k: int):
+    """Decoded plane, or the class of the FmmError the decoder raised."""
+    try:
+        return decode(stream, height, width, k)
+    except FmmError as exc:
+        return type(exc)
+
+
+def test_strip_decoder_agrees_with_block_walk():
+    # above STRIP_BLOCKS, decode_plane reads headers one by one but gathers
+    # deltas a strip at a time; on valid, bit-flipped and truncated streams
+    # it must give the block walk's pixels or raise its exception class
+    rng = np.random.default_rng(29)
+    seen = set()
+    for case in range(60):
+        k = int(rng.choice([3, 5, 9, 13, 127]))
+        height, width = [(8, 520), (520, 8), (67, 75), (64, 64), (20, 1030)][case % 5]
+        assert -(-height // 8) * -(-width // 8) >= bitstream.STRIP_BLOCKS
+        top = 255 // k
+        # every third plane sits just below the limit, where a flipped delta
+        # can decode above it although the block's fields pass
+        low = max(top - 3, 0) if case % 3 == 0 else 0
+        plane = rng.integers(low, top + 1, (height, width)).astype(np.uint8)
+        plane[: height // 3] = plane[0, 0]
+        stream = encode_plane(plane, k)
+        mutants = [stream]
+        for _ in range(30):
+            data = bytearray(stream)
+            for _ in range(int(rng.integers(1, 4))):
+                data[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
+            mutants.append(bytes(data))
+        mutants += [stream[: int(rng.integers(0, len(stream)))] for _ in range(5)]
+        for data in mutants:
+            walked = outcome(walked_plane, data, height, width, k)
+            decoded = outcome(decode_plane, data, height, width, k)
+            if isinstance(walked, type):
+                assert decoded is walked
+            else:
+                assert np.array_equal(decoded, walked)
+            seen.add(walked if isinstance(walked, type) else np.ndarray)
+    assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
+
+
+def test_strip_decoder_raises_in_block_order():
+    # block 0,0 decodes index 49 + 3 = 52 > 51, then block 0,1 promises
+    # 384 delta bits the stream does not hold; the walk meets block 0,0
+    # first, so the strip decoder must raise its error, not the truncation
+    first = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63
+    second = format(0, "06b") + "0" + format(51, "06b") + "0" * 300
+    stream = bits_to_bytes(first + second)
+    assert 8 * len(stream) >= 64 * 7  # passes the size bound of 64 blocks
+    for decode in (walked_plane, decode_plane):
+        with pytest.raises(CorruptStreamError, match="block 0,0"):
+            decode(stream, 8, 512, 5)
+
+
+@pytest.mark.parametrize(
+    "height, width, bad, name",
+    [(8, 1024, 70, "block 0,70"), (80, 64, 75, "block 9,3"), (24, 1030, 300, "block 2,42")],
+)
+def test_strip_decoder_names_the_block(height, width, bad, name):
+    # every block is repeated except number bad in stream order, which
+    # decodes index 49 + 3 = 52 > 51; strips start mid-row and mid-plane,
+    # and both decoders must name the block by its place in the plane
+    blocks = -(-height // 8) * -(-width // 8)
+    repeated = format(0, "06b") + "1"
+    over = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63
+    stream = bits_to_bytes(repeated * bad + over + repeated * (blocks - bad - 1))
+    for decode in (walked_plane, decode_plane):
+        with pytest.raises(CorruptStreamError, match=name):
+            decode(stream, height, width, 5)
 
 
 def test_short_stream_rejected_before_any_block():

@@ -57,6 +57,12 @@ class TestCompress:
         code = cli.main(["compress", str(bad), str(tmp_path / "o.fmm")])
         assert code == cli.EXIT_FORMAT
 
+    def test_overlong_header_field(self, tmp_path, capsys):
+        bad = tmp_path / "long.pgm"
+        bad.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255 " + bytes(4))
+        assert cli.main(["compress", str(bad), str(tmp_path / "o.fmm")]) == cli.EXIT_FORMAT
+        assert "width" in capsys.readouterr().err
+
 
 class TestDecompress:
     def test_pipeline_equals_quantization(self, photo_ppm, tmp_path, capsys):

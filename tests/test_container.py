@@ -89,7 +89,7 @@ class TestDecompress:
         for ch in range(3):
             assert np.array_equal(out.plane(ch), core.quantize_plane(pixels[:, :, ch]))
 
-    @pytest.mark.parametrize("shape", [(256, 256), (37, 61)])
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 61), (8, 16384), (16384, 8)])
     @pytest.mark.parametrize("channels", [1, 3])
     def test_decode_memory_is_bounded(self, shape, channels):
         # uniform noise spends the most stream bits per sample; decoding it
@@ -104,6 +104,23 @@ class TestDecompress:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * img.pixels.size
+
+    @pytest.mark.parametrize("shape", [(256, 256), (37, 61), (8, 16384), (16384, 8)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_encode_memory_is_bounded(self, shape, channels):
+        # the per-block loop measures 1.6 to 3.2 bytes per sample and the
+        # strip codec 1.6 to 3.0; a temporary with a byte per bit of a whole
+        # plane's fields, or of a whole block row's on the 8-row plane
+        # (8+ bytes per sample), must not pass
+        rng = np.random.default_rng(shape[0] + channels)
+        img = RasterImage(rng.integers(0, 256, (*shape, channels), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            container.compress(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * img.pixels.size
 
 
 class TestHeaderErrors:
@@ -257,8 +274,11 @@ def test_mutation_fuzz(k, channels):
     # other exception (MemoryError, IndexError, a numpy error) fails the test.
     # The block walk behind inspect rejects exactly the mutants decode rejects.
     rng = np.random.default_rng(1000 + k * 10 + channels)
-    for _ in range(6):
-        shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)), channels)
+    for i in range(7):
+        if i < 6:
+            shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)), channels)
+        else:  # a plane of STRIP_BLOCKS or more blocks, coded in strips
+            shape = (int(rng.integers(57, 80)), int(rng.integers(57, 80)), channels)
         pixels = rng.integers(0, 256, shape, dtype=np.uint8)
         if rng.integers(0, 2):
             pixels[: shape[0] // 2] = pixels[0, 0]  # repeated blocks too

@@ -51,6 +51,15 @@ class TestRead:
         with pytest.raises(NetpbmError, match="width"):
             read_netpbm(b"P5 x 1 255 \x00")
 
+    def test_overlong_field(self):
+        # int() refuses over 4,300 digits with a bare ValueError
+        with pytest.raises(NetpbmError, match="width"):
+            read_netpbm(b"P5 " + b"1" * 5000 + b" 1 255 " + bytes(4))
+
+    def test_leading_zeros_are_not_digits(self):
+        img = read_netpbm(b"P5 " + b"0" * 5000 + b"2 1 255 " + bytes([3, 4]))
+        assert img.plane().tolist() == [[3, 4]]
+
     def test_header_cut_short(self):
         with pytest.raises(NetpbmError):
             read_netpbm(b"P5 2 2")
