@@ -20,7 +20,6 @@ and each block's deltas are packed as one Python integer: a block's
 indices, one byte each and read as a big-endian integer, hold every
 value in its own 8-bit lane; ``_pack`` squeezes the lanes to the delta
 width in log2(cells) mask-and-shift steps and ``_unpack`` undoes them.
-``iter_blocks`` always walks block by block this way.
 
 A larger plane is coded in strips of consecutive blocks: the fewest
 whole block rows that hold at least STRIP_BLOCKS blocks, or, where one
@@ -34,7 +33,7 @@ from 16-bit windows over the strip's own bytes.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -53,10 +52,6 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # 6-22% faster but need two to four times the working set.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
-# _REPEATED[v] is a read-only block of v; a repeated block's values are a
-# view of it, which is cheaper than filling a new array
-_REPEATED = np.repeat(np.arange(128, dtype=np.uint8), _CELLS).reshape(128, BLOCK_SIZE, BLOCK_SIZE)
-_REPEATED.flags.writeable = False
 # _ONES[n] has the value 1 in each of its n low byte lanes.
 _ONES = [(256**n - 1) // 255 for n in range(_CELLS + 1)]
 _HIGH = [128 * ones for ones in _ONES]
@@ -92,24 +87,6 @@ def _unpack(fields: int, cells: int, width: int) -> int:
     return fields
 
 
-class BlockFields(NamedTuple):
-    """One decoded block: its grid position, protocol fields and indices."""
-
-    row: int
-    col: int
-    min_index: int
-    repeated: bool
-    max_delta: int | None
-    delta_width: int | None
-    bit_length: int
-    values: np.ndarray
-
-    @property
-    def payload_bits(self) -> int:
-        """Bits spent on the packed deltas alone (0 for a repeated block)."""
-        return 0 if self.repeated else self.values.size * self.delta_width
-
-
 def _grid(height: int, width: int) -> tuple[int, int]:
     """Block rows and block columns of a height x width plane."""
     return -(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE)
@@ -134,38 +111,29 @@ def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
     w = top.bit_length()
     height, width = plane.shape
     rows, cols = _grid(height, width)
-    if rows * cols >= STRIP_BLOCKS:
-        return _encode_strips(plane, w)
     out = bytearray()
     acc = nbits = 0  # pending bits that do not yet fill a byte, and how many
-    for y in range(0, height, BLOCK_SIZE):
-        for x in range(0, width, BLOCK_SIZE):
-            cells = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE].tobytes()
-            lo, hi = min(cells), max(cells)
-            if lo == hi:
-                acc = (acc << (w + 1)) | (lo << 1) | 1
-                nbits += w + 1
-            else:
-                n, dw = len(cells), (hi - lo).bit_length()
-                deltas = _pack(int.from_bytes(cells, "big") - lo * _ONES[n], n, dw)
-                header = lo << (w + 1) | (hi - lo)  # repetition bit 0 between them
-                acc = (acc << (2 * w + 1) | header) << n * dw | deltas
-                nbits += 2 * w + 1 + n * dw
-            rem = nbits & 7
-            out += (acc >> rem).to_bytes(nbits >> 3, "big")
-            acc &= (1 << rem) - 1
-            nbits = rem
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
-
-
-def _encode_strips(plane: np.ndarray, w: int) -> bytes:
-    """encode_plane for a plane of STRIP_BLOCKS or more blocks, a strip at a time."""
-    out = bytearray()
-    acc = nbits = 0
-    for strip in _strips(*plane.shape):
-        acc, nbits = _encode_strip(plane[strip], w, out, acc, nbits)
+    if rows * cols >= STRIP_BLOCKS:
+        for strip in _strips(height, width):
+            acc, nbits = _encode_strip(plane[strip], w, out, acc, nbits)
+    else:
+        for y in range(0, height, BLOCK_SIZE):
+            for x in range(0, width, BLOCK_SIZE):
+                cells = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE].tobytes()
+                lo, hi = min(cells), max(cells)
+                if lo == hi:
+                    acc = (acc << (w + 1)) | (lo << 1) | 1
+                    nbits += w + 1
+                else:
+                    n, dw = len(cells), (hi - lo).bit_length()
+                    deltas = _pack(int.from_bytes(cells, "big") - lo * _ONES[n], n, dw)
+                    header = lo << (w + 1) | (hi - lo)  # repetition bit 0 between them
+                    acc = (acc << (2 * w + 1) | header) << n * dw | deltas
+                    nbits += 2 * w + 1 + n * dw
+                rem = nbits & 7
+                out += (acc >> rem).to_bytes(nbits >> 3, "big")
+                acc &= (1 << rem) - 1
+                nbits = rem
     if nbits:
         out.append(acc << (8 - nbits))
     return bytes(out)
@@ -228,38 +196,6 @@ def _encode_strip(
     return int(packed[-1]) >> (8 - (total & 7)), total & 7
 
 
-def iter_blocks(
-    stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
-) -> Iterator[BlockFields]:
-    """Checked fields of every block of a stream, in row-major grid order.
-
-    The stream must hold exactly the blocks of a height x width plane.
-    Corrupt fields, including any decoded index above 255 // k, raise
-    CorruptStreamError, and a short stream raises TruncatedStreamError.
-    A stream too short for even one header per block is rejected here,
-    before any block is read.
-    """
-    w, top, _ = _checked_size(stream, height, width, k)
-    return _blocks(stream, height, width, w, top)
-
-
-def _checked_size(
-    stream: bytes | memoryview, height: int, width: int, k: int
-) -> tuple[int, int, int]:
-    """Field width W, index limit and block count; rejects a stream too short for its headers."""
-    top = max_index(k)
-    w = top.bit_length()
-    if height < 1 or width < 1:
-        raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
-    blocks = -(-height // BLOCK_SIZE) * -(-width // BLOCK_SIZE)
-    if blocks * (w + 1) > 8 * len(stream):
-        raise TruncatedStreamError(
-            f"{blocks} blocks need at least {blocks * (w + 1)} bits, "
-            f"the stream has {8 * len(stream)}"
-        )
-    return w, top, blocks
-
-
 def _header(
     stream: bytes | memoryview, total: int, pos: int, w: int, top: int, cells: int
 ) -> tuple[int, int, int, int]:
@@ -301,49 +237,68 @@ def _checked_length(stream: bytes | memoryview, pos: int) -> None:
         )
 
 
-def _blocks(
-    stream: bytes | memoryview, height: int, width: int, w: int, top: int
-) -> Iterator[BlockFields]:
-    """The block walk behind iter_blocks, which runs its own checks eagerly."""
+def _walk(
+    stream: bytes | memoryview, height: int, width: int, top: int
+) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """Checked header of every block in stream order: (row, col, cells, min, max_delta, dw, end).
+
+    top is the index limit. row and col place the block in the grid and
+    cells counts its indices; the rest are _header's fields. Once the
+    last block is read, a stream longer than its blocks is rejected.
+    """
+    w = top.bit_length()
     total = 8 * len(stream)
     pos = 0
     for row, y in enumerate(range(0, height, BLOCK_SIZE)):
         rows = min(BLOCK_SIZE, height - y)
         for col, x in enumerate(range(0, width, BLOCK_SIZE)):
-            cols = min(BLOCK_SIZE, width - x)
-            n = rows * cols
-            start = pos
-            lo, spread, dw, pos = _header(stream, total, start, w, top, n)
-            if not spread:
-                values = _REPEATED[lo, :rows, :cols]
-                yield BlockFields(row, col, lo, True, None, None, pos - start, values)
-                continue
-            fields = int.from_bytes(stream[(pos - n * dw) >> 3 : (pos + 7) >> 3], "big")
-            fields = (fields >> (-pos & 7)) & ((1 << n * dw) - 1)
-            deltas = _unpack(fields, n, dw)
-            # a dw-bit delta may pass top even though lo + spread does not; as
-            # every delta is < 128, adding 127 - top + lo to each byte lane
-            # sets its high bit, with no carry, exactly when lo + delta > top
-            if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
-                raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
-            cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
-            values = np.frombuffer(cells, dtype=np.uint8).reshape(rows, cols)
-            yield BlockFields(row, col, lo, False, spread, dw, pos - start, values)
+            n = rows * min(BLOCK_SIZE, width - x)
+            lo, spread, dw, pos = _header(stream, total, pos, w, top, n)
+            yield row, col, n, lo, spread, dw, pos
     _checked_length(stream, pos)
 
 
 def decode_plane(
     stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
 ) -> np.ndarray:
-    """Index plane of a block stream; exact inverse of encode_plane."""
-    w, top, blocks = _checked_size(stream, height, width, k)
+    """Index plane of a block stream; exact inverse of encode_plane.
+
+    The stream must hold exactly the blocks of a height x width plane.
+    Corrupt fields, including any decoded index above 255 // k, raise
+    CorruptStreamError, and a short stream raises TruncatedStreamError.
+    A stream too short for even one header per block is rejected before
+    any block is read or the plane is allocated.
+    """
+    top = max_index(k)
+    w = top.bit_length()
+    if height < 1 or width < 1:
+        raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
+    blocks = -(-height // BLOCK_SIZE) * -(-width // BLOCK_SIZE)
+    if blocks * (w + 1) > 8 * len(stream):
+        raise TruncatedStreamError(
+            f"{blocks} blocks need at least {blocks * (w + 1)} bits, "
+            f"the stream has {8 * len(stream)}"
+        )
     plane = np.empty((height, width), dtype=np.uint8)
     if blocks < STRIP_BLOCKS:
         # a bytes slice is cheaper than a memoryview slice, and each block
         # takes two; a valid stream of under 64 blocks is under 3.2 KB
-        for block in _blocks(bytes(stream), height, width, w, top):
-            y, x = block.row * BLOCK_SIZE, block.col * BLOCK_SIZE
-            plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE] = block.values
+        stream = bytes(stream)
+        for row, col, n, lo, spread, dw, end in _walk(stream, height, width, top):
+            y, x = row * BLOCK_SIZE, col * BLOCK_SIZE
+            block = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE]
+            if not spread:
+                block.fill(lo)
+                continue
+            fields = int.from_bytes(stream[(end - n * dw) >> 3 : (end + 7) >> 3], "big")
+            deltas = _unpack((fields >> (-end & 7)) & ((1 << n * dw) - 1), n, dw)
+            # a dw-bit delta may pass top even though lo + spread does not; as
+            # every delta is < 128, adding 127 - top + lo to each byte lane
+            # sets its high bit, with no carry, exactly when lo + delta > top
+            if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
+                raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
+            cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
+            block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
         return plane
     tables = {}  # _cell_numbers per strip shape; edge strips are smaller
     pos = 0

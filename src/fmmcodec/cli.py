@@ -137,14 +137,14 @@ def _cmd_inspect(args) -> int:
     header = container.read_header(blob)
     print(f"modulus {header.modulus}, {header.width}x{header.height}, "
           f"{header.channels} channel(s)")
-    for channel, fields in container.iter_block_fields(blob):
-        line = (f"ch={channel} block={fields.row},{fields.col} "
-                f"min={fields.min_index} rep={int(fields.repeated)}")
-        if not fields.repeated:
-            line += f" max={fields.max_delta} width={fields.delta_width}"
-        line += f" bits={fields.bit_length} payload={fields.payload_bits}"
-        if fields.payload_bits:
-            line += f" ratio={fields.values.size * 8 / fields.payload_bits:.2f}"
+    for channel, row, col, cells, lo, spread, dw, bits in container.block_headers(blob):
+        line = f"ch={channel} block={row},{col} min={lo} rep={int(not spread)}"
+        if spread:
+            line += f" max={spread} width={dw}"
+        payload = cells * dw
+        line += f" bits={bits} payload={payload}"
+        if payload:
+            line += f" ratio={cells * 8 / payload:.2f}"
         print(line)
     return EXIT_OK
 

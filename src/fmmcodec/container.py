@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .bitstream import BlockFields, decode_plane, encode_plane, iter_blocks
+from .bitstream import _walk, decode_plane, encode_plane
 from .errors import CorruptStreamError, FormatError, ModulusError
 from .image import RasterImage
 
@@ -105,9 +105,18 @@ def decompress(data: bytes) -> RasterImage:
     return RasterImage(core.from_indices(np.stack(list(planes), axis=-1), k))
 
 
-def iter_block_fields(data: bytes) -> Iterator[tuple[int, BlockFields]]:
-    """Walk a container block by block: (channel, fields)."""
+def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
+    """(channel, row, col, cells, min, max_delta, delta width, bits) of every block.
+
+    The container is decompressed first, so a file that decompress
+    rejects raises its error before any block is yielded. max_delta and
+    the delta width are 0 for a repeated block; bits is the block's length.
+    """
+    decompress(data)
     header = read_header(data)
+    top = core.max_index(header.modulus)
     for channel, stream in enumerate(_channel_streams(data, header)):
-        for fields in iter_blocks(stream, header.height, header.width, header.modulus):
-            yield channel, fields
+        start = 0
+        for *fields, end in _walk(stream, header.height, header.width, top):
+            yield channel, *fields, end - start
+            start = end

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fmmcodec import cli, container, core, metrics
-from fmmcodec.bitstream import encode_plane, iter_blocks
+from fmmcodec.bitstream import _walk, decode_plane, encode_plane
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import write_netpbm
 
@@ -62,10 +62,11 @@ def test_criterion_1_divide_stage():
 
 
 def test_criterion_1_min_subtract_stage():
-    (block,) = iter_blocks(encode_plane(INDEX_BLOCK), 8, 8)
-    assert block.min_index == INDEX_MIN
-    assert block.max_delta == MAX_DELTA
-    assert np.array_equal(block.values.astype(np.int16) - block.min_index, DELTA_BLOCK)
+    stream = encode_plane(INDEX_BLOCK)
+    ((_, _, _, lo, max_delta, _, _),) = _walk(stream, 8, 8, core.max_index())
+    assert lo == INDEX_MIN
+    assert max_delta == MAX_DELTA
+    assert np.array_equal(decode_plane(stream, 8, 8).astype(np.int16) - lo, DELTA_BLOCK)
 
 
 # --- criterion 2: dispersion statistics ---
@@ -83,17 +84,18 @@ def test_criterion_3_uniform_block():
     block = np.full((8, 8), 11, dtype=np.uint8)
     stream = encode_plane(block)
     assert stream == bytes([0b00101110])  # 0010111 zero-padded
-    (decoded,) = iter_blocks(stream, 8, 8)
-    assert decoded.bit_length == 7
-    assert np.array_equal(decoded.values, block)
+    ((*_, bits),) = _walk(stream, 8, 8, core.max_index())
+    assert bits == 7
+    assert np.array_equal(decode_plane(stream, 8, 8), block)
 
 
 def test_criterion_3_mixed_block():
-    (fields,) = iter_blocks(encode_plane(INDEX_BLOCK), 8, 8)
-    assert fields.bit_length == BLOCK_BITS == 269
-    assert (fields.min_index, fields.repeated) == (INDEX_MIN, False)
-    assert (fields.max_delta, fields.delta_width) == (MAX_DELTA, 4)
-    assert np.array_equal(fields.values, INDEX_BLOCK)
+    stream = encode_plane(INDEX_BLOCK)
+    ((_, _, _, lo, max_delta, dw, bits),) = _walk(stream, 8, 8, core.max_index())
+    assert bits == BLOCK_BITS == 269
+    assert lo == INDEX_MIN
+    assert (max_delta, dw) == (MAX_DELTA, 4)  # max_delta > 0: not repeated
+    assert np.array_equal(decode_plane(stream, 8, 8), INDEX_BLOCK)
 
 
 # --- criteria 4 and 5 share one 1,000-image sweep ---

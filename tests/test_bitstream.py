@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fmmcodec import bitstream
-from fmmcodec.bitstream import decode_plane, encode_plane, iter_blocks
+from fmmcodec.bitstream import decode_plane, encode_plane
 from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 from golden import BLOCK_BITS, INDEX_BLOCK
@@ -40,10 +40,20 @@ def bits_to_bytes(bits: str) -> bytes:
     return int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
 
 
-def only_block(stream: bytes, rows: int, cols: int, k: int = 5):
-    """Fields of the one block of a rows x cols plane's stream."""
-    (fields,) = iter_blocks(stream, rows, cols, k)
-    return fields
+def walk(stream: bytes, height: int, width: int, k: int = 5) -> list[tuple]:
+    """The checked header walk over a plane's stream, one tuple per block."""
+    return list(bitstream._walk(stream, height, width, 255 // k))
+
+
+def only_block(stream: bytes, rows: int, cols: int, k: int = 5) -> tuple[int, int, int, int]:
+    """(min, max_delta, delta width, bits) of the one block of a rows x cols plane's stream."""
+    ((_, _, _, lo, spread, dw, end),) = walk(stream, rows, cols, k)
+    return lo, spread, dw, end
+
+
+def block_bits(stream: bytes, rows: int, cols: int, k: int = 5) -> int:
+    """Bit length of the one block of a rows x cols plane's stream."""
+    return only_block(stream, rows, cols, k)[3]
 
 
 blocks = st.tuples(
@@ -57,14 +67,14 @@ blocks = st.tuples(
 class TestBlockCodec:
     def test_uniform_block_bits(self):
         stream = encode_plane(np.full((8, 8), 11, dtype=np.uint8))
-        assert only_block(stream, 8, 8).bit_length == 7
+        assert block_bits(stream, 8, 8) == 7
         assert stream == bytes([0b00101110])
 
     def test_golden_block_matches_reference(self):
         arr = INDEX_BLOCK
         stream = encode_plane(arr)
         bits = reference_block_bits(arr)
-        assert only_block(stream, 8, 8).bit_length == len(bits) == BLOCK_BITS
+        assert block_bits(stream, 8, 8) == len(bits) == BLOCK_BITS
         assert stream == bits_to_bytes(bits)
 
     @given(blocks)
@@ -78,13 +88,13 @@ class TestBlockCodec:
         )
         stream = encode_plane(arr, k)
         bits = reference_block_bits(arr, k)
-        assert only_block(stream, rows, cols, k).bit_length == len(bits)
+        assert block_bits(stream, rows, cols, k) == len(bits)
         assert stream == bits_to_bytes(bits)
         assert np.array_equal(decode_plane(stream, rows, cols, k), arr)
 
     def test_single_cell_zero_block(self):
         stream = encode_plane(np.zeros((1, 1), dtype=np.uint8))
-        assert only_block(stream, 1, 1).bit_length == 7
+        assert block_bits(stream, 1, 1) == 7
         assert stream == bits_to_bytes("0000001")
 
     def test_roundtrip_many_random_blocks(self):
@@ -103,9 +113,11 @@ class TestBlockCodec:
         b = np.array([[0, 5], [1, 3], [4, 2]], dtype=np.uint8)
         stream = encode_plane(np.hstack([a, b]))
         assert stream == bits_to_bytes(reference_block_bits(a) + reference_block_bits(b))
-        first, second = iter_blocks(stream, 3, 10)
-        assert np.array_equal(first.values, a)
-        assert np.array_equal(second.values, b)
+        first, second = walk(stream, 3, 10)
+        assert (first[:3], second[:3]) == ((0, 0, 3 * 8), (0, 1, 3 * 2))
+        plane = decode_plane(stream, 3, 10)
+        assert np.array_equal(plane[:, :8], a)
+        assert np.array_equal(plane[:, 8:], b)
 
     def test_full_block_bit_bounds(self):
         # a full 8x8 block at k = 5 spans 7 bits (uniform) to 397 (max spread)
@@ -113,8 +125,8 @@ class TestBlockCodec:
         spread = np.zeros((8, 8), dtype=np.uint8)
         spread[0, 0] = 51
         hi = encode_plane(spread)
-        assert only_block(lo, 8, 8).bit_length == 7
-        assert only_block(hi, 8, 8).bit_length == 6 + 1 + 6 + 64 * 6 == 397
+        assert block_bits(lo, 8, 8) == 7
+        assert block_bits(hi, 8, 8) == 6 + 1 + 6 + 64 * 6 == 397
 
     def test_rejects_bad_shapes(self):
         for shape in [(0, 8), (8,), (2, 2, 2)]:
@@ -126,44 +138,45 @@ class TestBlockCodec:
             encode_plane(np.full((2, 2), 52, dtype=np.uint8))
 
     def test_decoder_fields(self):
-        f = only_block(encode_plane(INDEX_BLOCK), 8, 8)
-        assert (f.min_index, f.repeated, f.max_delta, f.delta_width) == (42, False, 8, 4)
-        assert f.bit_length == BLOCK_BITS
-        assert f.payload_bits == 256
-        assert np.array_equal(f.values, INDEX_BLOCK)
+        stream = encode_plane(INDEX_BLOCK)
+        lo, max_delta, dw, bits = only_block(stream, 8, 8)
+        assert (lo, max_delta, dw) == (42, 8, 4)  # max_delta > 0: not repeated
+        assert bits == BLOCK_BITS
+        assert 64 * dw == 256  # payload bits
+        assert np.array_equal(decode_plane(stream, 8, 8), INDEX_BLOCK)
 
     def test_decoder_fields_repeated(self):
-        f = only_block(encode_plane(np.full((4, 7), 9, dtype=np.uint8)), 4, 7)
-        assert (f.min_index, f.repeated, f.max_delta, f.delta_width) == (9, True, None, None)
-        assert f.bit_length == 7
-        assert f.payload_bits == 0
+        stream = encode_plane(np.full((4, 7), 9, dtype=np.uint8))
+        lo, max_delta, dw, bits = only_block(stream, 4, 7)
+        assert (lo, max_delta, dw) == (9, 0, 0)  # repeated: no max_delta, no payload
+        assert bits == 7
 
     def test_rejects_zero_max_delta(self):
         stream = bits_to_bytes("001010" "0" "000000")
         with pytest.raises(CorruptStreamError):
-            only_block(stream, 2, 2)
+            decode_plane(stream, 2, 2)
 
     def test_rejects_min_over_limit(self):
         stream = bits_to_bytes("111111" "1")  # 63 > 51, impossible for k = 5
         with pytest.raises(CorruptStreamError):
-            only_block(stream, 2, 2)
+            decode_plane(stream, 2, 2)
 
     def test_rejects_range_over_limit(self):
         stream = bits_to_bytes("110010" "0" "000101")  # 50 + 5 > 51
         with pytest.raises(CorruptStreamError):
-            only_block(stream, 2, 2)
+            decode_plane(stream, 2, 2)
 
     def test_rejects_range_one_over_limit(self):
         # 50 + 2 > 51 although both deltas decode within the limit
         stream = bits_to_bytes("110010" "0" "000010" "00" "01")
         with pytest.raises(CorruptStreamError, match="block range"):
-            only_block(stream, 1, 2)
+            decode_plane(stream, 1, 2)
 
     def test_truncated_deltas(self):
         # promises 4-bit deltas that never arrive
         stream = bits_to_bytes("000000" "0" "001000")
         with pytest.raises(TruncatedStreamError):
-            only_block(stream, 8, 8)
+            decode_plane(stream, 8, 8)
 
 
 # Plane geometries on both sides of STRIP_BLOCKS: small planes (the
@@ -205,12 +218,10 @@ def test_plane_bytes_match_reference(k, shape, span, seed):
 
 
 def walked_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
-    """The plane assembled from iter_blocks, the per-block walk."""
-    plane = np.empty((height, width), dtype=np.uint8)
-    for block in iter_blocks(stream, height, width, k):
-        y, x = block.row * 8, block.col * 8
-        plane[y : y + 8, x : x + 8] = block.values
-    return plane
+    """decode_plane on the per-block walk, whatever the plane's size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "STRIP_BLOCKS", -(-height // 8) * -(-width // 8) + 1)
+        return decode_plane(stream, height, width, k)
 
 
 def outcome(decode, stream: bytes, height: int, width: int, k: int):
@@ -289,4 +300,4 @@ def test_strip_decoder_names_the_block(height, width, bad, name):
 def test_short_stream_rejected_before_any_block():
     # 4 blocks need at least 4 * 7 = 28 bits; 3 bytes hold only 24
     with pytest.raises(TruncatedStreamError, match="at least 28 bits"):
-        iter_blocks(bytes(3), 16, 16)
+        decode_plane(bytes(3), 16, 16)

@@ -122,6 +122,24 @@ class TestCompare:
         assert code == cli.EXIT_USAGE
 
 
+# fmm inspect of TestInspect.test_whole_output's image, every line
+INSPECT_13X10X3 = """\
+modulus 5, 13x10, 3 channel(s)
+ch=0 block=0,0 min=20 rep=1 bits=7 payload=0
+ch=0 block=0,1 min=1 rep=0 max=50 width=6 bits=253 payload=240 ratio=1.33
+ch=0 block=1,0 min=0 rep=0 max=50 width=6 bits=109 payload=96 ratio=1.33
+ch=0 block=1,1 min=3 rep=0 max=24 width=5 bits=63 payload=50 ratio=1.60
+ch=1 block=0,0 min=11 rep=1 bits=7 payload=0
+ch=1 block=0,1 min=11 rep=1 bits=7 payload=0
+ch=1 block=1,0 min=11 rep=1 bits=7 payload=0
+ch=1 block=1,1 min=11 rep=1 bits=7 payload=0
+ch=2 block=0,0 min=24 rep=0 max=3 width=2 bits=141 payload=128 ratio=4.00
+ch=2 block=0,1 min=24 rep=0 max=3 width=2 bits=93 payload=80 ratio=4.00
+ch=2 block=1,0 min=24 rep=0 max=3 width=2 bits=45 payload=32 ratio=4.00
+ch=2 block=1,1 min=24 rep=0 max=3 width=2 bits=33 payload=20 ratio=4.00
+"""
+
+
 class TestInspect:
     def test_uniform_block_line(self, uniform_pgm, tmp_path, capsys):
         blob_path = tmp_path / "u.fmm"
@@ -141,7 +159,29 @@ class TestInspect:
         path.write_bytes(bytes.fromhex("464d4d31 01 05 00000002 00000001 01 00000003 c41180"))
         assert len(path.read_bytes()) == 22
         assert cli.main(["inspect", str(path)]) == cli.EXIT_FORMAT
+        assert "ch=" not in capsys.readouterr().out
         assert cli.main(["decompress", str(path), str(tmp_path / "out.pgm")]) == cli.EXIT_FORMAT
+        # the same stream after two valid channels (index 11, repeated): a
+        # rejected file prints no block line, not even for the valid channels
+        path.write_bytes(bytes.fromhex(
+            "464d4d31 01 05 00000002 00000001 03 00000001 2e 00000001 2e 00000003 c41180"
+        ))
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_FORMAT
+        assert "ch=" not in capsys.readouterr().out
+
+    def test_whole_output(self, tmp_path, capsys):
+        # 13x10 tiles into 8x8, 8x5, 2x8 and 2x5 blocks. Channel 0 has a
+        # repeated block beside mixed ones, channel 1 only repeated blocks
+        # and channel 2 only mixed blocks.
+        y, x = np.mgrid[0:10, 0:13]
+        pixels = np.empty((10, 13, 3), dtype=np.uint8)
+        pixels[..., 0] = np.where((y < 8) & (x < 8), 100, (y * 13 + x) * 7 % 256)
+        pixels[..., 1] = 55
+        pixels[..., 2] = 120 + (x + y) % 4 * 5
+        path = tmp_path / "small.fmm"
+        path.write_bytes(container.compress(RasterImage(pixels)))
+        assert cli.main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == INSPECT_13X10X3
 
 
 class TestBench:

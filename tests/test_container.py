@@ -198,9 +198,9 @@ class TestStreamErrors:
         blob = frame([stream], width=1, height=1)
         with pytest.raises(CorruptStreamError):
             container.decompress(blob)
-        # the block walk behind inspect rejects it too, naming the block
+        # inspect's block headers reject it too, naming the block
         with pytest.raises(CorruptStreamError, match="block 0,0"):
-            list(container.iter_block_fields(blob))
+            list(container.block_headers(blob))
 
     def test_huge_declared_plane_fails_fast(self):
         # 16384x16384 needs 2048 * 2048 blocks of at least 7 bits each; a
@@ -215,17 +215,17 @@ class TestStreamErrors:
         assert time.perf_counter() - started < 0.05
 
 
-class TestIterBlockFields:
+class TestBlockHeaders:
     def test_grid_order_and_coords(self):
         rng = np.random.default_rng(5)
         img = RasterImage(rng.integers(0, 256, (13, 21), dtype=np.uint8))
         blob = container.compress(img)
-        seen = [(ch, f.row, f.col) for ch, f in container.iter_block_fields(blob)]
+        seen = [(ch, row, col) for ch, row, col, *_ in container.block_headers(blob)]
         assert seen == [(0, row, col) for row in range(2) for col in range(3)]
 
     def test_three_channels(self):
         img = RasterImage(np.zeros((8, 8, 3), dtype=np.uint8))
-        channels = [ch for ch, _ in container.iter_block_fields(container.compress(img))]
+        channels = [ch for ch, *_ in container.block_headers(container.compress(img))]
         assert channels == [0, 1, 2]
 
 
@@ -272,7 +272,7 @@ def _mutants(blob: bytes, rng: np.random.Generator, count: int):
 def test_mutation_fuzz(k, channels):
     # every mutant decodes or raises an FmmError subclass, quickly; any
     # other exception (MemoryError, IndexError, a numpy error) fails the test.
-    # The block walk behind inspect rejects exactly the mutants decode rejects.
+    # inspect's block headers reject exactly the mutants decode rejects.
     rng = np.random.default_rng(1000 + k * 10 + channels)
     for i in range(7):
         if i < 6:
@@ -292,7 +292,7 @@ def test_mutation_fuzz(k, channels):
                 decoded = False
             assert time.perf_counter() - started < 0.5
             try:
-                list(container.iter_block_fields(data))
+                list(container.block_headers(data))
                 walked = True
             except FmmError:
                 walked = False

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fmmcodec import core, metrics
-from fmmcodec.bitstream import decode_plane, encode_plane, iter_blocks
+from fmmcodec import bitstream, core, metrics
+from fmmcodec.bitstream import decode_plane, encode_plane
 from fmmcodec.errors import ModulusError
 from fmmcodec.image import RasterImage
 
@@ -140,53 +140,53 @@ class TestIndices:
 
 
 class TestBlocks:
-    """The 8x8 tiling, as the codec applies it: bitstream.iter_blocks."""
+    """The 8x8 tiling, as the codec applies it: the block walk in bitstream."""
 
     @staticmethod
-    def tiles(plane, k=5):
-        """(row, col, rows, cols) of every block of a plane, in stream order."""
+    def walk(plane, k=5):
+        """The block walk's tuple for every block of a plane, in stream order."""
         plane = np.asarray(plane, dtype=np.uint8)
-        blocks = iter_blocks(encode_plane(plane, k), *plane.shape, k)
-        return [(b.row, b.col, *b.values.shape) for b in blocks]
+        return list(bitstream._walk(encode_plane(plane, k), *plane.shape, 255 // k))
 
-    @staticmethod
-    def only_block(plane, k=5):
-        plane = np.asarray(plane, dtype=np.uint8)
-        (block,) = iter_blocks(encode_plane(plane, k), *plane.shape, k)
-        return block
+    @classmethod
+    def tiles(cls, plane, k=5):
+        """(row, col, cells) of every block of a plane, in stream order."""
+        return [block[:3] for block in cls.walk(plane, k)]
+
+    @classmethod
+    def only_block(cls, plane, k=5):
+        """(min, max_delta) of a one-block plane; max_delta is 0 when repeated."""
+        (block,) = cls.walk(plane, k)
+        return block[3:5]
 
     def test_grid_exact_fit(self):
         grid = self.tiles(np.zeros((16, 8)))
-        assert grid == [(0, 0, 8, 8), (1, 0, 8, 8)]
+        assert grid == [(0, 0, 8 * 8), (1, 0, 8 * 8)]
 
     def test_grid_partial_edges(self):
         grid = self.tiles(np.zeros((13, 21)))
         assert len(grid) == 2 * 3
-        assert grid[0] == (0, 0, 8, 8)
-        assert grid[2] == (0, 2, 8, 5)
-        assert grid[-1] == (1, 2, 5, 5)
+        assert grid[0] == (0, 0, 8 * 8)
+        assert grid[2] == (0, 2, 8 * 5)
+        assert grid[-1] == (1, 2, 5 * 5)
 
     def test_grid_single_pixel(self):
-        assert self.tiles([[0]]) == [(0, 0, 1, 1)]
+        assert self.tiles([[0]]) == [(0, 0, 1 * 1)]
 
     def test_split_10x10(self):
         plane = np.arange(100, dtype=np.uint8).reshape(10, 10) % 52
-        blocks = list(iter_blocks(encode_plane(plane), 10, 10))
-        assert [block.values.shape for block in blocks] == [(8, 8), (8, 2), (2, 8), (2, 2)]
-        for block in blocks:
-            y, x = block.row * 8, block.col * 8
-            assert np.array_equal(block.values, plane[y : y + 8, x : x + 8])
+        assert self.tiles(plane) == [(0, 0, 8 * 8), (0, 1, 8 * 2), (1, 0, 2 * 8), (1, 1, 2 * 2)]
+        assert np.array_equal(decode_plane(encode_plane(plane), 10, 10), plane)
 
     def test_split_16x16(self):
         grid = self.tiles(np.zeros((16, 16)))
         assert len(grid) == 4
-        assert all((rows, cols) == (8, 8) for _, _, rows, cols in grid)
+        assert all(cells == 8 * 8 for _, _, cells in grid)
 
     def test_split_exact_block_is_identity(self):
         plane = np.arange(64, dtype=np.uint8).reshape(8, 8)
-        block = self.only_block(plane, k=3)
-        assert (block.row, block.col) == (0, 0)
-        assert np.array_equal(block.values, plane)
+        assert self.tiles(plane, k=3) == [(0, 0, 8 * 8)]
+        assert np.array_equal(decode_plane(encode_plane(plane, 3), 8, 8, 3), plane)
 
     @given(
         height=st.integers(min_value=1, max_value=40),
@@ -196,21 +196,18 @@ class TestBlocks:
         rng = np.random.default_rng(height * 64 + width)
         plane = rng.integers(0, 52, (height, width), dtype=np.uint8)
         stream = encode_plane(plane)
-        assert len(list(iter_blocks(stream, height, width))) == -(-height // 8) * -(-width // 8)
+        assert len(self.tiles(plane)) == -(-height // 8) * -(-width // 8)
         rebuilt = decode_plane(stream, height, width)
         assert np.array_equal(rebuilt, plane)
 
     def test_block_stats_mixed(self):
-        block = self.only_block(INDEX_BLOCK)
-        assert (block.min_index, block.max_delta) == (42, 8)
+        assert self.only_block(INDEX_BLOCK) == (42, 8)
 
     def test_block_stats_uniform(self):
-        block = self.only_block(np.full((8, 8), 11))
-        assert (block.min_index, block.repeated, block.max_delta) == (11, True, None)
+        assert self.only_block(np.full((8, 8), 11)) == (11, 0)
 
     def test_block_stats_single_cell(self):
-        block = self.only_block([[7]])
-        assert (block.min_index, block.repeated, block.max_delta) == (7, True, None)
+        assert self.only_block([[7]]) == (7, 0)
 
     def test_block_stats_empty(self):
         with pytest.raises(ValueError):
