@@ -26,9 +26,9 @@ whole block rows that hold at least STRIP_BLOCKS blocks, or, where one
 block row holds more, runs of STRIP_BLOCKS blocks along it, so a strip
 has fewer than 2 * STRIP_BLOCKS blocks whatever the plane's shape. The
 encoder places every field of a strip at its cumulative bit offset with
-numpy. The decoder reads only the block headers one by one, with the
-same checks as the block walk, then gathers the strip's deltas at once
-from 16-bit windows over the strip's own bytes.
+numpy. The decoder reads the block headers through ``_scan``, as the
+per-block path does, then gathers the strip's deltas at once from 16-bit
+windows over its bytes. Both raise the same errors with the same messages.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
 _ONES = [(256**n - 1) // 255 for n in range(_CELLS + 1)]
 _HIGH = [128 * ones for ones in _ONES]
+_Heads = list[tuple[int, int, int, int]]  # min, max_delta, delta width, deltas start bit
 
 
 def _lane_mask(lane_bits: int, field_bits: int) -> int:
@@ -196,66 +197,55 @@ def _encode_strip(
     return int(packed[-1]) >> (8 - (total & 7)), total & 7
 
 
-def _header(
-    stream: bytes | memoryview, total: int, pos: int, w: int, top: int, cells: int
-) -> tuple[int, int, int, int]:
-    """Checked header of a block of cells indices at bit pos: (min, max_delta, dw, end).
-
-    The checks of both decoders; total is the stream's length in bits.
-    max_delta and the delta width dw are 0 for a repeated block; end is
-    the bit offset after the block's deltas, which must lie in the stream.
-    """
-    # a header is at most 2 * 7 + 1 bits: from any bit offset it fits 4 bytes
-    chunk = stream[pos >> 3 : (pos >> 3) + 4]
-    window = int.from_bytes(chunk, "big") << (32 - 8 * len(chunk) + (pos & 7)) & 0xFFFFFFFF
-    if pos + w + 1 > total:
-        raise TruncatedStreamError(f"needed {w + 1} bits, only {total - pos} left")
-    lo = window >> (32 - w)
-    if lo > top:
-        raise CorruptStreamError(f"block minimum {lo} exceeds index limit {top}")
-    if window >> (31 - w) & 1:
-        return lo, 0, 0, pos + w + 1
-    if pos + 2 * w + 1 > total:
-        raise TruncatedStreamError(f"needed {w} bits, only {total - pos - w - 1} left")
-    spread = window >> (31 - 2 * w) & ((1 << w) - 1)
-    if spread == 0:
-        raise CorruptStreamError("non-repeated block with zero max_delta is not canonical")
-    if lo + spread > top:
-        raise CorruptStreamError(f"block range {lo}+{spread} exceeds index limit {top}")
-    pos += 2 * w + 1
-    dw = spread.bit_length()
-    if pos + cells * dw > total:
-        raise TruncatedStreamError(f"needed {cells * dw} bits, only {total - pos} left")
-    return lo, spread, dw, pos + cells * dw
+def _cells(rows: int, width: int) -> list[int]:
+    """Index count of each block of a rows x width region, in stream order."""
+    full, edge = divmod(width, BLOCK_SIZE)
+    cols = [BLOCK_SIZE] * full + [edge] * (edge > 0)
+    full, edge = divmod(rows, BLOCK_SIZE)
+    return [BLOCK_SIZE * n for n in cols] * full + [edge * n for n in cols] * (edge > 0)
 
 
-def _checked_length(stream: bytes | memoryview, pos: int) -> None:
-    """Reject a stream longer than its blocks, which end at bit pos."""
-    if len(stream) != (pos + 7) // 8:
-        raise CorruptStreamError(
-            f"stream is {len(stream)} bytes but its blocks need {(pos + 7) // 8}"
-        )
+def _scan(
+    stream: bytes | memoryview, pos: int, rows: int, width: int, top: int
+) -> tuple[_Heads, int, FmmError | None]:
+    """Checked headers of a rows x width region's blocks from bit pos: (heads, pos, error).
 
-
-def _walk(
-    stream: bytes | memoryview, height: int, width: int, top: int
-) -> Iterator[tuple[int, int, int, int, int, int, int]]:
-    """Checked header of every block in stream order: (row, col, cells, min, max_delta, dw, end).
-
-    top is the index limit. row and col place the block in the grid and
-    cells counts its indices; the rest are _header's fields. Once the
-    last block is read, a stream longer than its blocks is rejected.
+    A repeated block's head has max_delta and width 0, and each deltas start counts from the
+    byte holding bit pos. A bad header stops the scan with pos at it and its error, else None.
     """
     w = top.bit_length()
-    total = 8 * len(stream)
-    pos = 0
-    for row, y in enumerate(range(0, height, BLOCK_SIZE)):
-        rows = min(BLOCK_SIZE, height - y)
-        for col, x in enumerate(range(0, width, BLOCK_SIZE)):
-            n = rows * min(BLOCK_SIZE, width - x)
-            lo, spread, dw, pos = _header(stream, total, pos, w, top, n)
-            yield row, col, n, lo, spread, dw, pos
-    _checked_length(stream, pos)
+    total, origin = 8 * len(stream), pos & ~7
+    heads = []
+    try:
+        for n in _cells(rows, width):
+            # a header is at most 2 * 7 + 1 bits: from any bit offset it fits 4 bytes
+            chunk = stream[pos >> 3 : (pos >> 3) + 4]
+            window = int.from_bytes(chunk, "big") << (32 - 8 * len(chunk) + (pos & 7)) & 0xFFFFFFFF
+            if pos + w + 1 > total:
+                raise TruncatedStreamError(f"needed {w + 1} bits, only {total - pos} left")
+            lo = window >> (32 - w)
+            if lo > top:
+                raise CorruptStreamError(f"block minimum {lo} exceeds index limit {top}")
+            if window >> (31 - w) & 1:
+                pos += w + 1
+                heads.append((lo, 0, 0, pos - origin))
+                continue
+            if pos + 2 * w + 1 > total:
+                raise TruncatedStreamError(f"needed {w} bits, only {total - pos - w - 1} left")
+            spread = window >> (31 - 2 * w) & ((1 << w) - 1)
+            if spread == 0:
+                raise CorruptStreamError("non-repeated block with zero max_delta is not canonical")
+            if lo + spread > top:
+                raise CorruptStreamError(f"block range {lo}+{spread} exceeds index limit {top}")
+            deltas = pos + 2 * w + 1
+            dw = spread.bit_length()
+            if deltas + n * dw > total:
+                raise TruncatedStreamError(f"needed {n * dw} bits, only {total - deltas} left")
+            heads.append((lo, spread, dw, deltas - origin))
+            pos = deltas + n * dw
+    except FmmError as exc:
+        return heads, pos, exc
+    return heads, pos, None
 
 
 def decode_plane(
@@ -280,36 +270,53 @@ def decode_plane(
             f"the stream has {8 * len(stream)}"
         )
     plane = np.empty((height, width), dtype=np.uint8)
-    if blocks < STRIP_BLOCKS:
-        # a bytes slice is cheaper than a memoryview slice, and each block
-        # takes two; a valid stream of under 64 blocks is under 3.2 KB
-        stream = bytes(stream)
-        for row, col, n, lo, spread, dw, end in _walk(stream, height, width, top):
-            y, x = row * BLOCK_SIZE, col * BLOCK_SIZE
-            block = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE]
-            if not spread:
-                block.fill(lo)
-                continue
-            fields = int.from_bytes(stream[(end - n * dw) >> 3 : (end + 7) >> 3], "big")
-            deltas = _unpack((fields >> (-end & 7)) & ((1 << n * dw) - 1), n, dw)
-            # a dw-bit delta may pass top even though lo + spread does not; as
-            # every delta is < 128, adding 127 - top + lo to each byte lane
-            # sets its high bit, with no carry, exactly when lo + delta > top
-            if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
-                raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
-            cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
-            block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
-        return plane
     tables = {}  # _cell_numbers per strip shape; edge strips are smaller
     pos = 0
-    for ys, xs in _strips(height, width):
+    # a plane of under STRIP_BLOCKS blocks is one region, decoded block by block
+    regions = _strips(height, width) if blocks >= STRIP_BLOCKS else [(slice(None),) * 2]
+    for ys, xs in regions:
         out = plane[ys, xs]
-        if out.shape not in tables:
-            tables[out.shape] = _cell_numbers(*out.shape)
-        first = (ys.start // BLOCK_SIZE, xs.start // BLOCK_SIZE)
-        pos = _decode_strip(stream, pos, out, tables[out.shape], w, top, first)
-    _checked_length(stream, pos)
+        heads, end, error = _scan(stream, pos, *out.shape, top)
+        if blocks < STRIP_BLOCKS:
+            _decode_blocks(stream, heads, out, top)
+        else:
+            if out.shape not in tables:
+                tables[out.shape] = _cell_numbers(*out.shape)
+            first = (ys.start // BLOCK_SIZE, xs.start // BLOCK_SIZE)
+            strip = stream[pos >> 3 : (end + 7) >> 3]
+            _decode_strip(strip, heads, out, tables[out.shape], top, first)
+        # raised only now, once the blocks before the bad header passed the index check
+        if error is not None:
+            raise error
+        pos = end
+    if len(stream) != (pos + 7) // 8:
+        raise CorruptStreamError(
+            f"stream is {len(stream)} bytes but its blocks need {(pos + 7) // 8}"
+        )
     return plane
+
+
+def _decode_blocks(stream: bytes | memoryview, heads: _Heads, out: np.ndarray, top: int) -> None:
+    """Decode the scanned blocks of a whole plane into out, one block at a time."""
+    grid_cols = _grid(*out.shape)[1]
+    for i, (lo, spread, dw, start) in enumerate(heads):
+        row, col = divmod(i, grid_cols)
+        y, x = row * BLOCK_SIZE, col * BLOCK_SIZE
+        block = out[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE]
+        if not spread:
+            block.fill(lo)
+            continue
+        n = block.size
+        end = start + n * dw
+        fields = int.from_bytes(stream[start >> 3 : (end + 7) >> 3], "big")
+        deltas = _unpack((fields >> (-end & 7)) & ((1 << n * dw) - 1), n, dw)
+        # a dw-bit delta may pass top even though lo + spread does not; as
+        # every delta is < 128, adding 127 - top + lo to each byte lane
+        # sets its high bit, with no carry, exactly when lo + delta > top
+        if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
+            raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
+        cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
+        block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
 
 
 def _cell_numbers(rows: int, width: int) -> np.ndarray:
@@ -328,45 +335,25 @@ def _cell_numbers(rows: int, width: int) -> np.ndarray:
 
 
 def _decode_strip(
-    stream: bytes | memoryview,
-    pos: int,
+    data: bytes | memoryview,
+    heads: _Heads,
     out: np.ndarray,
     cells: np.ndarray,
-    w: int,
     top: int,
     first_block: tuple[int, int],
-) -> int:
-    """Decode the blocks of a strip into out; returns the bit offset after them.
-
-    Only the block headers are read one by one; the deltas of the whole
-    strip are then gathered at once from 16-bit windows over the strip's
-    own bytes. A stream error in a header is raised after the blocks
-    before it are checked, so errors come in the block walk's order.
-    """
+) -> None:
+    """Decode the scanned blocks of a strip held in data into out; missing heads read 0."""
     rows, width = out.shape
     grid_rows, grid_cols = cells.shape[0], cells.shape[2]
-    total, base = 8 * len(stream), pos >> 3
-    # (min, delta width, bit offset of the deltas from the strip's first byte)
-    heads = []
-    failure = None
-    try:
-        for y in range(0, rows, BLOCK_SIZE):
-            block_rows = min(BLOCK_SIZE, rows - y)
-            sizes = [block_rows * min(BLOCK_SIZE, width - x) for x in range(0, width, BLOCK_SIZE)]
-            for n in sizes:
-                lo, _, dw, pos = _header(stream, total, pos, w, top, n)
-                heads.append((lo, dw, pos - n * dw - 8 * base))
-    except FmmError as exc:
-        failure = exc
-        heads += [(0, 0, 0)] * (grid_rows * grid_cols - len(heads))
-    raw = np.zeros(((pos + 7) >> 3) - base + 2, dtype=np.int32)
-    raw[:-2] = np.frombuffer(stream, np.uint8, len(raw) - 2, base)
+    heads = heads + [(0, 0, 0, 0)] * (grid_rows * grid_cols - len(heads))
+    raw = np.zeros(len(data) + 2, dtype=np.int32)
+    raw[:-2] = np.frombuffer(data, np.uint8)
     windows = raw[:-1] << 8
     windows |= raw[1:]
-    heads = np.array(heads, dtype=np.int32).T.reshape(3, grid_rows, 1, grid_cols, 1)
-    lows, dw = heads[0], heads[1]
+    heads = np.array(heads, dtype=np.int32).T.reshape(4, grid_rows, 1, grid_cols, 1)
+    lows, dw = heads[0], heads[2]
     offsets = cells * dw
-    offsets += heads[2]
+    offsets += heads[3]
     shifts = offsets.astype(np.uint8)
     shifts &= 7
     np.subtract((16 - dw).astype(np.uint8), shifts, out=shifts)
@@ -380,7 +367,4 @@ def _decode_strip(
         row, col = divmod(int(bad), grid_cols)
         row, col = first_block[0] + row, first_block[1] + col
         raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
-    if failure is not None:
-        raise failure
     out[:] = indices.reshape(grid_rows * BLOCK_SIZE, grid_cols * BLOCK_SIZE)[:rows, :width]
-    return pos

@@ -1,7 +1,7 @@
 """Command-line front end: compress, decompress, compare, inspect, bench.
 
 Exit codes are fixed so shell tests stay portable: 0 success, 1 usage,
-2 I/O failure, 3 malformed or corrupt data.
+2 I/O failure or out of memory, 3 malformed or corrupt data.
 """
 
 from __future__ import annotations
@@ -189,6 +189,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_IO
     except FmmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ decodes bit-identically no matter where it is read.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .bitstream import _walk, decode_plane, encode_plane
+from .bitstream import _cells, _grid, _scan, decode_plane, encode_plane
 from .errors import CorruptStreamError, FormatError, ModulusError
 from .image import RasterImage
 
@@ -100,9 +101,15 @@ def decompress(data: bytes) -> RasterImage:
     """Decode a container back to the quantized image it stores."""
     header = read_header(data)
     height, width, k = header.height, header.width, header.modulus
-    # each plane is allocated only after its own stream passed the size bound
-    planes = (decode_plane(stream, height, width, k) for stream in _channel_streams(data, header))
-    return RasterImage(core.from_indices(np.stack(list(planes), axis=-1), k))
+    for channel, stream in enumerate(_channel_streams(data, header)):
+        plane = decode_plane(stream, height, width, k)
+        if channel == 0:
+            # allocated only after the first stream passed decode_plane's size bound
+            pixels = np.empty((height, width, header.channels), dtype=np.uint8)
+        # decode_plane bounds every index by 255 // k, so the product fits uint8
+        np.multiply(plane, np.uint8(k), out=pixels[:, :, channel])
+        del plane  # freed before the next channel is decoded
+    return RasterImage(pixels)
 
 
 def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
@@ -115,8 +122,13 @@ def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, i
     decompress(data)
     header = read_header(data)
     top = core.max_index(header.modulus)
+    grid = [range(n) for n in _grid(header.height, header.width)]
     for channel, stream in enumerate(_channel_streams(data, header)):
+        # decompress accepted every header, so the scan returns no error
+        heads, _, _ = _scan(stream, 0, header.height, header.width, top)
         start = 0
-        for *fields, end in _walk(stream, header.height, header.width, top):
-            yield channel, *fields, end - start
+        tiles = zip(itertools.product(*grid), _cells(header.height, header.width))
+        for ((row, col), cells), (lo, spread, dw, deltas) in zip(tiles, heads):
+            end = deltas + cells * dw
+            yield channel, row, col, cells, lo, spread, dw, end - start
             start = end

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fmmcodec import bitstream
+from fmmcodec import bitstream, container
 from fmmcodec.bitstream import decode_plane, encode_plane
 from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
+from fmmcodec.image import RasterImage
 
 from golden import BLOCK_BITS, INDEX_BLOCK
 
@@ -40,15 +41,12 @@ def bits_to_bytes(bits: str) -> bytes:
     return int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
 
 
-def walk(stream: bytes, height: int, width: int, k: int = 5) -> list[tuple]:
-    """The checked header walk over a plane's stream, one tuple per block."""
-    return list(bitstream._walk(stream, height, width, 255 // k))
-
-
 def only_block(stream: bytes, rows: int, cols: int, k: int = 5) -> tuple[int, int, int, int]:
     """(min, max_delta, delta width, bits) of the one block of a rows x cols plane's stream."""
-    ((_, _, _, lo, spread, dw, end),) = walk(stream, rows, cols, k)
-    return lo, spread, dw, end
+    ((lo, spread, dw, _),), bits, error = bitstream._scan(stream, 0, rows, cols, 255 // k)
+    assert error is None
+    assert len(stream) == (bits + 7) // 8
+    return lo, spread, dw, bits
 
 
 def block_bits(stream: bytes, rows: int, cols: int, k: int = 5) -> int:
@@ -113,8 +111,9 @@ class TestBlockCodec:
         b = np.array([[0, 5], [1, 3], [4, 2]], dtype=np.uint8)
         stream = encode_plane(np.hstack([a, b]))
         assert stream == bits_to_bytes(reference_block_bits(a) + reference_block_bits(b))
-        first, second = walk(stream, 3, 10)
-        assert (first[:3], second[:3]) == ((0, 0, 3 * 8), (0, 1, 3 * 2))
+        blob = container.compress(RasterImage(np.hstack([a, b]) * np.uint8(5)))
+        tiles = [fields[1:4] for fields in container.block_headers(blob)]
+        assert tiles == [(0, 0, 3 * 8), (0, 1, 3 * 2)]
         plane = decode_plane(stream, 3, 10)
         assert np.array_equal(plane[:, :8], a)
         assert np.array_equal(plane[:, 8:], b)
@@ -225,17 +224,18 @@ def walked_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
 
 
 def outcome(decode, stream: bytes, height: int, width: int, k: int):
-    """Decoded plane, or the class of the FmmError the decoder raised."""
+    """Decoded plane, or the class and message of the FmmError the decoder raised."""
     try:
         return decode(stream, height, width, k)
     except FmmError as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def test_strip_decoder_agrees_with_block_walk():
     # above STRIP_BLOCKS, decode_plane reads headers one by one but gathers
     # deltas a strip at a time; on valid, bit-flipped and truncated streams
     # it must give the block walk's pixels or raise its exception class
+    # with the same message
     rng = np.random.default_rng(29)
     seen = set()
     for case in range(60):
@@ -259,11 +259,11 @@ def test_strip_decoder_agrees_with_block_walk():
         for data in mutants:
             walked = outcome(walked_plane, data, height, width, k)
             decoded = outcome(decode_plane, data, height, width, k)
-            if isinstance(walked, type):
-                assert decoded is walked
+            if isinstance(walked, tuple):
+                assert decoded == walked
             else:
                 assert np.array_equal(decoded, walked)
-            seen.add(walked if isinstance(walked, type) else np.ndarray)
+            seen.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
     assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
 

@@ -95,6 +95,19 @@ class TestDecompress:
         code = cli.main(["decompress", str(blob_path), str(tmp_path / "o.pgm")])
         assert code == cli.EXIT_FORMAT
 
+    def test_out_of_memory(self, uniform_pgm, tmp_path, capsys, monkeypatch):
+        blob_path = tmp_path / "u.fmm"
+        cli.main(["compress", str(uniform_pgm), str(blob_path)])
+        capsys.readouterr()
+
+        def exhausted(data):
+            raise MemoryError
+
+        monkeypatch.setattr(container, "decompress", exhausted)
+        code = cli.main(["decompress", str(blob_path), str(tmp_path / "o.pgm")])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
 
 class TestCompare:
     def test_lossless_against_itself(self, photo_ppm, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fmmcodec import bitstream, core, metrics
+from fmmcodec import container, core, metrics
 from fmmcodec.bitstream import decode_plane, encode_plane
 from fmmcodec.errors import ModulusError
 from fmmcodec.image import RasterImage
@@ -140,13 +140,14 @@ class TestIndices:
 
 
 class TestBlocks:
-    """The 8x8 tiling, as the codec applies it: the block walk in bitstream."""
+    """The 8x8 tiling, as the codec applies it: the header scan behind fmm inspect."""
 
     @staticmethod
     def walk(plane, k=5):
-        """The block walk's tuple for every block of a plane, in stream order."""
+        """(row, col, cells, min, max_delta) of every block of a plane, as fmm inspect reads them."""
         plane = np.asarray(plane, dtype=np.uint8)
-        return list(bitstream._walk(encode_plane(plane, k), *plane.shape, 255 // k))
+        blob = container.compress(RasterImage(plane * np.uint8(k)), k)
+        return [fields[1:6] for fields in container.block_headers(blob)]
 
     @classmethod
     def tiles(cls, plane, k=5):
