@@ -26,13 +26,22 @@ whole block rows that hold at least STRIP_BLOCKS blocks, or, where one
 block row holds more, runs of STRIP_BLOCKS blocks along it, so a strip
 has fewer than 2 * STRIP_BLOCKS blocks whatever the plane's shape. The
 encoder places every field of a strip at its cumulative bit offset with
-numpy. The decoder reads the block headers through ``_scan``, as the
-per-block path does, then gathers the strip's deltas at once from 16-bit
-windows over its bytes. Both raise the same errors with the same messages.
+numpy. The decoder first reads the headers of the whole plane in one pass
+(``_chase``), as the stream's block order is row-major even in strips:
+one Python step per block, from its repetition bit to the next block's,
+through a table of block lengths indexed by that bit and max_delta (2^(W+1)
+entries per cell count). numpy then reads every header at the starts found
+and makes all of ``_scan``'s checks at once, and each strip gathers its
+deltas at once from 16-bit windows over its bytes. If the pass leaves the
+stream or a check fails, the plane is decoded again strip by strip with its
+headers read one by one through ``_scan``, as the per-block path does,
+which alone decides every error, its message and its order. So all paths
+raise the same errors with the same messages.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 import numpy as np
@@ -269,31 +278,127 @@ def decode_plane(
             f"{blocks} blocks need at least {blocks * (w + 1)} bits, "
             f"the stream has {8 * len(stream)}"
         )
-    plane = np.empty((height, width), dtype=np.uint8)
-    tables = {}  # _cell_numbers per strip shape; edge strips are smaller
-    pos = 0
-    # a plane of under STRIP_BLOCKS blocks is one region, decoded block by block
-    regions = _strips(height, width) if blocks >= STRIP_BLOCKS else [(slice(None),) * 2]
-    for ys, xs in regions:
-        out = plane[ys, xs]
-        heads, end, error = _scan(stream, pos, *out.shape, top)
-        if blocks < STRIP_BLOCKS:
-            _decode_blocks(stream, heads, out, top)
-        else:
-            if out.shape not in tables:
-                tables[out.shape] = _cell_numbers(*out.shape)
-            first = (ys.start // BLOCK_SIZE, xs.start // BLOCK_SIZE)
-            strip = stream[pos >> 3 : (end + 7) >> 3]
-            _decode_strip(strip, heads, out, tables[out.shape], top, first)
+    if blocks < STRIP_BLOCKS:
+        plane = np.empty((height, width), dtype=np.uint8)
+        heads, pos, error = _scan(stream, 0, height, width, top)
+        _decode_blocks(stream, heads, plane, top)
         # raised only now, once the blocks before the bad header passed the index check
         if error is not None:
             raise error
-        pos = end
+    else:
+        chased = _chase(stream, height, width, top)  # its temporaries go before the plane comes
+        plane = np.empty((height, width), dtype=np.uint8)
+        pos = _decode_strips(stream, chased, plane, top)
     if len(stream) != (pos + 7) // 8:
         raise CorruptStreamError(
             f"stream is {len(stream)} bytes but its blocks need {(pos + 7) // 8}"
         )
     return plane
+
+
+def _advance(w: int, cells: int) -> list[int]:
+    """Bits from a block's repetition bit to the next block's, by that bit and max_delta."""
+    return [2 * w + 1 + cells * s.bit_length() for s in range(1 << w)] + [w + 1] * (1 << w)
+
+
+def _chase(
+    stream: bytes | memoryview, height: int, width: int, top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
+
+    Each step goes from one block's repetition bit to the next block's by a
+    table indexed by that bit and max_delta (one table per cell count), reading
+    the final byte zero-padded. numpy then reads every header at once and makes
+    _scan's checks on them. starts holds each block's first bit and, last, the
+    plane's end; a repeated block's max_delta reads 0. None means the pass left
+    the stream or a check failed: only _scan defines which error that is.
+    """
+    w = top.bit_length()
+    low, shift = (2 << w) - 1, 15 - w
+    reps = array("q")
+    append = reps.append
+    q = w  # the first block's repetition bit
+    for rows, count in ((BLOCK_SIZE, height // BLOCK_SIZE), (height % BLOCK_SIZE, 1)):
+        cells = _cells(rows, width)
+        tables = {n: _advance(w, n) for n in set(cells)}
+        row = [tables[n] for n in cells]
+        for _ in range(count):
+            for table in row:
+                append(q)
+                i = q >> 3
+                try:
+                    window = stream[i] << 8 | stream[i + 1]
+                except IndexError:
+                    if i >= len(stream):
+                        return None
+                    window = stream[i] << 8
+                q += table[window >> (shift - (q & 7)) & low]
+    if q - w > 8 * len(stream):
+        return None
+    append(q)
+    starts = np.frombuffer(reps, dtype=np.int64)
+    starts -= w
+    # a header is at most 2 * 7 + 1 bits: from any bit offset it lies in 3 bytes; bytes
+    # past the end read as the last one, and only bits the end check rejects come from them
+    at = starts[:-1] >> 3
+    data = np.frombuffer(stream, dtype=np.uint8)
+    head = data[at].astype(np.int32)
+    for _ in range(2):
+        at += 1
+        head <<= 8
+        head |= data.take(at, mode="clip")
+    offset = starts[:-1].astype(np.uint8)
+    offset &= 7
+    head >>= np.subtract(23 - 2 * w, offset, out=offset)
+    varied = (head & (1 << w)) == 0
+    spreads = head.astype(np.uint8)
+    spreads &= (1 << w) - 1
+    spreads *= varied
+    head >>= w + 1
+    lows = head.astype(np.uint8)
+    lows &= (1 << w) - 1
+    if (varied & (spreads == 0)).any() or (lows + spreads > top).any():
+        return None
+    return starts, lows, spreads
+
+
+def _decode_strips(
+    stream: bytes | memoryview,
+    chased: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    plane: np.ndarray,
+    top: int,
+) -> int:
+    """Decode a plane's strips from _chase's headers, else through _scan; returns the end bit."""
+    w = top.bit_length()
+    tables = {}  # _cell_numbers per strip shape; edge strips are smaller
+    pos = first = 0
+    for ys, xs in _strips(*plane.shape):
+        out = plane[ys, xs]
+        if out.shape not in tables:
+            tables[out.shape] = _cell_numbers(*out.shape)
+        cells = tables[out.shape]
+        count = cells.shape[0] * cells.shape[2]
+        origin = pos & ~7
+        if chased is None:
+            heads, end, error = _scan(stream, pos, *out.shape, top)
+            # blocks from a bad header on read 0
+            heads += [(0, 0, 0, 0)] * (count - len(heads))
+            lows, _, widths, deltas = np.array(heads, dtype=np.int32).T
+        else:
+            starts, lows, spreads = chased
+            end, error = int(starts[first + count]), None
+            lows, spreads = lows[first : first + count], spreads[first : first + count]
+            widths = _BIT_LENGTH[spreads]
+            deltas = np.where(spreads, 2 * w + 1 - origin, w + 1 - origin)
+            deltas += starts[first : first + count]
+        first_block = (ys.start // BLOCK_SIZE, xs.start // BLOCK_SIZE)
+        strip = stream[pos >> 3 : (end + 7) >> 3]
+        _decode_strip(strip, lows, widths, deltas, out, cells, top, first_block)
+        # raised only now, once the blocks before the bad header passed the index check
+        if error is not None:
+            raise error
+        pos, first = end, first + count
+    return pos
 
 
 def _decode_blocks(stream: bytes | memoryview, heads: _Heads, out: np.ndarray, top: int) -> None:
@@ -336,24 +441,25 @@ def _cell_numbers(rows: int, width: int) -> np.ndarray:
 
 def _decode_strip(
     data: bytes | memoryview,
-    heads: _Heads,
+    lows: np.ndarray,
+    widths: np.ndarray,
+    deltas: np.ndarray,
     out: np.ndarray,
     cells: np.ndarray,
     top: int,
     first_block: tuple[int, int],
 ) -> None:
-    """Decode the scanned blocks of a strip held in data into out; missing heads read 0."""
+    """Decode a strip held in data into out from each block's min, delta width and deltas start."""
     rows, width = out.shape
     grid_rows, grid_cols = cells.shape[0], cells.shape[2]
-    heads = heads + [(0, 0, 0, 0)] * (grid_rows * grid_cols - len(heads))
     raw = np.zeros(len(data) + 2, dtype=np.int32)
     raw[:-2] = np.frombuffer(data, np.uint8)
     windows = raw[:-1] << 8
     windows |= raw[1:]
-    heads = np.array(heads, dtype=np.int32).T.reshape(4, grid_rows, 1, grid_cols, 1)
-    lows, dw = heads[0], heads[2]
+    shape = (grid_rows, 1, grid_cols, 1)
+    dw = widths.reshape(shape)
     offsets = cells * dw
-    offsets += heads[3]
+    offsets += deltas.reshape(shape)
     shifts = offsets.astype(np.uint8)
     shifts &= 7
     np.subtract((16 - dw).astype(np.uint8), shifts, out=shifts)
@@ -361,7 +467,7 @@ def _decode_strip(
     indices = windows[offsets]
     indices >>= shifts
     indices &= (1 << dw) - 1
-    indices += lows
+    indices += lows.reshape(shape)
     if indices.max() > top:
         bad = np.flatnonzero((indices > top).any(axis=(1, 3)))[0]
         row, col = divmod(int(bad), grid_cols)

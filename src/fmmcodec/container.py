@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .bitstream import _cells, _grid, _scan, decode_plane, encode_plane
+from .bitstream import _cells, _chase, _grid, decode_plane, encode_plane
 from .errors import CorruptStreamError, FormatError, ModulusError
 from .image import RasterImage
 
@@ -104,8 +104,12 @@ def decompress(data: bytes) -> RasterImage:
     for channel, stream in enumerate(_channel_streams(data, header)):
         plane = decode_plane(stream, height, width, k)
         if channel == 0:
-            # allocated only after the first stream passed decode_plane's size bound
-            pixels = np.empty((height, width, header.channels), dtype=np.uint8)
+            # one plane is itself the pixel array; three get one, allocated only
+            # after the first stream passed decode_plane's size bound
+            if header.channels == 1:
+                pixels = plane[:, :, None]
+            else:
+                pixels = np.empty((height, width, header.channels), dtype=np.uint8)
         # decode_plane bounds every index by 255 // k, so the product fits uint8
         np.multiply(plane, np.uint8(k), out=pixels[:, :, channel])
         del plane  # freed before the next channel is decoded
@@ -124,11 +128,9 @@ def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, i
     top = core.max_index(header.modulus)
     grid = [range(n) for n in _grid(header.height, header.width)]
     for channel, stream in enumerate(_channel_streams(data, header)):
-        # decompress accepted every header, so the scan returns no error
-        heads, _, _ = _scan(stream, 0, header.height, header.width, top)
-        start = 0
+        # decompress accepted every header, so the pass does not give up
+        starts, lows, spreads = _chase(stream, header.height, header.width, top)
         tiles = zip(itertools.product(*grid), _cells(header.height, header.width))
-        for ((row, col), cells), (lo, spread, dw, deltas) in zip(tiles, heads):
-            end = deltas + cells * dw
-            yield channel, row, col, cells, lo, spread, dw, end - start
-            start = end
+        fields = zip(tiles, lows.tolist(), spreads.tolist(), np.diff(starts).tolist())
+        for ((row, col), cells), lo, spread, bits in fields:
+            yield channel, row, col, cells, lo, spread, spread.bit_length(), bits

@@ -301,3 +301,140 @@ def test_short_stream_rejected_before_any_block():
     # 4 blocks need at least 4 * 7 = 28 bits; 3 bytes hold only 24
     with pytest.raises(TruncatedStreamError, match="at least 28 bits"):
         decode_plane(bytes(3), 16, 16)
+
+
+# strip-coded planes: one block row or column of 65 blocks, edge blocks on both sides,
+# and 129 blocks to a block row with edge blocks
+STRIP_SHAPES = [(8, 520), (520, 8), (61, 77), (17, 1030), (20, 1030)]
+
+
+def fallback_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
+    """decode_plane with the fast header pass switched off, so every strip goes through _scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_chase", lambda *args: None)
+        return decode_plane(stream, height, width, k)
+
+
+def scanned_strips(stream: bytes, height: int, width: int, k: int):
+    """(min, max_delta, delta width, deltas start bit) of every block, and the end bit, from
+    _scan strip by strip."""
+    heads, pos = [], 0
+    for ys, xs in bitstream._strips(height, width):
+        rows, cols = len(range(height)[ys]), len(range(width)[xs])
+        found, end, error = bitstream._scan(stream, pos, rows, cols, 255 // k)
+        assert error is None
+        heads += [(lo, spread, dw, start + (pos & ~7)) for lo, spread, dw, start in found]
+        pos = end
+    return heads, pos
+
+
+def chased(stream: bytes, height: int, width: int, k: int):
+    """scanned_strips' heads and end bit from the fast header pass."""
+    w = (255 // k).bit_length()
+    starts, lows, spreads = bitstream._chase(stream, height, width, 255 // k)
+    fields = zip(lows.tolist(), spreads.tolist(), starts[:-1].tolist())
+    heads = [(lo, s, s.bit_length(), start + w + 1 + w * (s > 0)) for lo, s, start in fields]
+    return heads, int(starts[-1])
+
+
+def test_chase_matches_scan():
+    # over all moduli, the fast pass must find exactly _scan's heads and end bit; a
+    # repeated last block puts the last header in the final byte or two, where the
+    # pass reads a zero-padded window. On mutants, decode_plane must give the pixels,
+    # or the error class and message, of a decode with the pass switched off
+    rng = np.random.default_rng(31)
+    tails, seen = set(), set()
+    for k in MODULI:
+        top = 255 // k
+        w = top.bit_length()
+        for i, (height, width) in enumerate(STRIP_SHAPES):
+            span = int(rng.integers(0, top + 1))
+            lo = int(rng.integers(0, top - span + 1))
+            plane = (lo + rng.integers(0, span + 1, (height, width))).astype(np.uint8)
+            if (k + i) % 3:
+                plane[(height - 1) // 8 * 8 :, (width - 1) // 8 * 8 :] = lo
+            stream = encode_plane(plane, k)
+            heads, end = chased(stream, height, width, k)
+            assert (heads, end) == scanned_strips(stream, height, width, k)
+            if not heads[-1][1]:
+                tails.add(len(stream) - (end - w - 1) // 8)  # bytes from the last header on
+            if i != k % 5:
+                continue
+            mutants = [stream[: int(rng.integers(0, len(stream)))], stream + bytes(1)]
+            for _ in range(3):
+                data = bytearray(stream)
+                for _ in range(int(rng.integers(1, 4))):
+                    data[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
+                mutants.append(bytes(data))
+            for data in mutants:
+                expected = outcome(fallback_plane, data, height, width, k)
+                decoded = outcome(decode_plane, data, height, width, k)
+                if isinstance(expected, tuple):
+                    assert decoded == expected
+                else:
+                    assert np.array_equal(decoded, expected)
+                seen.add(expected[0] if isinstance(expected, tuple) else np.ndarray)
+    assert tails == {1, 2}
+    assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
+
+
+REPEATED = format(0, "06b") + "1"
+OVER_LIMIT = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63  # decodes 52 > 51
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (format(63, "06b") + "1", "block minimum 63 exceeds index limit 51"),
+        (format(10, "06b") + "0" + format(0, "06b"), "zero max_delta is not canonical"),
+        (format(50, "06b") + "0" + format(5, "06b") + "000" * 64, r"block range 50\+5 exceeds"),
+    ],
+)
+def test_failed_check_falls_back_to_scan(bad, message):
+    # an 8x1024 plane is two strips of 64 blocks, and block 70, in the second, has a bad
+    # header of a length the pass steps over, so the pass ends at the stream's end and
+    # only its vectorised checks send the plane to _scan, which names the error
+    blocks = [REPEATED] * 128
+    blocks[70] = bad
+    stream = bits_to_bytes("".join(blocks))
+    assert bitstream._chase(stream, 8, 1024, 51) is None
+    with pytest.raises(CorruptStreamError, match=message):
+        decode_plane(stream, 8, 1024, 5)
+    # block 3, in the first strip, decodes above the limit: _scan's order raises that first
+    blocks[3] = OVER_LIMIT
+    stream = bits_to_bytes("".join(blocks))
+    with pytest.raises(CorruptStreamError, match="block 0,3 decodes an index above limit 51"):
+        decode_plane(stream, 8, 1024, 5)
+
+
+def test_pass_overrun_falls_back_to_scan():
+    # blocks 60 and 64 each hold 64 one-bit deltas. Cutting the stream inside the last
+    # block's deltas leaves the pass's end past the stream's; raising block 60's max_delta
+    # from 1 to 51 makes the pass jump 384 delta bits past it. Both fail as _scan fails them
+    varied = format(0, "06b") + "0" + format(1, "06b") + "01" * 32
+    blocks = [REPEATED] * 65
+    blocks[60] = blocks[64] = varied
+    stream = bits_to_bytes("".join(blocks))
+    blocks[60] = varied.replace(format(1, "06b"), format(51, "06b"), 1)
+    corrupted = bits_to_bytes("".join(blocks))
+    for data, message in [(stream[:-2], "needed 64 bits, only 53"), (corrupted, "needed 384 bits")]:
+        assert bitstream._chase(data, 8, 520, 51) is None
+        with pytest.raises(TruncatedStreamError, match=message):
+            decode_plane(data, 8, 520, 5)
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_valid_strips_never_scan(k):
+    # valid strip-coded planes, their last header in the final byte, decode by the
+    # fast pass alone
+    def scan(*args):
+        raise AssertionError("a valid strip-coded plane fell back to _scan")
+
+    rng = np.random.default_rng(k)
+    for height, width in STRIP_SHAPES[:3]:
+        plane = rng.integers(0, 255 // k + 1, (height, width)).astype(np.uint8)
+        plane[(height - 1) // 8 * 8 :, (width - 1) // 8 * 8 :] = plane[-1, -1]
+        stream = encode_plane(plane, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "_scan", scan)
+            assert np.array_equal(decode_plane(stream, height, width, k), plane)

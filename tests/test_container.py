@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmmcodec import container, core
+from fmmcodec import bitstream, container, core
 from fmmcodec.errors import CorruptStreamError, FmmError, FormatError, TruncatedStreamError
 from fmmcodec.image import RasterImage
 
@@ -104,6 +104,21 @@ class TestDecompress:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * img.pixels.size
+
+    def test_one_channel_decodes_in_place(self):
+        # a one-channel image is its decoded plane times k, so decompress holds the plane
+        # and the header pass's per-block arrays, not a second pixel array
+        rng = np.random.default_rng(17)
+        img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
+        blob = container.compress(img)
+        tracemalloc.start()
+        try:
+            out = container.decompress(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * img.pixels.size
+        assert out == RasterImage(core.quantize_plane(img.pixels))
 
     @pytest.mark.parametrize("shape", [(256, 256), (37, 61), (8, 16384), (16384, 8)])
     @pytest.mark.parametrize("channels", [1, 3])
@@ -222,6 +237,25 @@ class TestBlockHeaders:
         blob = container.compress(img)
         seen = [(ch, row, col) for ch, row, col, *_ in container.block_headers(blob)]
         assert seen == [(0, row, col) for row in range(2) for col in range(3)]
+
+    def test_strip_coded_fields_match_scan(self):
+        # a 72x600 plane is strip-coded (675 whole blocks, 75 to a block row); inspect's
+        # fields come from the fast header pass and must equal _scan's over the plane
+        rng = np.random.default_rng(19)
+        pixels = rng.integers(0, 256, (72, 600, 3), dtype=np.uint8)
+        pixels[:30] = pixels[0, 0]
+        blob = container.compress(RasterImage(pixels))
+        streams = container._channel_streams(blob, container.read_header(blob))
+        expected = []
+        for channel, stream in enumerate(streams):
+            heads, _, error = bitstream._scan(stream, 0, 72, 600, 51)
+            assert error is None
+            start = 0
+            for i, (lo, spread, dw, deltas) in enumerate(heads):
+                end = deltas + 64 * dw
+                expected.append((channel, *divmod(i, 75), 64, lo, spread, dw, end - start))
+                start = end
+        assert list(container.block_headers(blob)) == expected
 
     def test_three_channels(self):
         img = RasterImage(np.zeros((8, 8, 3), dtype=np.uint8))
