@@ -22,21 +22,25 @@ value in its own 8-bit lane; ``_pack`` squeezes the lanes to the delta
 width in log2(cells) mask-and-shift steps and ``_unpack`` undoes them.
 
 A larger plane is coded in strips of consecutive blocks: the fewest
-whole block rows that hold at least STRIP_BLOCKS blocks, or, where one
-block row holds more, runs of STRIP_BLOCKS blocks along it, so a strip
-has fewer than 2 * STRIP_BLOCKS blocks whatever the plane's shape. The
-encoder places every field of a strip at its cumulative bit offset with
-numpy. The decoder first reads the headers of the whole plane in one pass
+whole block rows that hold at least n blocks, or, where one block row
+holds more, runs of n blocks along it, so a strip has fewer than 2 * n
+blocks whatever the plane's shape. The encoder, with n = STRIP_BLOCKS,
+places every field of a strip at its cumulative bit offset with numpy.
+The decoder first reads the headers of the whole plane in one pass
 (``_chase``), as the stream's block order is row-major even in strips:
 one Python step per block, from its repetition bit to the next block's,
 through a table of block lengths indexed by that bit and max_delta (2^(W+1)
 entries per cell count). numpy then reads every header at the starts found
-and makes all of ``_scan``'s checks at once, and each strip gathers its
-deltas at once from 16-bit windows over its bytes. If the pass leaves the
-stream or a check fails, the plane is decoded again strip by strip with its
-headers read one by one through ``_scan``, as the per-block path does,
-which alone decides every error, its message and its order. So all paths
-raise the same errors with the same messages.
+and makes all of ``_scan``'s checks at once. Strips of n = 4 * STRIP_BLOCKS
+then decode a block row per 64-bit word: a row is at most 56 bits long,
+so the window at its first bit, joined from two aligned words, holds it,
+and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps of
+``_unpack``. Lanes past an edge block's columns or rows hold whatever
+bits follow and are sliced away. If the pass leaves the stream or a check
+fails, the plane is decoded again strip by strip with its headers read one
+by one through ``_scan``, as the per-block path does, which alone decides
+every error, its message and its order. So all paths raise the same errors
+with the same messages.
 """
 
 from __future__ import annotations
@@ -52,13 +56,14 @@ from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # Planes of at least this many blocks are coded with numpy in strips of
-# about this many blocks; smaller planes take the per-block loop. A strip
-# of 64 noise blocks works in about 75 KB encoding and 120 KB decoding,
-# which on a 37x61 plane (40 blocks) is 25-36 bytes per sample against
-# 3.3 for the loop, and a 1x1 plane takes about 100 us as a strip against
-# 7 us in the loop. Strips of 32 blocks encode 128x128 to 256x256 planes
-# about 1.4x slower; strips of 128 or 256 blocks encode a 512x512 plane
-# 6-22% faster but need two to four times the working set.
+# this many blocks to encode and four times as many to decode; smaller
+# planes take the per-block loop. A strip of 64 noise blocks encodes in
+# about 75 KB, 25 bytes per sample on a 37x61 plane (40 blocks) against
+# 3.3 for the loop, and a 1x1 plane takes 100 us as a strip against 7 in
+# the loop. Strips of 32 blocks encode 128x128 to 256x256 planes 1.4x
+# slower, and of 128 or 256 blocks a 512x512 plane 6-22% faster in two
+# to four times the working set. A decoding strip works in about 5 bytes
+# per cell (80 KB for 256 noise blocks): four 64-bit words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -78,6 +83,16 @@ def _lane_mask(lane_bits: int, field_bits: int) -> int:
 _EVEN_LANES = [_lane_mask(16 << j, 8 << j) for j in range(6)]
 # _FIELD_LANES[width][j] keeps, per merged lane, the low field of step j + 1.
 _FIELD_LANES = [[_lane_mask(16 << j, width << j) for j in range(6)] for width in range(8)]
+# _ROW_STEPS[:, width]: the shift that brings 8 fields down from the top of a 64-bit word,
+# then ~mask and 2^shift - 1 for each step of _unpack on 8 cells, since that step's
+# (f ^ low) << shift | low, with low = f & mask, is f + (f & ~mask) * (2^shift - 1)
+_ROW_STEPS = np.array(
+    [
+        [64 - 8 * w] + [v for j in (2, 1, 0) for v in (~m[j] % 2**64, (1 << ((8 - w) << j)) - 1)]
+        for w, m in enumerate(_FIELD_LANES)
+    ],
+    dtype=np.uint64,
+).T
 
 
 def _pack(lanes: int, cells: int, width: int) -> int:
@@ -97,15 +112,26 @@ def _unpack(fields: int, cells: int, width: int) -> int:
     return fields
 
 
+def _unpack_rows(fields: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """In place, _unpack(f >> 64 - 8 * dw, 8, dw) of each uint64 f, for widths' dw on its axes."""
+    steps = _ROW_STEPS.take(widths, axis=1)
+    fields >>= steps[0]  # numpy shifts by 64 to 0, so a row of width 0 reads 0
+    for high, times in zip(steps[1::2], steps[2::2]):
+        high = fields & high
+        high *= times
+        fields += high
+    return fields
+
+
 def _grid(height: int, width: int) -> tuple[int, int]:
     """Block rows and block columns of a height x width plane."""
     return -(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE)
 
 
-def _strips(height: int, width: int) -> Iterator[tuple[slice, slice]]:
-    """Pixel rows and columns of each strip, in stream order."""
-    rows = -(-STRIP_BLOCKS // _grid(1, width)[1]) * BLOCK_SIZE
-    cols = STRIP_BLOCKS * BLOCK_SIZE
+def _strips(height: int, width: int, blocks: int = STRIP_BLOCKS) -> Iterator[tuple[slice, slice]]:
+    """Pixel rows and columns of each strip of about blocks blocks, in stream order."""
+    rows = -(-blocks // _grid(1, width)[1]) * BLOCK_SIZE
+    cols = blocks * BLOCK_SIZE
     for y in range(0, height, rows):
         for x in range(0, width, cols):
             yield slice(y, y + rows), slice(x, x + cols)
@@ -370,17 +396,15 @@ def _decode_strips(
 ) -> int:
     """Decode a plane's strips from _chase's headers, else through _scan; returns the end bit."""
     w = top.bit_length()
-    tables = {}  # _cell_numbers per strip shape; edge strips are smaller
     pos = first = 0
-    for ys, xs in _strips(*plane.shape):
+    for ys, xs in _strips(*plane.shape, 4 * STRIP_BLOCKS):
         out = plane[ys, xs]
-        if out.shape not in tables:
-            tables[out.shape] = _cell_numbers(*out.shape)
-        cells = tables[out.shape]
-        count = cells.shape[0] * cells.shape[2]
+        rows, width = out.shape
+        grid_rows, grid_cols = grid = _grid(rows, width)
+        count = grid_rows * grid_cols
         origin = pos & ~7
         if chased is None:
-            heads, end, error = _scan(stream, pos, *out.shape, top)
+            heads, end, error = _scan(stream, pos, rows, width, top)
             # blocks from a bad header on read 0
             heads += [(0, 0, 0, 0)] * (count - len(heads))
             lows, _, widths, deltas = np.array(heads, dtype=np.int32).T
@@ -391,9 +415,36 @@ def _decode_strips(
             widths = _BIT_LENGTH[spreads]
             deltas = np.where(spreads, 2 * w + 1 - origin, w + 1 - origin)
             deltas += starts[first : first + count]
-        first_block = (ys.start // BLOCK_SIZE, xs.start // BLOCK_SIZE)
-        strip = stream[pos >> 3 : (end + 7) >> 3]
-        _decode_strip(strip, lows, widths, deltas, out, cells, top, first_block)
+        widths = widths.reshape(grid)
+        cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
+        # row y of a block of c columns starts at bit deltas + y * c * dw
+        at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * (widths * cols)
+        at += deltas.reshape(grid)
+        data = stream[pos >> 3 : (end + 7) >> 3]
+        # whole words and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
+        pad = bytes(72 - len(data) % 8)
+        words = np.frombuffer(b"".join((data, pad)), dtype=">u8").astype(np.uint64)
+        i = at >> 6
+        bits = at.view(np.uint64)
+        bits &= 63
+        fields = words.take(i)
+        fields <<= bits
+        tail = words[1:].take(i)
+        tail >>= np.subtract(np.uint64(64), bits, out=bits)  # to 0 where bits is 64
+        fields |= tail
+        del i, tail, at, bits, words  # before the unpack makes its temporaries
+        _unpack_rows(fields, widths)
+        fields += lows.reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
+        # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
+        cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)
+        cells.view(">u8").transpose(1, 0, 2)[...] = fields
+        out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :width]
+        del fields, cells  # before the next strip makes its own
+        if out.max() > top:
+            y, x = np.nonzero(out > top)
+            row, col = divmod(int((y // BLOCK_SIZE * grid_cols + x // BLOCK_SIZE).min()), grid_cols)
+            row, col = ys.start // BLOCK_SIZE + row, xs.start // BLOCK_SIZE + col
+            raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
         # raised only now, once the blocks before the bad header passed the index check
         if error is not None:
             raise error
@@ -423,54 +474,3 @@ def _decode_blocks(stream: bytes | memoryview, heads: _Heads, out: np.ndarray, t
         cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
         block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
 
-
-def _cell_numbers(rows: int, width: int) -> np.ndarray:
-    """Each cell's place in its block's deltas, over a rows x width strip.
-
-    The strip is edge-padded to whole blocks and shaped (block rows, 8,
-    block columns, 8); padding cells read the block's first delta.
-    """
-    grid_rows, grid_cols = _grid(rows, width)
-    ys = np.arange(grid_rows * BLOCK_SIZE, dtype=np.int32)
-    xs = np.arange(grid_cols * BLOCK_SIZE, dtype=np.int32)
-    block_cols = np.minimum(BLOCK_SIZE, width - xs // BLOCK_SIZE * BLOCK_SIZE)
-    cells = (ys % BLOCK_SIZE)[:, None] * block_cols + xs % BLOCK_SIZE
-    cells[(ys >= rows)[:, None] | (xs >= width)] = 0
-    return cells.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
-
-
-def _decode_strip(
-    data: bytes | memoryview,
-    lows: np.ndarray,
-    widths: np.ndarray,
-    deltas: np.ndarray,
-    out: np.ndarray,
-    cells: np.ndarray,
-    top: int,
-    first_block: tuple[int, int],
-) -> None:
-    """Decode a strip held in data into out from each block's min, delta width and deltas start."""
-    rows, width = out.shape
-    grid_rows, grid_cols = cells.shape[0], cells.shape[2]
-    raw = np.zeros(len(data) + 2, dtype=np.int32)
-    raw[:-2] = np.frombuffer(data, np.uint8)
-    windows = raw[:-1] << 8
-    windows |= raw[1:]
-    shape = (grid_rows, 1, grid_cols, 1)
-    dw = widths.reshape(shape)
-    offsets = cells * dw
-    offsets += deltas.reshape(shape)
-    shifts = offsets.astype(np.uint8)
-    shifts &= 7
-    np.subtract((16 - dw).astype(np.uint8), shifts, out=shifts)
-    offsets >>= 3
-    indices = windows[offsets]
-    indices >>= shifts
-    indices &= (1 << dw) - 1
-    indices += lows.reshape(shape)
-    if indices.max() > top:
-        bad = np.flatnonzero((indices > top).any(axis=(1, 3)))[0]
-        row, col = divmod(int(bad), grid_cols)
-        row, col = first_block[0] + row, first_block[1] + col
-        raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
-    out[:] = indices.reshape(grid_rows * BLOCK_SIZE, grid_cols * BLOCK_SIZE)[:rows, :width]

@@ -438,3 +438,82 @@ def test_valid_strips_never_scan(k):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "_scan", scan)
             assert np.array_equal(decode_plane(stream, height, width, k), plane)
+
+
+def test_row_unpack_matches_unpack():
+    # each uint64 holds a block row's 8 fields in its top 8 * dw bits above random bits;
+    # the numpy unpack must spread them into byte lanes as _unpack does, for every width
+    rng = np.random.default_rng(43)
+    widths = np.repeat(np.arange(8, dtype=np.uint8), 40)
+    rows = rng.integers(0, 2**64, (3, len(widths)), dtype=np.uint64)
+    expected = [
+        [bitstream._unpack(int(f) >> (64 - 8 * int(dw)), 8, int(dw)) for f, dw in zip(r, widths)]
+        for r in rows
+    ]
+    assert bitstream._unpack_rows(rows.copy(), widths).tolist() == expected
+
+
+def edge_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Constant-top blocks but for the last block column and, if the last block row is short,
+    its odd block columns: those span lo..top, a spread of 2^(W-1), so their delta width is W
+    and each is followed by the header of a constant-top block, whose first W bits read top."""
+    top = 255 // k
+    lo = top - (1 << (top.bit_length() - 1))
+    plane = np.full((height, width), top, dtype=np.uint8)
+    grid_rows, grid_cols = -(-height // 8), -(-width // 8)
+    for by in range(grid_rows):
+        for bx in range(grid_cols):
+            if bx == grid_cols - 1 or (by == grid_rows - 1 and height % 8 and bx % 2):
+                block = plane[by * 8 : by * 8 + 8, bx * 8 : bx * 8 + 8]
+                block[...] = rng.choice([lo, top], block.shape)
+                block[0, 0], block[-1, -1] = lo, top
+    return plane
+
+
+def junk_over_limit(stream: bytes, height: int, width: int, k: int) -> bool:
+    """Whether a lane the strip decoder reads past an edge block's columns or rows, from the
+    bits that follow the block's row, would decode above the index limit."""
+    heads, _ = scanned_strips(stream, height, width, k)
+    bits = "".join(format(byte, "08b") for byte in stream) + "0" * 512
+    grid_cols = -(-width // 8)
+    for i, (lo, _, dw, start) in enumerate(heads):
+        rows, cols = min(8, height - i // grid_cols * 8), min(8, width - i % grid_cols * 8)
+        for y in range(8):
+            for x in range(cols if y < rows else 0, 8):
+                at = start + (y * cols + x) * dw
+                if dw and lo + int(bits[at : at + dw], 2) > 255 // k:
+                    return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "height, width, k", [(9, 4100, 5), (3, 2060, 3), (16, 321, 3), (18, 523, 9)]
+)
+def test_lane_decoder_agrees_with_block_walk(height, width, k):
+    # the strip decoder reads each block row of 8 cells as one word, so lanes past an edge
+    # block's columns or rows hold the bits that follow; built so those would decode above
+    # the limit, valid streams must still decode, and on bit-flipped and truncated streams
+    # it must give the block walk's pixels or its error class and message. Block rows of
+    # 513 and 258 blocks make decoding strips start mid-row, and the 16x321 plane ends in a
+    # one-column block of 7-bit deltas whose rows read past the end of the stream
+    rng = np.random.default_rng(height * width)
+    plane = edge_plane(height, width, k, rng)
+    stream = encode_plane(plane, k)
+    assert junk_over_limit(stream, height, width, k)
+    if width % 8 == 1 and height % 8 == 0:
+        _, _, dw, start = scanned_strips(stream, height, width, k)[0][-1]
+        assert dw == 7 and start + 7 * dw + 8 * dw > 8 * len(stream)
+    assert np.array_equal(decode_plane(stream, height, width, k), plane)
+    mutants = [stream[: int(rng.integers(0, len(stream)))] for _ in range(4)]
+    for _ in range(16):
+        data = bytearray(stream)
+        for _ in range(int(rng.integers(1, 4))):
+            data[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
+        mutants.append(bytes(data))
+    for data in [stream, *mutants]:
+        walked = outcome(walked_plane, data, height, width, k)
+        decoded = outcome(decode_plane, data, height, width, k)
+        if isinstance(walked, tuple):
+            assert decoded == walked
+        else:
+            assert np.array_equal(decoded, walked)

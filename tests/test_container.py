@@ -105,6 +105,21 @@ class TestDecompress:
             tracemalloc.stop()
         assert peak <= 5 * img.pixels.size
 
+    @pytest.mark.parametrize("shape", [(8, 512), (64, 64), (128, 128)])
+    def test_mid_plane_decode_memory_is_bounded(self, shape):
+        # planes of 64 to 256 blocks decode as one strip each, so a strip's working set
+        # falls on few samples; an image of three such noise planes must stay in bound
+        rng = np.random.default_rng(shape[0] + 3)
+        img = RasterImage(rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+        blob = container.compress(img)
+        tracemalloc.start()
+        try:
+            container.decompress(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * img.pixels.size
+
     def test_one_channel_decodes_in_place(self):
         # a one-channel image is its decoded plane times k, so decompress holds the plane
         # and the header pass's per-block arrays, not a second pixel array
