@@ -20,6 +20,10 @@ and each block's deltas are packed as one Python integer: a block's
 indices, one byte each and read as a big-endian integer, hold every
 value in its own 8-bit lane; ``_pack`` squeezes the lanes to the delta
 width in log2(cells) mask-and-shift steps and ``_unpack`` undoes them.
+This per-block loop (``_decode_blocks``) checks each block's header, then
+its decoded indices, before it reads the next header, so the first fault in
+stream order is the one raised; it is the only code that raises an error
+for a block.
 
 A larger plane is coded in strips of consecutive blocks: the fewest
 whole block rows that hold at least n blocks, or, where one block row
@@ -31,16 +35,16 @@ The decoder first reads the headers of the whole plane in one pass
 one Python step per block, from its repetition bit to the next block's,
 through a table of block lengths indexed by that bit and max_delta (2^(W+1)
 entries per cell count). numpy then reads every header at the starts found
-and makes all of ``_scan``'s checks at once. Strips of n = 4 * STRIP_BLOCKS
-then decode a block row per 64-bit word: a row is at most 56 bits long,
-so the window at its first bit, joined from two aligned words, holds it,
-and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps of
-``_unpack``. Lanes past an edge block's columns or rows hold whatever
-bits follow and are sliced away. If the pass leaves the stream or a check
-fails, the plane is decoded again strip by strip with its headers read one
-by one through ``_scan``, as the per-block path does, which alone decides
-every error, its message and its order. So all paths raise the same errors
-with the same messages.
+and checks them all at once. Strips of n = 4 * STRIP_BLOCKS then decode a
+block row per 64-bit word: a row is at most 56 bits long, so the window at
+its first bit, joined from two aligned words, holds it, and ``_unpack_rows``
+spreads 8 fields into 8 byte lanes in the steps of ``_unpack``. Lanes past
+an edge block's columns or rows hold whatever bits follow and are sliced
+away. This fast path raises nothing: if the pass leaves the stream, a check
+fails, the blocks do not end in the stream's last byte or an index decodes
+above the limit, it gives up and the per-block loop decodes the plane again
+and raises the error. So every plane size raises the same errors with the
+same messages.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
 _ONES = [(256**n - 1) // 255 for n in range(_CELLS + 1)]
 _HIGH = [128 * ones for ones in _ONES]
-_Heads = list[tuple[int, int, int, int]]  # min, max_delta, delta width, deltas start bit
 
 
 def _lane_mask(lane_bits: int, field_bits: int) -> int:
@@ -240,59 +243,19 @@ def _cells(rows: int, width: int) -> list[int]:
     return [BLOCK_SIZE * n for n in cols] * full + [edge * n for n in cols] * (edge > 0)
 
 
-def _scan(
-    stream: bytes | memoryview, pos: int, rows: int, width: int, top: int
-) -> tuple[_Heads, int, FmmError | None]:
-    """Checked headers of a rows x width region's blocks from bit pos: (heads, pos, error).
-
-    A repeated block's head has max_delta and width 0, and each deltas start counts from the
-    byte holding bit pos. A bad header stops the scan with pos at it and its error, else None.
-    """
-    w = top.bit_length()
-    total, origin = 8 * len(stream), pos & ~7
-    heads = []
-    try:
-        for n in _cells(rows, width):
-            # a header is at most 2 * 7 + 1 bits: from any bit offset it fits 4 bytes
-            chunk = stream[pos >> 3 : (pos >> 3) + 4]
-            window = int.from_bytes(chunk, "big") << (32 - 8 * len(chunk) + (pos & 7)) & 0xFFFFFFFF
-            if pos + w + 1 > total:
-                raise TruncatedStreamError(f"needed {w + 1} bits, only {total - pos} left")
-            lo = window >> (32 - w)
-            if lo > top:
-                raise CorruptStreamError(f"block minimum {lo} exceeds index limit {top}")
-            if window >> (31 - w) & 1:
-                pos += w + 1
-                heads.append((lo, 0, 0, pos - origin))
-                continue
-            if pos + 2 * w + 1 > total:
-                raise TruncatedStreamError(f"needed {w} bits, only {total - pos - w - 1} left")
-            spread = window >> (31 - 2 * w) & ((1 << w) - 1)
-            if spread == 0:
-                raise CorruptStreamError("non-repeated block with zero max_delta is not canonical")
-            if lo + spread > top:
-                raise CorruptStreamError(f"block range {lo}+{spread} exceeds index limit {top}")
-            deltas = pos + 2 * w + 1
-            dw = spread.bit_length()
-            if deltas + n * dw > total:
-                raise TruncatedStreamError(f"needed {n * dw} bits, only {total - deltas} left")
-            heads.append((lo, spread, dw, deltas - origin))
-            pos = deltas + n * dw
-    except FmmError as exc:
-        return heads, pos, exc
-    return heads, pos, None
-
-
 def decode_plane(
     stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
 ) -> np.ndarray:
     """Index plane of a block stream; exact inverse of encode_plane.
 
-    The stream must hold exactly the blocks of a height x width plane.
-    Corrupt fields, including any decoded index above 255 // k, raise
-    CorruptStreamError, and a short stream raises TruncatedStreamError.
-    A stream too short for even one header per block is rejected before
-    any block is read or the plane is allocated.
+    The stream must hold exactly the blocks of a height x width plane. A
+    stream too short for even one header per block is rejected before any
+    block is read or the plane is allocated. A plane of STRIP_BLOCKS or more
+    blocks is tried by the strip decoder first; if it gives up, or the plane
+    is smaller, the per-block loop decodes it and raises the first fault in
+    stream order, naming its block: CorruptStreamError for corrupt fields,
+    including any decoded index above 255 // k, and TruncatedStreamError for a
+    short stream. Bytes past the last block raise CorruptStreamError.
     """
     top = max_index(k)
     w = top.bit_length()
@@ -304,20 +267,14 @@ def decode_plane(
             f"{blocks} blocks need at least {blocks * (w + 1)} bits, "
             f"the stream has {8 * len(stream)}"
         )
-    if blocks < STRIP_BLOCKS:
-        plane = np.empty((height, width), dtype=np.uint8)
-        heads, pos, error = _scan(stream, 0, height, width, top)
-        _decode_blocks(stream, heads, plane, top)
-        # raised only now, once the blocks before the bad header passed the index check
-        if error is not None:
-            raise error
-    else:
-        chased = _chase(stream, height, width, top)  # its temporaries go before the plane comes
-        plane = np.empty((height, width), dtype=np.uint8)
-        pos = _decode_strips(stream, chased, plane, top)
-    if len(stream) != (pos + 7) // 8:
+    chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
+    plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
+    if chased is not None and _decode_strips(stream, chased, plane, top):
+        return plane
+    end = _decode_blocks(stream, plane, top)
+    if len(stream) != (end + 7) // 8:
         raise CorruptStreamError(
-            f"stream is {len(stream)} bytes but its blocks need {(pos + 7) // 8}"
+            f"stream is {len(stream)} bytes but its blocks need {(end + 7) // 8}"
         )
     return plane
 
@@ -335,9 +292,10 @@ def _chase(
     Each step goes from one block's repetition bit to the next block's by a
     table indexed by that bit and max_delta (one table per cell count), reading
     the final byte zero-padded. numpy then reads every header at once and makes
-    _scan's checks on them. starts holds each block's first bit and, last, the
-    plane's end; a repeated block's max_delta reads 0. None means the pass left
-    the stream or a check failed: only _scan defines which error that is.
+    _decode_blocks' header checks on them. starts holds each block's first bit
+    and, last, the plane's end; a repeated block's max_delta reads 0. None means
+    the pass left the stream, a check failed or the blocks do not end in the
+    stream's last byte: only _decode_blocks defines which error that is.
     """
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
@@ -359,7 +317,7 @@ def _chase(
                         return None
                     window = stream[i] << 8
                 q += table[window >> (shift - (q & 7)) & low]
-    if q - w > 8 * len(stream):
+    if (q - w + 7) >> 3 != len(stream):
         return None
     append(q)
     starts = np.frombuffer(reps, dtype=np.int64)
@@ -390,32 +348,26 @@ def _chase(
 
 def _decode_strips(
     stream: bytes | memoryview,
-    chased: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    chased: tuple[np.ndarray, np.ndarray, np.ndarray],
     plane: np.ndarray,
     top: int,
-) -> int:
-    """Decode a plane's strips from _chase's headers, else through _scan; returns the end bit."""
+) -> bool:
+    """Decode a plane's strips from _chase's headers; False, the plane part written, if an
+    index decodes above top."""
     w = top.bit_length()
+    starts, lows, spreads = chased
     pos = first = 0
     for ys, xs in _strips(*plane.shape, 4 * STRIP_BLOCKS):
         out = plane[ys, xs]
         rows, width = out.shape
         grid_rows, grid_cols = grid = _grid(rows, width)
         count = grid_rows * grid_cols
+        end = int(starts[first + count])
+        lo, spread = lows[first : first + count], spreads[first : first + count]
+        widths = _BIT_LENGTH[spread].reshape(grid)
         origin = pos & ~7
-        if chased is None:
-            heads, end, error = _scan(stream, pos, rows, width, top)
-            # blocks from a bad header on read 0
-            heads += [(0, 0, 0, 0)] * (count - len(heads))
-            lows, _, widths, deltas = np.array(heads, dtype=np.int32).T
-        else:
-            starts, lows, spreads = chased
-            end, error = int(starts[first + count]), None
-            lows, spreads = lows[first : first + count], spreads[first : first + count]
-            widths = _BIT_LENGTH[spreads]
-            deltas = np.where(spreads, 2 * w + 1 - origin, w + 1 - origin)
-            deltas += starts[first : first + count]
-        widths = widths.reshape(grid)
+        deltas = np.where(spread, 2 * w + 1 - origin, w + 1 - origin)
+        deltas += starts[first : first + count]
         cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
         # row y of a block of c columns starts at bit deltas + y * c * dw
         at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * (widths * cols)
@@ -434,43 +386,67 @@ def _decode_strips(
         fields |= tail
         del i, tail, at, bits, words  # before the unpack makes its temporaries
         _unpack_rows(fields, widths)
-        fields += lows.reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
+        fields += lo.reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
         # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
         cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)
         cells.view(">u8").transpose(1, 0, 2)[...] = fields
         out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :width]
         del fields, cells  # before the next strip makes its own
         if out.max() > top:
-            y, x = np.nonzero(out > top)
-            row, col = divmod(int((y // BLOCK_SIZE * grid_cols + x // BLOCK_SIZE).min()), grid_cols)
-            row, col = ys.start // BLOCK_SIZE + row, xs.start // BLOCK_SIZE + col
-            raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
-        # raised only now, once the blocks before the bad header passed the index check
-        if error is not None:
-            raise error
+            return False
         pos, first = end, first + count
+    return True
+
+
+def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, top: int) -> int:
+    """Decode a whole plane into out one block at a time; returns the end bit.
+
+    Each block's header is checked, and its deltas decoded and checked, before
+    the next header is read, so the first fault in stream order is the one raised.
+    """
+    w = top.bit_length()
+    total, pos = 8 * len(stream), 0
+    height, width = out.shape
+    for y in range(0, height, BLOCK_SIZE):
+        for x in range(0, width, BLOCK_SIZE):
+            block = out[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE]
+            # a header is at most 2 * 7 + 1 bits: from any bit offset it fits 4 bytes
+            chunk = stream[pos >> 3 : (pos >> 3) + 4]
+            window = int.from_bytes(chunk, "big") << (32 - 8 * len(chunk) + (pos & 7)) & 0xFFFFFFFF
+            try:
+                if pos + w + 1 > total:
+                    raise TruncatedStreamError(f"needed {w + 1} bits, only {total - pos} left")
+                lo = window >> (32 - w)
+                if lo > top:
+                    raise CorruptStreamError(f"block minimum {lo} exceeds index limit {top}")
+                if window >> (31 - w) & 1:
+                    block.fill(lo)
+                    pos += w + 1
+                    continue
+                if pos + 2 * w + 1 > total:
+                    raise TruncatedStreamError(f"needed {w} bits, only {total - pos - w - 1} left")
+                spread = window >> (31 - 2 * w) & ((1 << w) - 1)
+                if spread == 0:
+                    raise CorruptStreamError(
+                        "non-repeated block with zero max_delta is not canonical"
+                    )
+                if lo + spread > top:
+                    raise CorruptStreamError(f"block range {lo}+{spread} exceeds index limit {top}")
+                n, dw = block.size, spread.bit_length()
+                start = pos + 2 * w + 1
+                pos = start + n * dw
+                if pos > total:
+                    raise TruncatedStreamError(f"needed {n * dw} bits, only {total - start} left")
+            except FmmError as exc:
+                raise type(exc)(f"block {y // BLOCK_SIZE},{x // BLOCK_SIZE}: {exc}") from None
+            fields = int.from_bytes(stream[start >> 3 : (pos + 7) >> 3], "big")
+            deltas = _unpack((fields >> (-pos & 7)) & ((1 << n * dw) - 1), n, dw)
+            # a dw-bit delta may pass top even though lo + spread does not; as
+            # every delta is < 128, adding 127 - top + lo to each byte lane
+            # sets its high bit, with no carry, exactly when lo + delta > top
+            if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
+                row, col = y // BLOCK_SIZE, x // BLOCK_SIZE
+                raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
+            cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
+            block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
     return pos
-
-
-def _decode_blocks(stream: bytes | memoryview, heads: _Heads, out: np.ndarray, top: int) -> None:
-    """Decode the scanned blocks of a whole plane into out, one block at a time."""
-    grid_cols = _grid(*out.shape)[1]
-    for i, (lo, spread, dw, start) in enumerate(heads):
-        row, col = divmod(i, grid_cols)
-        y, x = row * BLOCK_SIZE, col * BLOCK_SIZE
-        block = out[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE]
-        if not spread:
-            block.fill(lo)
-            continue
-        n = block.size
-        end = start + n * dw
-        fields = int.from_bytes(stream[start >> 3 : (end + 7) >> 3], "big")
-        deltas = _unpack((fields >> (-end & 7)) & ((1 << n * dw) - 1), n, dw)
-        # a dw-bit delta may pass top even though lo + spread does not; as
-        # every delta is < 128, adding 127 - top + lo to each byte lane
-        # sets its high bit, with no carry, exactly when lo + delta > top
-        if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
-            raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
-        cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
-        block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
-

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fmmcodec import cli, container, core, metrics
-from fmmcodec.bitstream import _scan, decode_plane, encode_plane
+from fmmcodec.bitstream import _chase, decode_plane, encode_plane
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import write_netpbm
 
@@ -63,8 +63,7 @@ def test_criterion_1_divide_stage():
 
 def test_criterion_1_min_subtract_stage():
     stream = encode_plane(INDEX_BLOCK)
-    ((lo, max_delta, _, _),), _, error = _scan(stream, 0, 8, 8, core.max_index())
-    assert error is None
+    _, (lo,), (max_delta,) = [fields.tolist() for fields in _chase(stream, 8, 8, core.max_index())]
     assert lo == INDEX_MIN
     assert max_delta == MAX_DELTA
     assert np.array_equal(decode_plane(stream, 8, 8).astype(np.int16) - lo, DELTA_BLOCK)
@@ -85,19 +84,19 @@ def test_criterion_3_uniform_block():
     block = np.full((8, 8), 11, dtype=np.uint8)
     stream = encode_plane(block)
     assert stream == bytes([0b00101110])  # 0010111 zero-padded
-    (_,), bits, error = _scan(stream, 0, 8, 8, core.max_index())
-    assert error is None
+    (_, bits), _, _ = [fields.tolist() for fields in _chase(stream, 8, 8, core.max_index())]
     assert bits == 7
     assert np.array_equal(decode_plane(stream, 8, 8), block)
 
 
 def test_criterion_3_mixed_block():
     stream = encode_plane(INDEX_BLOCK)
-    ((lo, max_delta, dw, _),), bits, error = _scan(stream, 0, 8, 8, core.max_index())
-    assert error is None
+    (_, bits), (lo,), (max_delta,) = [
+        fields.tolist() for fields in _chase(stream, 8, 8, core.max_index())
+    ]
     assert bits == BLOCK_BITS == 269
     assert lo == INDEX_MIN
-    assert (max_delta, dw) == (MAX_DELTA, 4)  # max_delta > 0: not repeated
+    assert (max_delta, max_delta.bit_length()) == (MAX_DELTA, 4)  # max_delta > 0: not repeated
     assert np.array_equal(decode_plane(stream, 8, 8), INDEX_BLOCK)
 
 

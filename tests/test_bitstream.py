@@ -1,3 +1,7 @@
+import time
+import traceback
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,10 +47,10 @@ def bits_to_bytes(bits: str) -> bytes:
 
 def only_block(stream: bytes, rows: int, cols: int, k: int = 5) -> tuple[int, int, int, int]:
     """(min, max_delta, delta width, bits) of the one block of a rows x cols plane's stream."""
-    ((lo, spread, dw, _),), bits, error = bitstream._scan(stream, 0, rows, cols, 255 // k)
-    assert error is None
+    chased = bitstream._chase(stream, rows, cols, 255 // k)
+    (_, bits), (lo,), (spread,) = [fields.tolist() for fields in chased]
     assert len(stream) == (bits + 7) // 8
-    return lo, spread, dw, bits
+    return lo, spread, spread.bit_length(), bits
 
 
 def block_bits(stream: bytes, rows: int, cols: int, k: int = 5) -> int:
@@ -217,7 +221,7 @@ def test_plane_bytes_match_reference(k, shape, span, seed):
 
 
 def walked_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
-    """decode_plane on the per-block walk, whatever the plane's size."""
+    """decode_plane on the per-block loop alone, whatever the plane's size."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", -(-height // 8) * -(-width // 8) + 1)
         return decode_plane(stream, height, width, k)
@@ -308,28 +312,24 @@ def test_short_stream_rejected_before_any_block():
 STRIP_SHAPES = [(8, 520), (520, 8), (61, 77), (17, 1030), (20, 1030)]
 
 
-def fallback_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
-    """decode_plane with the fast header pass switched off, so every strip goes through _scan."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_chase", lambda *args: None)
-        return decode_plane(stream, height, width, k)
-
-
-def scanned_strips(stream: bytes, height: int, width: int, k: int):
-    """(min, max_delta, delta width, deltas start bit) of every block, and the end bit, from
-    _scan strip by strip."""
+def plane_heads(plane: np.ndarray, k: int):
+    """(min, max_delta, delta width, deltas start bit) of every block, and the end bit of the
+    plane's stream, from the plane alone: no decoder is involved."""
+    w = (255 // k).bit_length()
     heads, pos = [], 0
-    for ys, xs in bitstream._strips(height, width):
-        rows, cols = len(range(height)[ys]), len(range(width)[xs])
-        found, end, error = bitstream._scan(stream, pos, rows, cols, 255 // k)
-        assert error is None
-        heads += [(lo, spread, dw, start + (pos & ~7)) for lo, spread, dw, start in found]
-        pos = end
+    for y in range(0, plane.shape[0], 8):
+        for x in range(0, plane.shape[1], 8):
+            block = plane[y : y + 8, x : x + 8]
+            lo, spread = int(block.min()), int(block.max() - block.min())
+            dw = spread.bit_length()
+            start = pos + w + 1 + w * (spread > 0)
+            heads.append((lo, spread, dw, start))
+            pos = start + block.size * dw
     return heads, pos
 
 
 def chased(stream: bytes, height: int, width: int, k: int):
-    """scanned_strips' heads and end bit from the fast header pass."""
+    """plane_heads' heads and end bit from the fast header pass."""
     w = (255 // k).bit_length()
     starts, lows, spreads = bitstream._chase(stream, height, width, 255 // k)
     fields = zip(lows.tolist(), spreads.tolist(), starts[:-1].tolist())
@@ -338,10 +338,10 @@ def chased(stream: bytes, height: int, width: int, k: int):
 
 
 def test_chase_matches_scan():
-    # over all moduli, the fast pass must find exactly _scan's heads and end bit; a
-    # repeated last block puts the last header in the final byte or two, where the
-    # pass reads a zero-padded window. On mutants, decode_plane must give the pixels,
-    # or the error class and message, of a decode with the pass switched off
+    # over all moduli, the fast pass must find exactly the heads and end bit of the
+    # plane's blocks; a repeated last block puts the last header in the final byte or
+    # two, where the pass reads a zero-padded window. On mutants, decode_plane must give
+    # the pixels, or the error class and message, of the per-block loop alone
     rng = np.random.default_rng(31)
     tails, seen = set(), set()
     for k in MODULI:
@@ -355,7 +355,7 @@ def test_chase_matches_scan():
                 plane[(height - 1) // 8 * 8 :, (width - 1) // 8 * 8 :] = lo
             stream = encode_plane(plane, k)
             heads, end = chased(stream, height, width, k)
-            assert (heads, end) == scanned_strips(stream, height, width, k)
+            assert (heads, end) == plane_heads(plane, k)
             if not heads[-1][1]:
                 tails.add(len(stream) - (end - w - 1) // 8)  # bytes from the last header on
             if i != k % 5:
@@ -367,7 +367,7 @@ def test_chase_matches_scan():
                     data[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
                 mutants.append(bytes(data))
             for data in mutants:
-                expected = outcome(fallback_plane, data, height, width, k)
+                expected = outcome(walked_plane, data, height, width, k)
                 decoded = outcome(decode_plane, data, height, width, k)
                 if isinstance(expected, tuple):
                     assert decoded == expected
@@ -391,16 +391,16 @@ OVER_LIMIT = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63  # de
     ],
 )
 def test_failed_check_falls_back_to_scan(bad, message):
-    # an 8x1024 plane is two strips of 64 blocks, and block 70, in the second, has a bad
-    # header of a length the pass steps over, so the pass ends at the stream's end and
-    # only its vectorised checks send the plane to _scan, which names the error
+    # block 70 of an 8x1024 plane has a bad header of a length the pass steps over, so
+    # the pass ends at the stream's end and only its vectorised checks send the plane to
+    # the per-block loop, which raises the error and names the block
     blocks = [REPEATED] * 128
     blocks[70] = bad
     stream = bits_to_bytes("".join(blocks))
     assert bitstream._chase(stream, 8, 1024, 51) is None
-    with pytest.raises(CorruptStreamError, match=message):
+    with pytest.raises(CorruptStreamError, match="^block 0,70: .*" + message):
         decode_plane(stream, 8, 1024, 5)
-    # block 3, in the first strip, decodes above the limit: _scan's order raises that first
+    # block 3 decodes above the limit: the loop meets it first and raises that
     blocks[3] = OVER_LIMIT
     stream = bits_to_bytes("".join(blocks))
     with pytest.raises(CorruptStreamError, match="block 0,3 decodes an index above limit 51"):
@@ -410,14 +410,17 @@ def test_failed_check_falls_back_to_scan(bad, message):
 def test_pass_overrun_falls_back_to_scan():
     # blocks 60 and 64 each hold 64 one-bit deltas. Cutting the stream inside the last
     # block's deltas leaves the pass's end past the stream's; raising block 60's max_delta
-    # from 1 to 51 makes the pass jump 384 delta bits past it. Both fail as _scan fails them
+    # from 1 to 51 makes the pass jump 384 delta bits past it. The per-block loop names both
     varied = format(0, "06b") + "0" + format(1, "06b") + "01" * 32
     blocks = [REPEATED] * 65
     blocks[60] = blocks[64] = varied
     stream = bits_to_bytes("".join(blocks))
     blocks[60] = varied.replace(format(1, "06b"), format(51, "06b"), 1)
     corrupted = bits_to_bytes("".join(blocks))
-    for data, message in [(stream[:-2], "needed 64 bits, only 53"), (corrupted, "needed 384 bits")]:
+    for data, message in [
+        (stream[:-2], "block 0,64: needed 64 bits, only 53"),
+        (corrupted, "block 0,60: needed 384 bits"),
+    ]:
         assert bitstream._chase(data, 8, 520, 51) is None
         with pytest.raises(TruncatedStreamError, match=message):
             decode_plane(data, 8, 520, 5)
@@ -426,9 +429,9 @@ def test_pass_overrun_falls_back_to_scan():
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_valid_strips_never_scan(k):
     # valid strip-coded planes, their last header in the final byte, decode by the
-    # fast pass alone
-    def scan(*args):
-        raise AssertionError("a valid strip-coded plane fell back to _scan")
+    # fast path alone and never reach the per-block loop
+    def walk(*args):
+        raise AssertionError("a valid strip-coded plane fell back to the per-block loop")
 
     rng = np.random.default_rng(k)
     for height, width in STRIP_SHAPES[:3]:
@@ -436,8 +439,56 @@ def test_valid_strips_never_scan(k):
         plane[(height - 1) // 8 * 8 :, (width - 1) // 8 * 8 :] = plane[-1, -1]
         stream = encode_plane(plane, k)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bitstream, "_scan", scan)
+            patch.setattr(bitstream, "_decode_blocks", walk)
             assert np.array_equal(decode_plane(stream, height, width, k), plane)
+
+
+def test_only_block_loop_raises_stream_errors():
+    # the header pass and the strip decoder give up and raise nothing: on mutants of
+    # strip-coded planes every error comes from the per-block loop, or from decode_plane's
+    # size bound and trailing-bytes check
+    rng = np.random.default_rng(37)
+    raisers, seen = set(), set()
+    for k in (3, 5, 127):
+        for height, width in STRIP_SHAPES:
+            top = 255 // k
+            plane = rng.integers(max(top - 3, 0), top + 1, (height, width)).astype(np.uint8)
+            plane[: height // 2] = plane[0, 0]
+            stream = encode_plane(plane, k)
+            mutants = [stream[: int(rng.integers(0, len(stream)))] for _ in range(3)]
+            mutants += [stream + bytes(1), stream[:-1]]
+            for _ in range(8):
+                data = bytearray(stream)
+                data[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
+                mutants.append(bytes(data))
+            for data in mutants:
+                try:
+                    decode_plane(data, height, width, k)
+                except FmmError as exc:
+                    raisers.add(traceback.extract_tb(exc.__traceback__)[-1].name)
+                    seen.add(type(exc))
+    assert raisers == {"_decode_blocks", "decode_plane"}
+    assert seen == {CorruptStreamError, TruncatedStreamError}
+
+
+def test_large_corrupt_plane_rejected_in_bounded_time_and_memory():
+    # a truncated stream of a 1024x1024 noise plane fails the header pass, and the
+    # per-block loop then finds the truncation in its last block
+    rng = np.random.default_rng(41)
+    plane = rng.integers(0, 52, (1024, 1024)).astype(np.uint8)
+    data = encode_plane(plane)[:-3]
+    started = time.perf_counter()
+    with pytest.raises(TruncatedStreamError, match="block 127,127: "):
+        decode_plane(data, 1024, 1024, 5)
+    assert time.perf_counter() - started < 1.0
+    tracemalloc.start()  # timed apart, as tracing slows the loop several times over
+    try:
+        with pytest.raises(TruncatedStreamError):
+            decode_plane(data, 1024, 1024, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * plane.size
 
 
 def test_row_unpack_matches_unpack():
@@ -470,11 +521,12 @@ def edge_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.
     return plane
 
 
-def junk_over_limit(stream: bytes, height: int, width: int, k: int) -> bool:
+def junk_over_limit(stream: bytes, plane: np.ndarray, k: int) -> bool:
     """Whether a lane the strip decoder reads past an edge block's columns or rows, from the
     bits that follow the block's row, would decode above the index limit."""
-    heads, _ = scanned_strips(stream, height, width, k)
+    heads, _ = plane_heads(plane, k)
     bits = "".join(format(byte, "08b") for byte in stream) + "0" * 512
+    height, width = plane.shape
     grid_cols = -(-width // 8)
     for i, (lo, _, dw, start) in enumerate(heads):
         rows, cols = min(8, height - i // grid_cols * 8), min(8, width - i % grid_cols * 8)
@@ -499,9 +551,9 @@ def test_lane_decoder_agrees_with_block_walk(height, width, k):
     rng = np.random.default_rng(height * width)
     plane = edge_plane(height, width, k, rng)
     stream = encode_plane(plane, k)
-    assert junk_over_limit(stream, height, width, k)
+    assert junk_over_limit(stream, plane, k)
     if width % 8 == 1 and height % 8 == 0:
-        _, _, dw, start = scanned_strips(stream, height, width, k)[0][-1]
+        _, _, dw, start = plane_heads(plane, k)[0][-1]
         assert dw == 7 and start + 7 * dw + 8 * dw > 8 * len(stream)
     assert np.array_equal(decode_plane(stream, height, width, k), plane)
     mutants = [stream[: int(rng.integers(0, len(stream)))] for _ in range(4)]
