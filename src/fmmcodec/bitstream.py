@@ -40,11 +40,12 @@ block row per 64-bit word: a row is at most 56 bits long, so the window at
 its first bit, joined from two aligned words, holds it, and ``_unpack_rows``
 spreads 8 fields into 8 byte lanes in the steps of ``_unpack``. Lanes past
 an edge block's columns or rows hold whatever bits follow and are sliced
-away. This fast path raises nothing: if the pass leaves the stream, a check
-fails, the blocks do not end in the stream's last byte or an index decodes
-above the limit, it gives up and the per-block loop decodes the plane again
-and raises the error. So every plane size raises the same errors with the
-same messages.
+away. This fast path raises nothing: if the pass runs past the stream, a check
+fails or an index decodes above the limit, it gives up and the per-block loop
+decodes the plane again and raises the error. Bytes past the last block are
+the one fault neither decoder looks for: ``decode_plane`` rejects them from the
+end bit of the pass or of the per-block loop. So every plane size raises the
+same errors with the same messages.
 """
 
 from __future__ import annotations
@@ -65,9 +66,11 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # about 75 KB, 25 bytes per sample on a 37x61 plane (40 blocks) against
 # 3.3 for the loop, and a 1x1 plane takes 100 us as a strip against 7 in
 # the loop. Strips of 32 blocks encode 128x128 to 256x256 planes 1.4x
-# slower, and of 128 or 256 blocks a 512x512 plane 6-22% faster in two
-# to four times the working set. A decoding strip works in about 5 bytes
-# per cell (80 KB for 256 noise blocks): four 64-bit words per block row.
+# slower. Strips of 128 or 256 blocks encode a 512x512 photo-like plane in
+# 5.7 or 4.6 ms against 7.4, but compressing 256x256 noise then peaks at 3.9
+# or 6.0 bytes per sample against 3.0, and the encode bound is 4: memory, not
+# speed, sets 64. A decoding strip works in about 5 bytes per cell (80 KB for
+# 256 noise blocks): four 64-bit words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -81,10 +84,10 @@ def _lane_mask(lane_bits: int, field_bits: int) -> int:
     return sum(field << shift for shift in range(0, 8 * _CELLS, lane_bits))
 
 
-# Step j (1..6) merges lanes of 8 << (j - 1) bits pairwise: the even lanes
-# stay put and each odd lane moves down onto the end of its even neighbour.
-_EVEN_LANES = [_lane_mask(16 << j, 8 << j) for j in range(6)]
-# _FIELD_LANES[width][j] keeps, per merged lane, the low field of step j + 1.
+# Step j (1..6) of _pack merges lanes of 8 << (j - 1) bits pairwise: the even
+# lanes stay put and each odd lane moves down onto the end of its even neighbour.
+# _FIELD_LANES[width][j] keeps, per merged lane, the low field of step j + 1:
+# the whole even lane, as only its low width << j bits can be set.
 _FIELD_LANES = [[_lane_mask(16 << j, width << j) for j in range(6)] for width in range(8)]
 # _ROW_STEPS[:, width]: the shift that brings 8 fields down from the top of a 64-bit word,
 # then ~mask and 2^shift - 1 for each step of _unpack on 8 cells, since that step's
@@ -100,8 +103,9 @@ _ROW_STEPS = np.array(
 
 def _pack(lanes: int, cells: int, width: int) -> int:
     """Squeeze cells byte lanes holding width-bit values into cells * width bits."""
+    masks = _FIELD_LANES[width]
     for j in range((cells - 1).bit_length()):
-        even = lanes & _EVEN_LANES[j]
+        even = lanes & masks[j]
         lanes = (lanes ^ even) >> ((8 - width) << j) | even
     return lanes
 
@@ -261,7 +265,8 @@ def decode_plane(
     w = top.bit_length()
     if height < 1 or width < 1:
         raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
-    blocks = -(-height // BLOCK_SIZE) * -(-width // BLOCK_SIZE)
+    rows, cols = _grid(height, width)
+    blocks = rows * cols
     if blocks * (w + 1) > 8 * len(stream):
         raise TruncatedStreamError(
             f"{blocks} blocks need at least {blocks * (w + 1)} bits, "
@@ -270,8 +275,9 @@ def decode_plane(
     chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
     plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
     if chased is not None and _decode_strips(stream, chased, plane, top):
-        return plane
-    end = _decode_blocks(stream, plane, top)
+        end = int(chased[0][-1])
+    else:
+        end = _decode_blocks(stream, plane, top)
     if len(stream) != (end + 7) // 8:
         raise CorruptStreamError(
             f"stream is {len(stream)} bytes but its blocks need {(end + 7) // 8}"
@@ -294,8 +300,8 @@ def _chase(
     the final byte zero-padded. numpy then reads every header at once and makes
     _decode_blocks' header checks on them. starts holds each block's first bit
     and, last, the plane's end; a repeated block's max_delta reads 0. None means
-    the pass left the stream, a check failed or the blocks do not end in the
-    stream's last byte: only _decode_blocks defines which error that is.
+    the pass ran past the stream or a check failed: only _decode_blocks defines
+    which error that is. Bytes past the blocks are left to decode_plane.
     """
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
@@ -317,7 +323,7 @@ def _chase(
                         return None
                     window = stream[i] << 8
                 q += table[window >> (shift - (q & 7)) & low]
-    if (q - w + 7) >> 3 != len(stream):
+    if (q - w + 7) >> 3 > len(stream):
         return None
     append(q)
     starts = np.frombuffer(reps, dtype=np.int64)

@@ -7,12 +7,12 @@ one canonical form, so write - read - write is byte-stable.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import NetpbmError
 from .image import RasterImage
-
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 
@@ -20,32 +20,20 @@ _MAGIC_CHANNELS = {b"P5": 1, b"P6": 3}
 # and int() refuses digit strings of over 4,300 digits with a bare ValueError.
 _MAX_DIGITS = 20
 
-
-def _skip_filler(data: bytes, pos: int) -> int:
-    """Advance past whitespace and # comments."""
-    while pos < len(data):
-        byte = data[pos : pos + 1]
-        if byte == b"#":
-            end = data.find(b"\n", pos)
-            pos = len(data) if end < 0 else end + 1
-        elif byte in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
+# Whitespace, then a # comment to the end of its line or else the field. On
+# bytes, \s and bytes.isspace() are netpbm's six whitespace bytes.
+_FIELD = re.compile(rb"\s*(?:#[^\n]*|([^\s#]*))")
 
 
 def _token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    pos = _skip_filler(data, pos)
-    start = pos
-    while pos < len(data):
-        byte = data[pos : pos + 1]
-        if byte in _WHITESPACE or byte == b"#":
-            break
-        pos += 1
-    if pos == start:
+    match = _FIELD.match(data, pos)
+    # one match per comment: a repeated group in the pattern would make re keep
+    # about 200 bytes of backtracking state for each comment it passes
+    while match[1] is None:
+        match = _FIELD.match(data, match.end())
+    if not match[1]:
         raise NetpbmError(f"header ended while reading {field}")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _int_field(data: bytes, pos: int, field: str) -> tuple[int, int]:
@@ -76,7 +64,7 @@ def read_netpbm(data: bytes) -> RasterImage:
         raise NetpbmError(f"dimensions must be positive, got {width}x{height}")
     if maxval != 255:
         raise NetpbmError(f"maxval must be 255, got {maxval}")
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise NetpbmError("maxval must be followed by a single whitespace byte")
     pos += 1
     expected = width * height * channels

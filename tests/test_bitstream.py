@@ -429,7 +429,8 @@ def test_pass_overrun_falls_back_to_scan():
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_valid_strips_never_scan(k):
     # valid strip-coded planes, their last header in the final byte, decode by the
-    # fast path alone and never reach the per-block loop
+    # fast path alone and never reach the per-block loop; with one byte more, they
+    # are rejected from the strips' end bit, still without the per-block loop
     def walk(*args):
         raise AssertionError("a valid strip-coded plane fell back to the per-block loop")
 
@@ -438,9 +439,13 @@ def test_valid_strips_never_scan(k):
         plane = rng.integers(0, 255 // k + 1, (height, width)).astype(np.uint8)
         plane[(height - 1) // 8 * 8 :, (width - 1) // 8 * 8 :] = plane[-1, -1]
         stream = encode_plane(plane, k)
+        message = f"^stream is {len(stream) + 1} bytes but its blocks need {len(stream)}$"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "_decode_blocks", walk)
             assert np.array_equal(decode_plane(stream, height, width, k), plane)
+            for extra in (b"\x00", b"\xff"):
+                with pytest.raises(CorruptStreamError, match=message):
+                    decode_plane(stream + extra, height, width, k)
 
 
 def test_only_block_loop_raises_stream_errors():
@@ -489,6 +494,20 @@ def test_large_corrupt_plane_rejected_in_bounded_time_and_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * plane.size
+
+
+def test_pack_matches_reference():
+    # _pack joins the cells' width-bit binary strings, and _unpack spreads them back into
+    # byte lanes, for every cell count and width
+    rng = np.random.default_rng(47)
+    for cells in range(1, 65):
+        for width in range(1, 8):
+            draws = rng.integers(0, 1 << width, (3, cells)).tolist() + [[(1 << width) - 1] * cells]
+            for values in draws:
+                lanes = int.from_bytes(bytes(values), "big")
+                packed = int("".join(format(v, f"0{width}b") for v in values), 2)
+                assert bitstream._pack(lanes, cells, width) == packed
+                assert bitstream._unpack(packed, cells, width) == lanes
 
 
 def test_row_unpack_matches_unpack():

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fmmcodec.errors import NetpbmError
 from fmmcodec.image import RasterImage
-from fmmcodec.netpbm import read_netpbm, write_netpbm
+from fmmcodec.netpbm import _MAGIC_CHANNELS, _MAX_DIGITS, read_netpbm, write_netpbm
 
 
 class TestRead:
@@ -142,3 +143,143 @@ def test_mutation_fuzz(channels):
             except NetpbmError:
                 pass
             assert time.perf_counter() - started < 0.5
+
+
+def test_long_filler_is_fast():
+    # a whitespace run is one step of the lexer, not one per byte
+    data = b"P5" + b" " * 2**20 + b"2 1 255 " + bytes([3, 4])
+    started = time.perf_counter()
+    assert read_netpbm(data).plane().tolist() == [[3, 4]]
+    assert time.perf_counter() - started < 0.1
+
+
+def test_comment_run_memory_is_bounded():
+    # 128 KB of comments: the lexer keeps no state per comment it passes, as a
+    # pattern that repeats a group over comments would (about 15 MB here)
+    data = b"P5" + b"#\n" * 2**16 + b"2 1 255 " + bytes([3, 4])
+    tracemalloc.start()
+    try:
+        image = read_netpbm(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image.plane().tolist() == [[3, 4]]
+    assert peak < 16_384
+
+
+# The byte-at-a-time header lexer that the regular expression replaced, kept
+# verbatim as the oracle for test_header_lexer_matches_reference.
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _skip_filler(data: bytes, pos: int) -> int:
+    """Advance past whitespace and # comments."""
+    while pos < len(data):
+        byte = data[pos : pos + 1]
+        if byte == b"#":
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1
+        elif byte in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    return pos
+
+
+def _token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
+    pos = _skip_filler(data, pos)
+    start = pos
+    while pos < len(data):
+        byte = data[pos : pos + 1]
+        if byte in _WHITESPACE or byte == b"#":
+            break
+        pos += 1
+    if pos == start:
+        raise NetpbmError(f"header ended while reading {field}")
+    return data[start:pos], pos
+
+
+def _int_field(data: bytes, pos: int, field: str) -> tuple[int, int]:
+    token, pos = _token(data, pos, field)
+    if not token.isdigit():
+        raise NetpbmError(f"{field} must be a decimal integer, got {token!r}")
+    if len(token) > _MAX_DIGITS:
+        token = token.lstrip(b"0") or b"0"
+        if len(token) > _MAX_DIGITS:
+            raise NetpbmError(f"{field} has more than {_MAX_DIGITS} significant digits")
+    return int(token), pos
+
+
+def _reference_read(data: bytes) -> RasterImage:
+    magic, pos = _token(data, 0, "magic")
+    channels = _MAGIC_CHANNELS.get(magic)
+    if channels is None:
+        raise NetpbmError(f"unsupported magic {magic!r}, expected P5 or P6")
+    width, pos = _int_field(data, pos, "width")
+    height, pos = _int_field(data, pos, "height")
+    maxval, pos = _int_field(data, pos, "maxval")
+    if width < 1 or height < 1:
+        raise NetpbmError(f"dimensions must be positive, got {width}x{height}")
+    if maxval != 255:
+        raise NetpbmError(f"maxval must be 255, got {maxval}")
+    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+        raise NetpbmError("maxval must be followed by a single whitespace byte")
+    pos += 1
+    expected = width * height * channels
+    payload = data[pos : pos + expected]
+    if len(payload) < expected:
+        raise NetpbmError(
+            f"payload too short: need {expected} bytes, found {len(payload)}"
+        )
+    samples = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return RasterImage(samples)
+
+
+# Filler pieces, the last two comments that run on into the next field, and bytes
+# next to netpbm whitespace that are not whitespace in it
+_FILLER = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"  \n\t", b"# x\n", b"#\n", b"#", b"#\r"]
+_FILLER_P = np.array([1] * 9 + [0.15] * 2) / 9.3
+_NEAR = [b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x85", b"\xa0", b"\x00", b"\xff", b"#"]
+
+
+def _random_header(rng: np.random.Generator) -> bytes:
+    """A P5/P6-like header of random filler, fields and stray bytes, cut at random."""
+    magic = [b"P5", b"P6", b"P4", b"P", b"p5"][int(rng.choice(5, p=[0.45, 0.45, 0.04, 0.03, 0.03]))]
+    parts = [magic]
+    for value in (rng.integers(1, 5), rng.integers(1, 5), 255):
+        fillers = rng.choice(len(_FILLER), int(rng.random() > 0.05) * rng.integers(1, 4), p=_FILLER_P)
+        parts += [_FILLER[int(i)] for i in fillers]
+        digits = b"%d" % value
+        if rng.random() < 0.2:
+            digits = b"0" * int(rng.choice([1, 19, 25])) + digits
+        if rng.random() < 0.1:
+            digits = bytes(b"0123456789"[d] for d in rng.integers(0, 10, rng.integers(1, 24)))
+        parts.append(digits)
+    parts.append([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"#\n", b"", b"\x85"][int(rng.integers(0, 9))])
+    data = bytearray(b"".join(parts) + bytes(rng.integers(0, 256, 60, dtype=np.uint8)))
+    for _ in range(int(rng.random() < 0.3) * int(rng.integers(1, 3))):
+        at = int(rng.integers(0, len(data) + 1))
+        data[at:at] = _NEAR[int(rng.integers(0, len(_NEAR)))]
+    if rng.random() < 0.2:
+        data[int(rng.integers(0, len(data))) :] = b""
+    return bytes(data)
+
+
+def _outcome(read, data: bytes):
+    try:
+        return read(data).pixels.tolist()
+    except NetpbmError as exc:
+        return type(exc), str(exc)
+
+
+def test_header_lexer_matches_reference():
+    # on seeded random headers the regular-expression lexer gives the byte-at-a-time
+    # lexer's pixels, or its exception class and message
+    rng = np.random.default_rng(2024)
+    parsed = 0
+    for _ in range(4000):
+        data = _random_header(rng)
+        expected = _outcome(_reference_read, data)
+        assert _outcome(read_netpbm, data) == expected, data
+        parsed += isinstance(expected, list)
+    assert 400 < parsed < 3600  # both outcomes are well represented
