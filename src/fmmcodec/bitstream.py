@@ -28,8 +28,10 @@ for a block.
 A larger plane is coded in strips of consecutive blocks: the fewest
 whole block rows that hold at least n blocks, or, where one block row
 holds more, runs of n blocks along it, so a strip has fewer than 2 * n
-blocks whatever the plane's shape. The encoder, with n = STRIP_BLOCKS,
-places every field of a strip at its cumulative bit offset with numpy.
+blocks whatever the plane's shape. The encoder, with n = 8 * STRIP_BLOCKS,
+gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
+a row's indices less the block's min, one big-endian 64-bit word, and numpy
+adds each field into the 64-bit word where it starts, the rest into the next.
 The decoder first reads the headers of the whole plane in one pass
 (``_chase``), as the stream's block order is row-major even in strips:
 one Python step per block, from its repetition bit to the next block's,
@@ -61,15 +63,13 @@ from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # Planes of at least this many blocks are coded with numpy in strips of
-# this many blocks to encode and four times as many to decode; smaller
-# planes take the per-block loop. A strip of 64 noise blocks encodes in
-# about 75 KB, 25 bytes per sample on a 37x61 plane (40 blocks) against
-# 3.3 for the loop, and a 1x1 plane takes 100 us as a strip against 7 in
-# the loop. Strips of 32 blocks encode 128x128 to 256x256 planes 1.4x
-# slower. Strips of 128 or 256 blocks encode a 512x512 photo-like plane in
-# 5.7 or 4.6 ms against 7.4, but compressing 256x256 noise then peaks at 3.9
-# or 6.0 bytes per sample against 3.0, and the encode bound is 4: memory, not
-# speed, sets 64. A decoding strip works in about 5 bytes per cell (80 KB for
+# eight times as many blocks to encode and four times as many to decode;
+# smaller planes take the per-block loop, where a 1x1 plane takes 6 us
+# against 220 as a strip. An encoding strip works in about 270 bytes per
+# noise block. On a 2-core VM, strips of 512 blocks encode the photo_rgb
+# benchmark 39% faster than strips of 256, and compressing 256x256 noise then
+# peaks at 3.4 bytes per sample against 3.0 (the bound is 4), and at 5.0 in
+# strips of 1024. A decoding strip works in about 5 bytes per cell (80 KB for
 # 256 noise blocks): four 64-bit words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
@@ -130,12 +130,27 @@ def _unpack_rows(fields: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return fields
 
 
+def _pack_rows(words: np.ndarray, widths: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """In place, _pack(l, c, dw) of the first c byte lanes l of each uint64, for widths' dw
+    and cols' c on its axes: _pack's steps on all 8 lanes, then the last 8 - c fields dropped."""
+    odd = np.empty_like(words)
+    shifts = np.subtract(BLOCK_SIZE, widths, dtype=np.uint64)
+    for masks in _ROW_STEPS[5:0:-2].take(widths, axis=1):  # ~mask of steps 1, 2 and 3
+        np.bitwise_and(words, masks, out=odd)
+        words ^= odd
+        odd >>= shifts
+        words |= odd
+        shifts <<= 1
+    words >>= ((BLOCK_SIZE - cols) * widths).astype(np.uint64)
+    return words
+
+
 def _grid(height: int, width: int) -> tuple[int, int]:
     """Block rows and block columns of a height x width plane."""
     return -(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE)
 
 
-def _strips(height: int, width: int, blocks: int = STRIP_BLOCKS) -> Iterator[tuple[slice, slice]]:
+def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice]]:
     """Pixel rows and columns of each strip of about blocks blocks, in stream order."""
     rows = -(-blocks // _grid(1, width)[1]) * BLOCK_SIZE
     cols = blocks * BLOCK_SIZE
@@ -157,7 +172,7 @@ def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
     out = bytearray()
     acc = nbits = 0  # pending bits that do not yet fill a byte, and how many
     if rows * cols >= STRIP_BLOCKS:
-        for strip in _strips(height, width):
+        for strip in _strips(height, width, 8 * STRIP_BLOCKS):
             acc, nbits = _encode_strip(plane[strip], w, out, acc, nbits)
     else:
         for y in range(0, height, BLOCK_SIZE):
@@ -187,56 +202,61 @@ def _encode_strip(
 ) -> tuple[int, int]:
     """Append the blocks of a strip to out, all at once; returns the new carry.
 
-    Each block becomes a row of 3 + 64 fields (min, repetition, max_delta,
-    deltas) with a value and a width. Edge padding keeps each block's min
-    and max; a cell outside an edge block and every delta of a repeated
-    block gets width and value 0, so the nonzero widths spell the block
-    grammar. Every field is added into the 16-bit window at the byte where
-    it starts, and each byte is the high half of its own window joined
-    with the low half of the one before.
+    Each block is 9 fields (see the module docstring); an edge block's row keeps
+    the fields of its c columns, and its rows past its last row are empty.
     """
     rows, width = strip.shape
-    grid_rows, grid_cols = _grid(rows, width)
-    grid = (grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
+    grid_rows, grid_cols = grid = _grid(rows, width)
     if rows % BLOCK_SIZE or width % BLOCK_SIZE:
         strip = np.pad(strip, ((0, -rows % BLOCK_SIZE), (0, -width % BLOCK_SIZE)), mode="edge")
-    cells = strip.reshape(grid).swapaxes(1, 2).reshape(-1, _CELLS)
-    lo = cells.min(axis=1)
-    spread = cells.max(axis=1) - lo
-    values = np.empty((len(cells), 3 + _CELLS), dtype=np.uint16)
-    values[:, 0] = lo
-    values[:, 1] = spread == 0
-    values[:, 2] = spread
-    np.subtract(cells, lo[:, None], out=values[:, 3:])
-    widths = np.empty(values.shape, dtype=np.uint8)
-    widths[:, :2] = w, 1
-    widths[:, 2] = np.where(spread, w, 0)
-    widths[:, 3:] = _BIT_LENGTH[spread, None]
-    if strip.shape != (rows, width):
-        inside = (np.arange(len(strip)) < rows)[:, None] & (np.arange(strip.shape[1]) < width)
-        inside = inside.reshape(grid).swapaxes(1, 2).reshape(-1, _CELLS)
-        values[:, 3:] *= inside
-        widths[:, 3:] *= inside
-    values, widths = values.ravel(), widths.ravel()
-    starts = np.zeros(len(widths) + 1, dtype=np.int64)
-    starts[0] = nbits
-    starts[1:] = widths
-    np.cumsum(starts, out=starts)
-    starts, total = starts[:-1], int(starts[-1])
-    shifts = starts.astype(np.uint8)
-    shifts &= 7
-    shifts += widths
-    np.subtract(16, shifts, out=shifts)
-    values <<= shifts
-    starts >>= 3
-    # the fields in one window have disjoint bits, so their sum is their OR
-    sums = np.zeros((total >> 3) + 1, dtype=np.uint16)
-    np.add.at(sums, starts, values)
-    packed = (sums >> 8).astype(np.uint8)
-    packed[1:] |= sums[:-1].astype(np.uint8)
-    packed[0] |= acc << (8 - nbits)
-    out += packed[: total >> 3].data
-    return int(packed[-1]) >> (8 - (total & 7)), total & 7
+    # fields[0] is each block's header and fields[1 + y] its row y, at first as 8 index bytes
+    fields = np.empty((1 + BLOCK_SIZE, grid_rows * grid_cols), dtype=np.uint64)
+    words = fields[1:]
+    cells = words.view(np.uint8).reshape(BLOCK_SIZE, grid_rows, grid_cols, BLOCK_SIZE)
+    cells[...] = strip.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).swapaxes(0, 1)
+    cells = cells.reshape(BLOCK_SIZE, -1, BLOCK_SIZE)
+    lanes = np.empty(words.shape, dtype=np.uint8)  # per block column, over its rows
+    lo = np.minimum.reduce(np.minimum.reduce(cells, out=lanes.T).T)
+    spread = np.maximum.reduce(np.maximum.reduce(cells, out=lanes.T).T) - lo
+    words[...] = words.view(">u8")  # each row's 8 bytes as one big-endian word, on any host
+    words -= lo * np.uint64(_ONES[BLOCK_SIZE])
+    dw = _BIT_LENGTH[spread].reshape(grid)
+    cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
+    heights = np.minimum(rows - np.arange(0, rows, BLOCK_SIZE), BLOCK_SIZE)
+    # each row squeezed to its deltas; an edge block's rows past its last are empty
+    _pack_rows(words.reshape(BLOCK_SIZE, *grid), dw, cols)[heights[-1] :, -1] = 0
+    row_bits = (dw * cols).ravel()
+    heads = np.where(spread, 2 * w + 1, w + 1)
+    sizes = (row_bits.reshape(grid) * heights[:, None]).ravel() + heads
+    starts = np.cumsum(sizes) - sizes + nbits
+    total = int(starts[-1] + sizes[-1])
+    # every field at the top of its word: min, then max_delta or the repetition bit 1
+    fields[0] = np.maximum(spread, 1) << (64 - heads).view(np.uint64)
+    fields[0] |= lo.astype(np.uint64) << 64 - w
+    words <<= (64 - row_bits).view(np.uint64)
+    packed = np.zeros((total >> 6) + 8, dtype=np.uint64)  # 8 more for empty rows past the end
+    packed[0] = acc << (64 - nbits)
+    firsts = starts + heads  # row y starts at firsts + y * row_bits
+    for first in range(0, 1 + BLOCK_SIZE, 3):  # 3 fields of each block at a time
+        at = np.multiply(np.arange(first - 1, first + 2)[:, None], row_bits)
+        at += firsts
+        if first == 0:
+            at[0] = starts
+        at, values = at.ravel(), fields[first : first + 3].ravel()
+        bits = at & 63
+        at >>= 6
+        tail = np.bitwise_xor(bits, 63).view(np.uint64)
+        np.left_shift(values, tail, out=tail)
+        tail <<= 1  # in two steps, as numpy shifts by 64 to 0
+        values >>= bits.view(np.uint64)
+        np.add.at(packed, at, values)
+        np.add.at(packed[1:], at, tail)
+        del at, bits, tail  # before the next part makes its own
+    if np.little_endian:
+        packed.byteswap(inplace=True)
+    data = packed.view(np.uint8)
+    out += data[: total >> 3].data
+    return int(data[total >> 3]) >> (8 - (total & 7)), total & 7
 
 
 def _cells(rows: int, width: int) -> list[int]:

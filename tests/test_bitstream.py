@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fmmcodec import bitstream, container
-from fmmcodec.bitstream import decode_plane, encode_plane
+from fmmcodec import bitstream, container, core
+from fmmcodec.bitstream import _BIT_LENGTH, _CELLS, BLOCK_SIZE, _grid, decode_plane, encode_plane
 from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
 from fmmcodec.image import RasterImage
 
@@ -184,8 +184,9 @@ class TestBlockCodec:
 
 # Plane geometries on both sides of STRIP_BLOCKS: small planes (the
 # per-block loop), and wide-short, tall-narrow and square planes of 64+
-# blocks (the strip codec), most of them with partial edge blocks. Block
-# rows of more than 64 blocks are split into strips along the row.
+# blocks (the strip codec), most of them with partial edge blocks. The
+# widest span two or three decoding strips; test_strip_encoder_matches_oracle
+# covers encoding strips split along a block row and many strip ends.
 geometries = st.one_of(
     st.tuples(st.integers(1, 40), st.integers(1, 40)),
     st.tuples(st.integers(1, 9), st.integers(505, 560)),
@@ -523,6 +524,45 @@ def test_row_unpack_matches_unpack():
     assert bitstream._unpack_rows(rows.copy(), widths).tolist() == expected
 
 
+def test_row_pack_matches_pack():
+    # each uint64 holds 8 byte lanes of dw-bit values; the numpy row pack must squeeze its
+    # first c lanes as _pack does, for every width and column count, on random lanes and
+    # on lanes of all ones
+    rng = np.random.default_rng(53)
+    widths, cols = np.meshgrid(np.arange(8, dtype=np.uint8), np.arange(1, 9), indexing="ij")
+    widths, cols = np.repeat(widths.ravel(), 4), np.repeat(cols.ravel(), 4)
+    top = (1 << widths.astype(np.int64)) - 1
+    lanes = rng.integers(0, 256, (len(widths), 8)) & top[:, None]
+    lanes[::4] = top[::4, None]
+    words = np.frombuffer(lanes.astype(np.uint8).tobytes(), dtype=">u8").astype(np.uint64)
+    expected = [
+        bitstream._pack(int.from_bytes(bytes(row[:c]), "big"), c, dw)
+        for row, c, dw in zip(lanes.tolist(), cols.tolist(), widths.tolist())
+    ]
+    assert bitstream._pack_rows(words, widths, cols).tolist() == expected
+
+
+@pytest.mark.parametrize("strip_blocks, encoding, decoding", [(64, 1, 2), (16, 4, 8), (8, 8, 16)])
+def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
+    # both directions read STRIP_BLOCKS when they run, so setting it moves the encoding
+    # strips (8 * STRIP_BLOCKS blocks) and the decoding strips (4 * STRIP_BLOCKS) alike
+    plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
+    expected = encode_plane(plane)
+    real, strips = bitstream._strips, []
+
+    def counted(*args):
+        strips.append(list(real(*args)))
+        return strips[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
+        patch.setattr(bitstream, "_strips", counted)
+        stream = encode_plane(plane)
+        assert np.array_equal(decode_plane(stream, 64, 512), plane)
+    assert stream == expected
+    assert [len(each) for each in strips] == [encoding, decoding]
+
+
 def edge_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Constant-top blocks but for the last block column and, if the last block row is short,
     its odd block columns: those span lo..top, a spread of 2^(W-1), so their delta width is W
@@ -588,3 +628,105 @@ def test_lane_decoder_agrees_with_block_walk(height, width, k):
             assert decoded == walked
         else:
             assert np.array_equal(decoded, walked)
+
+
+# The strip encoder that the row-word encoder replaced, kept verbatim as the oracle for
+# test_strip_encoder_matches_oracle: it is fast enough for planes the string reference is not.
+def _encode_strip(
+    strip: np.ndarray, w: int, out: bytearray, acc: int, nbits: int
+) -> tuple[int, int]:
+    """Append the blocks of a strip to out, all at once; returns the new carry.
+
+    Each block becomes a row of 3 + 64 fields (min, repetition, max_delta,
+    deltas) with a value and a width. Edge padding keeps each block's min
+    and max; a cell outside an edge block and every delta of a repeated
+    block gets width and value 0, so the nonzero widths spell the block
+    grammar. Every field is added into the 16-bit window at the byte where
+    it starts, and each byte is the high half of its own window joined
+    with the low half of the one before.
+    """
+    rows, width = strip.shape
+    grid_rows, grid_cols = _grid(rows, width)
+    grid = (grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE)
+    if rows % BLOCK_SIZE or width % BLOCK_SIZE:
+        strip = np.pad(strip, ((0, -rows % BLOCK_SIZE), (0, -width % BLOCK_SIZE)), mode="edge")
+    cells = strip.reshape(grid).swapaxes(1, 2).reshape(-1, _CELLS)
+    lo = cells.min(axis=1)
+    spread = cells.max(axis=1) - lo
+    values = np.empty((len(cells), 3 + _CELLS), dtype=np.uint16)
+    values[:, 0] = lo
+    values[:, 1] = spread == 0
+    values[:, 2] = spread
+    np.subtract(cells, lo[:, None], out=values[:, 3:])
+    widths = np.empty(values.shape, dtype=np.uint8)
+    widths[:, :2] = w, 1
+    widths[:, 2] = np.where(spread, w, 0)
+    widths[:, 3:] = _BIT_LENGTH[spread, None]
+    if strip.shape != (rows, width):
+        inside = (np.arange(len(strip)) < rows)[:, None] & (np.arange(strip.shape[1]) < width)
+        inside = inside.reshape(grid).swapaxes(1, 2).reshape(-1, _CELLS)
+        values[:, 3:] *= inside
+        widths[:, 3:] *= inside
+    values, widths = values.ravel(), widths.ravel()
+    starts = np.zeros(len(widths) + 1, dtype=np.int64)
+    starts[0] = nbits
+    starts[1:] = widths
+    np.cumsum(starts, out=starts)
+    starts, total = starts[:-1], int(starts[-1])
+    shifts = starts.astype(np.uint8)
+    shifts &= 7
+    shifts += widths
+    np.subtract(16, shifts, out=shifts)
+    values <<= shifts
+    starts >>= 3
+    # the fields in one window have disjoint bits, so their sum is their OR
+    sums = np.zeros((total >> 3) + 1, dtype=np.uint16)
+    np.add.at(sums, starts, values)
+    packed = (sums >> 8).astype(np.uint8)
+    packed[1:] |= sums[:-1].astype(np.uint8)
+    packed[0] |= acc << (8 - nbits)
+    out += packed[: total >> 3].data
+    return int(packed[-1]) >> (8 - (total & 7)), total & 7
+
+
+def oracle_plane(plane: np.ndarray, k: int) -> bytes:
+    """The stream of a plane from _encode_strip above, in strips of 64 blocks."""
+    w = (255 // k).bit_length()
+    out = bytearray()
+    acc = nbits = 0
+    for strip in bitstream._strips(*plane.shape, 64):
+        acc, nbits = _encode_strip(plane[strip], w, out, acc, nbits)
+    if nbits:
+        out.append(acc << (8 - nbits))
+    return bytes(out)
+
+
+def photo_plane(k: int, rng: np.random.Generator) -> np.ndarray:
+    """Index plane of a 512x512 smooth image whose noise grows from none at its left edge,
+    so repeated blocks sit next to mixed ones of every delta width."""
+    y, x = np.mgrid[0:512, 0:512]
+    smooth = 128 + 90 * np.sin(x / 41 + rng.uniform(0, 6)) * np.cos(y / 57)
+    noisy = smooth + rng.normal(0, 1, smooth.shape) * np.linspace(0, 40, 512)
+    return core.quantize_indices(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), k)
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_strip_encoder_matches_oracle(k):
+    # the row-word encoder writes the old strip encoder's bytes on every strip shape, on
+    # photo-like planes and on 1024x1024 noise; block rows of 513 blocks split strips
+    # mid-row, and 16-block strips carry a partial byte across many strip ends
+    rng = np.random.default_rng(k)
+    top = 255 // k
+    shapes = STRIP_SHAPES + [(9, 4100), (20, 4100)]
+    planes = [rng.integers(0, top + 1, shape).astype(np.uint8) for shape in shapes]
+    planes += [photo_plane(k, rng) for _ in range(2)]
+    for plane in planes[::2]:
+        plane[: plane.shape[0] // 2] = plane[0, 0]  # repeated blocks next to mixed ones
+    for plane in planes:
+        expected = oracle_plane(plane, k)
+        assert encode_plane(plane, k) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "STRIP_BLOCKS", 2)
+            assert encode_plane(plane, k) == expected
+    noise = rng.integers(0, top + 1, (1024, 1024)).astype(np.uint8)
+    assert encode_plane(noise, k) == oracle_plane(noise, k)

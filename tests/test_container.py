@@ -140,11 +140,25 @@ class TestDecompress:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_encode_memory_is_bounded(self, shape, channels):
         # the per-block loop measures 1.6 to 3.2 bytes per sample and the
-        # strip codec 1.6 to 3.0; a temporary with a byte per bit of a whole
+        # strip codec 1.6 to 3.4; a temporary with a byte per bit of a whole
         # plane's fields, or of a whole block row's on the 8-row plane
         # (8+ bytes per sample), must not pass
         rng = np.random.default_rng(shape[0] + channels)
         img = RasterImage(rng.integers(0, 256, (*shape, channels), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            container.compress(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * img.pixels.size
+
+    @pytest.mark.parametrize("shape", [(8, 512), (64, 64), (128, 128)])
+    def test_mid_plane_encode_memory_is_bounded(self, shape):
+        # planes of 64 to 256 blocks encode as one strip each, so a strip's working set
+        # falls on few samples; an image of three such noise planes must stay in bound
+        rng = np.random.default_rng(shape[0] + 3)
+        img = RasterImage(rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
         tracemalloc.start()
         try:
             container.compress(img)
