@@ -36,18 +36,19 @@ The decoder first reads the headers of the whole plane in one pass
 (``_chase``), as the stream's block order is row-major even in strips:
 one Python step per block, from its repetition bit to the next block's,
 through a table of block lengths indexed by that bit and max_delta (2^(W+1)
-entries per cell count). numpy then reads every header at the starts found
-and checks them all at once. Strips of n = 4 * STRIP_BLOCKS then decode a
-block row per 64-bit word: a row is at most 56 bits long, so the window at
-its first bit, joined from two aligned words, holds it, and ``_unpack_rows``
-spreads 8 fields into 8 byte lanes in the steps of ``_unpack``. Lanes past
-an edge block's columns or rows hold whatever bits follow and are sliced
-away. This fast path raises nothing: if the pass runs past the stream, a check
-fails or an index decodes above the limit, it gives up and the per-block loop
-decodes the plane again and raises the error. Bytes past the last block are
-the one fault neither decoder looks for: ``decode_plane`` rejects them from the
-end bit of the pass or of the per-block loop. So every plane size raises the
-same errors with the same messages.
+entries per cell count), on 16-bit ``_windows`` built a chunk at a time.
+numpy then reads and checks every header at once, and takes each block's delta
+width, row length and first delta bit once per plane. Strips of n = 8 *
+STRIP_BLOCKS, or a quarter of the plane's blocks if fewer, decode a block row
+per 64-bit word: a row is at most 56 bits long, so the window at its first bit,
+joined from two aligned words, holds it, and ``_unpack_rows`` spreads 8 fields
+into 8 byte lanes in the steps of ``_unpack``. Lanes past an edge block's
+columns or rows hold whatever bits follow and are sliced away. This fast path
+raises nothing: if the pass runs past the stream, a check fails or an index
+decodes above the limit, it gives up and the per-block loop decodes the plane
+again and raises the error. Bytes past the last block are the one fault neither
+decoder looks for: ``decode_plane`` rejects them from the end bit of the pass or
+of the per-block loop. So every plane size raises the same errors and messages.
 """
 
 from __future__ import annotations
@@ -62,16 +63,18 @@ from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
-# Planes of at least this many blocks are coded with numpy in strips of
-# eight times as many blocks to encode and four times as many to decode;
-# smaller planes take the per-block loop, where a 1x1 plane takes 6 us
-# against 220 as a strip. An encoding strip works in about 270 bytes per
-# noise block. On a 2-core VM, strips of 512 blocks encode the photo_rgb
-# benchmark 39% faster than strips of 256, and compressing 256x256 noise then
-# peaks at 3.4 bytes per sample against 3.0 (the bound is 4), and at 5.0 in
-# strips of 1024. A decoding strip works in about 5 bytes per cell (80 KB for
-# 256 noise blocks): four 64-bit words per block row.
+# Planes of at least this many blocks are coded with numpy in strips of eight times
+# as many blocks, or of a quarter of the plane's to decode if fewer; smaller planes
+# take the per-block loop, where a 1x1 plane takes 6 us against 220 as a strip. On a
+# 2-core VM, strips of 512 blocks code the photo_rgb benchmark faster than strips of
+# 256 (encode 39%, decode 15%). An encoding strip works in about 270 bytes per noise
+# block, and compressing 256x256 noise peaks at 3.4 bytes per sample (the bound is
+# 4; 5.0 in strips of 1024). A decoding strip works in about 4 bytes per cell
+# (130 KB for 512 noise blocks): its stream bytes, then three words per block row.
 STRIP_BLOCKS = 64
+# The header pass builds its 16-bit windows, 2 bytes per stream byte, for this many
+# stream bytes at a time, or for as many as one block row can span if that is more.
+CHASE_BYTES = 1 << 15
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
 _ONES = [(256**n - 1) // 255 for n in range(_CELLS + 1)]
@@ -310,6 +313,15 @@ def _advance(w: int, cells: int) -> list[int]:
     return [2 * w + 1 + cells * s.bit_length() for s in range(1 << w)] + [w + 1] * (1 << w)
 
 
+def _windows(data: np.ndarray, start: int, stop: int) -> memoryview:
+    """data[i] << 8 | data[i + 1] for i from start to stop - 1, the byte past data read as 0."""
+    windows = np.zeros(stop - start, dtype=np.uint16)
+    halves = windows.view(np.uint8).reshape(-1, 2)  # high bytes in column 1 on little-endian
+    halves[:, int(np.little_endian)] = data[start:stop]
+    halves[: len(data) - start - 1, int(not np.little_endian)] = data[start + 1 : stop + 1]
+    return memoryview(windows)
+
+
 def _chase(
     stream: bytes | memoryview, height: int, width: int, top: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -317,7 +329,7 @@ def _chase(
 
     Each step goes from one block's repetition bit to the next block's by a
     table indexed by that bit and max_delta (one table per cell count), reading
-    the final byte zero-padded. numpy then reads every header at once and makes
+    a chunk's windows (see CHASE_BYTES). numpy then reads every header at once and makes
     _decode_blocks' header checks on them. starts holds each block's first bit
     and, last, the plane's end; a repeated block's max_delta reads 0. None means
     the pass ran past the stream or a check failed: only _decode_blocks defines
@@ -325,33 +337,37 @@ def _chase(
     """
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
-    reps = array("q")
-    append = reps.append
-    q = w  # the first block's repetition bit
+    data = np.frombuffer(stream, dtype=np.uint8)
+    # windows from a block row's first byte on, enough for all of its headers
+    reach = (_grid(1, width)[1] * (2 * w + 1) + BLOCK_SIZE * width * w >> 3) + 2
+    reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
+    chunks = []  # (first entry of reps, first byte) of each chunk
+    base, win, q = 0, b"", w
     for rows, count in ((BLOCK_SIZE, height // BLOCK_SIZE), (height % BLOCK_SIZE, 1)):
         cells = _cells(rows, width)
         tables = {n: _advance(w, n) for n in set(cells)}
         row = [tables[n] for n in cells]
         for _ in range(count):
-            for table in row:
-                append(q)
-                i = q >> 3
-                try:
-                    window = stream[i] << 8 | stream[i + 1]
-                except IndexError:
-                    if i >= len(stream):
-                        return None
-                    window = stream[i] << 8
-                q += table[window >> (shift - (q & 7)) & low]
-    if (q - w + 7) >> 3 > len(stream):
+            if (q >> 3) + reach > len(win) and base + len(win) < len(data):
+                base += q >> 3
+                q &= 7
+                win = _windows(data, base, min(base + max(reach, CHASE_BYTES), len(data)))
+                chunks.append((len(reps), base))
+            try:
+                reps.fromlist(
+                    [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in row]
+                )
+            except IndexError:  # a window past the stream's last byte
+                return None
+    if ((base << 3) + q - w + 7) >> 3 > len(stream):
         return None
-    append(q)
     starts = np.frombuffer(reps, dtype=np.int64)
     starts -= w
+    for (first, offset), (last, _) in zip(chunks, chunks[1:] + [(len(reps), 0)]):
+        starts[first:last] += offset << 3
     # a header is at most 2 * 7 + 1 bits: from any bit offset it lies in 3 bytes; bytes
     # past the end read as the last one, and only bits the end check rejects come from them
     at = starts[:-1] >> 3
-    data = np.frombuffer(stream, dtype=np.uint8)
     head = data[at].astype(np.int32)
     for _ in range(2):
         at += 1
@@ -379,48 +395,52 @@ def _decode_strips(
     top: int,
 ) -> bool:
     """Decode a plane's strips from _chase's headers; False, the plane part written, if an
-    index decodes above top."""
+    index decodes above top. Each block's entry of starts becomes its first delta bit."""
     w = top.bit_length()
     starts, lows, spreads = chased
-    pos = first = 0
-    for ys, xs in _strips(*plane.shape, 4 * STRIP_BLOCKS):
+    height, width = plane.shape
+    # per block: the delta width, the bits of one of its rows and its first row's first bit
+    widths = _BIT_LENGTH[spreads]
+    cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE).astype(np.uint8)
+    row_bits = (widths.reshape(-1, len(cols)) * cols).ravel()
+    firsts = starts[:-1]
+    firsts += np.where(spreads, np.uint8(2 * w + 1), np.uint8(w + 1))
+    data = np.frombuffer(stream, dtype=np.uint8)
+    first = 0
+    for ys, xs in _strips(height, width, min(8 * STRIP_BLOCKS, -(-len(lows) // 4))):
         out = plane[ys, xs]
-        rows, width = out.shape
-        grid_rows, grid_cols = grid = _grid(rows, width)
-        count = grid_rows * grid_cols
-        end = int(starts[first + count])
-        lo, spread = lows[first : first + count], spreads[first : first + count]
-        widths = _BIT_LENGTH[spread].reshape(grid)
-        origin = pos & ~7
-        deltas = np.where(spread, 2 * w + 1 - origin, w + 1 - origin)
-        deltas += starts[first : first + count]
-        cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
-        # row y of a block of c columns starts at bit deltas + y * c * dw
-        at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * (widths * cols)
-        at += deltas.reshape(grid)
-        data = stream[pos >> 3 : (end + 7) >> 3]
-        # whole words and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
-        pad = bytes(72 - len(data) % 8)
-        words = np.frombuffer(b"".join((data, pad)), dtype=">u8").astype(np.uint64)
-        i = at >> 6
-        bits = at.view(np.uint64)
-        bits &= 63
-        fields = words.take(i)
-        fields <<= bits
-        tail = words[1:].take(i)
-        tail >>= np.subtract(np.uint64(64), bits, out=bits)  # to 0 where bits is 64
+        rows, strip_width = out.shape
+        grid_rows, grid_cols = grid = _grid(rows, strip_width)
+        blocks = slice(first, first + grid_rows * grid_cols)
+        first = blocks.stop
+        # whole words from the first delta's byte to the next block's first delta or the
+        # plane's end, and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
+        origin = int(starts[blocks.start]) >> 3
+        size = ((int(starts[first]) + 7) >> 3) - origin
+        words = np.zeros((size >> 3) + 9, dtype=np.uint64)
+        words.view(np.uint8)[:size] = data[origin : origin + size]
+        if np.little_endian:
+            words.byteswap(inplace=True)
+        # row y of a block starts at bit firsts + y * row_bits
+        at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * row_bits[blocks].reshape(grid)
+        at += (firsts[blocks] - (origin << 3)).reshape(grid)
+        bits = at & 63
+        at >>= 6
+        fields = words.take(at)
+        fields <<= bits.view(np.uint64)
+        tail = words[1:].take(at, out=at.view(np.uint64), mode="clip")  # over its own indices
+        tail >>= np.subtract(64, bits, out=bits).view(np.uint64)  # to 0 where bits is 64
         fields |= tail
-        del i, tail, at, bits, words  # before the unpack makes its temporaries
-        _unpack_rows(fields, widths)
-        fields += lo.reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
+        del tail, at, bits, words  # before the unpack makes its temporaries
+        _unpack_rows(fields, widths[blocks].reshape(grid))
+        fields += lows[blocks].reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
         # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
         cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)
         cells.view(">u8").transpose(1, 0, 2)[...] = fields
-        out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :width]
+        out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :strip_width]
         del fields, cells  # before the next strip makes its own
         if out.max() > top:
             return False
-        pos, first = end, first + count
     return True
 
 

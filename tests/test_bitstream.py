@@ -1,13 +1,27 @@
 import time
 import traceback
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fmmcodec import bitstream, container, core
-from fmmcodec.bitstream import _BIT_LENGTH, _CELLS, BLOCK_SIZE, _grid, decode_plane, encode_plane
+from fmmcodec.bitstream import (
+    _BIT_LENGTH,
+    _CELLS,
+    _ONES,
+    BLOCK_SIZE,
+    STRIP_BLOCKS,
+    _advance,
+    _cells,
+    _grid,
+    _strips,
+    _unpack_rows,
+    decode_plane,
+    encode_plane,
+)
 from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
 from fmmcodec.image import RasterImage
 
@@ -542,10 +556,11 @@ def test_row_pack_matches_pack():
     assert bitstream._pack_rows(words, widths, cols).tolist() == expected
 
 
-@pytest.mark.parametrize("strip_blocks, encoding, decoding", [(64, 1, 2), (16, 4, 8), (8, 8, 16)])
+@pytest.mark.parametrize("strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 8, 8)])
 def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
-    # both directions read STRIP_BLOCKS when they run, so setting it moves the encoding
-    # strips (8 * STRIP_BLOCKS blocks) and the decoding strips (4 * STRIP_BLOCKS) alike
+    # both directions read STRIP_BLOCKS when they run, so setting it moves their strips of
+    # 8 * STRIP_BLOCKS blocks alike, but that decoding strips take a quarter of the plane's
+    # blocks where that is fewer
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_plane(plane)
     real, strips = bitstream._strips, []
@@ -730,3 +745,210 @@ def test_strip_encoder_matches_oracle(k):
             assert encode_plane(plane, k) == expected
     noise = rng.integers(0, top + 1, (1024, 1024)).astype(np.uint8)
     assert encode_plane(noise, k) == oracle_plane(noise, k)
+
+
+# The header pass and strip decoder that the windowed pass and the per-plane strip operands
+# replaced, kept verbatim as the oracle of the decoder tests below.
+def _chase(
+    stream: bytes | memoryview, height: int, width: int, top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
+
+    Each step goes from one block's repetition bit to the next block's by a
+    table indexed by that bit and max_delta (one table per cell count), reading
+    the final byte zero-padded. numpy then reads every header at once and makes
+    _decode_blocks' header checks on them. starts holds each block's first bit
+    and, last, the plane's end; a repeated block's max_delta reads 0. None means
+    the pass ran past the stream or a check failed: only _decode_blocks defines
+    which error that is. Bytes past the blocks are left to decode_plane.
+    """
+    w = top.bit_length()
+    low, shift = (2 << w) - 1, 15 - w
+    reps = array("q")
+    append = reps.append
+    q = w  # the first block's repetition bit
+    for rows, count in ((BLOCK_SIZE, height // BLOCK_SIZE), (height % BLOCK_SIZE, 1)):
+        cells = _cells(rows, width)
+        tables = {n: _advance(w, n) for n in set(cells)}
+        row = [tables[n] for n in cells]
+        for _ in range(count):
+            for table in row:
+                append(q)
+                i = q >> 3
+                try:
+                    window = stream[i] << 8 | stream[i + 1]
+                except IndexError:
+                    if i >= len(stream):
+                        return None
+                    window = stream[i] << 8
+                q += table[window >> (shift - (q & 7)) & low]
+    if (q - w + 7) >> 3 > len(stream):
+        return None
+    append(q)
+    starts = np.frombuffer(reps, dtype=np.int64)
+    starts -= w
+    # a header is at most 2 * 7 + 1 bits: from any bit offset it lies in 3 bytes; bytes
+    # past the end read as the last one, and only bits the end check rejects come from them
+    at = starts[:-1] >> 3
+    data = np.frombuffer(stream, dtype=np.uint8)
+    head = data[at].astype(np.int32)
+    for _ in range(2):
+        at += 1
+        head <<= 8
+        head |= data.take(at, mode="clip")
+    offset = starts[:-1].astype(np.uint8)
+    offset &= 7
+    head >>= np.subtract(23 - 2 * w, offset, out=offset)
+    varied = (head & (1 << w)) == 0
+    spreads = head.astype(np.uint8)
+    spreads &= (1 << w) - 1
+    spreads *= varied
+    head >>= w + 1
+    lows = head.astype(np.uint8)
+    lows &= (1 << w) - 1
+    if (varied & (spreads == 0)).any() or (lows + spreads > top).any():
+        return None
+    return starts, lows, spreads
+
+
+def _decode_strips(
+    stream: bytes | memoryview,
+    chased: tuple[np.ndarray, np.ndarray, np.ndarray],
+    plane: np.ndarray,
+    top: int,
+) -> bool:
+    """Decode a plane's strips from _chase's headers; False, the plane part written, if an
+    index decodes above top."""
+    w = top.bit_length()
+    starts, lows, spreads = chased
+    pos = first = 0
+    for ys, xs in _strips(*plane.shape, 4 * STRIP_BLOCKS):
+        out = plane[ys, xs]
+        rows, width = out.shape
+        grid_rows, grid_cols = grid = _grid(rows, width)
+        count = grid_rows * grid_cols
+        end = int(starts[first + count])
+        lo, spread = lows[first : first + count], spreads[first : first + count]
+        widths = _BIT_LENGTH[spread].reshape(grid)
+        origin = pos & ~7
+        deltas = np.where(spread, 2 * w + 1 - origin, w + 1 - origin)
+        deltas += starts[first : first + count]
+        cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
+        # row y of a block of c columns starts at bit deltas + y * c * dw
+        at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * (widths * cols)
+        at += deltas.reshape(grid)
+        data = stream[pos >> 3 : (end + 7) >> 3]
+        # whole words and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
+        pad = bytes(72 - len(data) % 8)
+        words = np.frombuffer(b"".join((data, pad)), dtype=">u8").astype(np.uint64)
+        i = at >> 6
+        bits = at.view(np.uint64)
+        bits &= 63
+        fields = words.take(i)
+        fields <<= bits
+        tail = words[1:].take(i)
+        tail >>= np.subtract(np.uint64(64), bits, out=bits)  # to 0 where bits is 64
+        fields |= tail
+        del i, tail, at, bits, words  # before the unpack makes its temporaries
+        _unpack_rows(fields, widths)
+        fields += lo.reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
+        # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
+        cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)
+        cells.view(">u8").transpose(1, 0, 2)[...] = fields
+        out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :width]
+        del fields, cells  # before the next strip makes its own
+        if out.max() > top:
+            return False
+        pos, first = end, first + count
+    return True
+
+
+def decoded(chase, strips, stream: bytes, height: int, width: int, k: int):
+    """(starts, lows, spreads) of a header pass, or None, and then the plane its strip decoder
+    writes, or False if that gives up."""
+    chased = chase(stream, height, width, 255 // k)
+    if chased is None:
+        return None, None
+    heads = [fields.copy() for fields in chased]  # before the strips write over starts
+    plane = np.zeros((height, width), dtype=np.uint8)
+    return heads, strips(stream, chased, plane, 255 // k) and plane
+
+
+def oracle_decodes(stream: bytes, height: int, width: int, k: int) -> bool:
+    """Whether the oracle decodes the stream, after checking that the decoder agrees."""
+    expected, plane = decoded(_chase, _decode_strips, stream, height, width, k)
+    heads, got = decoded(bitstream._chase, bitstream._decode_strips, stream, height, width, k)
+    assert (heads is None) == (expected is None)
+    if expected is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(heads, expected))
+        assert (got is False) == (plane is False)
+        assert plane is False or np.array_equal(got, plane)
+    return plane is not None and plane is not False
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_decoder_matches_oracle(k):
+    # the windowed header pass finds the oracle's headers and the strip decoder writes its
+    # planes on every strip shape, block rows of 513 blocks, photo-like planes and 1024x1024
+    # noise; on streams one byte short, cut to half or with a bit flipped in a header, the
+    # pass gives up, or the strips do, exactly when the oracle's do
+    rng = np.random.default_rng(k + 59)
+    top = 255 // k
+    w = top.bit_length()
+    shapes = STRIP_SHAPES + [(9, 4100), (20, 4100)]
+    planes = [rng.integers(0, top + 1, shape).astype(np.uint8) for shape in shapes]
+    planes += [photo_plane(k, rng) for _ in range(2)]
+    for plane in planes[::2]:
+        plane[: plane.shape[0] // 2] = plane[0, 0]  # repeated blocks next to mixed ones
+    planes.append(rng.integers(0, top + 1, (1024, 1024)).astype(np.uint8))
+    outcomes = set()
+    for plane in planes:
+        stream = encode_plane(plane, k)
+        assert oracle_decodes(stream, *plane.shape, k)
+        heads, _ = plane_heads(plane, k)
+        mutants = [stream[:-1], stream[: len(stream) // 2]]
+        for _ in range(4):
+            _, spread, _, start = heads[int(rng.integers(0, len(heads)))]
+            bit = start - int(rng.integers(1, w + 1 + w * (spread > 0) + 1))
+            data = bytearray(stream)
+            data[bit >> 3] ^= 0x80 >> (bit & 7)
+            mutants.append(bytes(data))
+        for data in mutants:
+            outcomes.add(oracle_decodes(data, *plane.shape, k))
+    assert outcomes == {False, True}
+
+
+def test_chase_chunks_match_oracle():
+    # with chunks of a few bytes the pass builds windows for each block row, as many bytes
+    # as one row can span, and must still find the oracle's starts; where the last chunk
+    # ends on the stream's final byte, the pass reads that byte's window zero-padded; and a
+    # stream cut inside the last chunk makes it give up
+    rng = np.random.default_rng(61)
+    spans = rng.integers(1, 52, (65, 1)).repeat(8, axis=0)  # block rows of many lengths
+    plane = (rng.integers(0, 52, (520, 24)) % spans).astype(np.uint8)
+    stream = encode_plane(plane)
+    expected = _chase(stream, 520, 24, 51)
+    real, chunks = bitstream._windows, []
+
+    def spied(data, start, stop):
+        chunks.append((start, stop))
+        return real(data, start, stop)
+
+    # a chunk starts at the byte of a block row's first repetition bit
+    rows = [(int(start) + 6) >> 3 for start in expected[0][:-1:3]]
+    exact_ends = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_windows", spied)
+        for size in [1] + [len(stream) - row for row in rows]:
+            patch.setattr(bitstream, "CHASE_BYTES", size)
+            chunks.clear()
+            heads = bitstream._chase(stream, 520, 24, 51)
+            assert all(np.array_equal(a, b) for a, b in zip(heads, expected))
+            assert size > 1 or len(chunks) == 65
+            # every chunk but the last is as long as the first
+            exact_ends += len(chunks) > 1 and chunks[-1][0] + chunks[0][1] == len(stream)
+            last = chunks[-1][0]
+            for cut in {last + 1, (last + len(stream)) // 2, len(stream) - 1}:
+                assert bitstream._chase(stream[:cut], 520, 24, 51) is None
+                assert _chase(stream[:cut], 520, 24, 51) is None
+    assert exact_ends

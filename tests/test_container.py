@@ -106,12 +106,24 @@ class TestDecompress:
             tracemalloc.stop()
         assert peak <= 5 * img.pixels.size
 
-    @pytest.mark.parametrize("shape", [(8, 512), (64, 64), (128, 128)])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (8, 512, 3),
+            (64, 64, 3),
+            (128, 128, 3),
+            (8, 512, 1),
+            (64, 64, 1),
+            (80, 80, 1),
+            (128, 128, 1),
+        ],
+    )
     def test_mid_plane_decode_memory_is_bounded(self, shape):
-        # planes of 64 to 256 blocks decode as one strip each, so a strip's working set
-        # falls on few samples; an image of three such noise planes must stay in bound
-        rng = np.random.default_rng(shape[0] + 3)
-        img = RasterImage(rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+        # planes of 64 to 256 blocks decode as four strips each, so a strip's working set
+        # falls on few samples; an image of such noise planes must stay in bound, even of
+        # one plane, which is itself the pixel array
+        rng = np.random.default_rng(shape[0] + shape[2])
+        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
         blob = container.compress(img)
         tracemalloc.start()
         try:
