@@ -33,10 +33,10 @@ gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
 a row's indices less the block's min, one big-endian 64-bit word, and numpy
 adds each field into the 64-bit word where it starts, the rest into the next.
 The decoder first reads the headers of the whole plane in one pass
-(``_chase``), as the stream's block order is row-major even in strips:
-one Python step per block, from its repetition bit to the next block's,
-through a table of block lengths indexed by that bit and max_delta (2^(W+1)
-entries per cell count), on 16-bit ``_windows`` built a chunk at a time.
+(``_chase``) over the encoder's strips: one Python step per block, from
+its repetition bit to the next block's, through a table of block lengths
+indexed by that bit and max_delta (2^(W+1) entries per cell count), on
+16-bit ``_windows`` built two strips' reach at a time.
 numpy then reads and checks every header at once, and takes each block's delta
 width, row length and first delta bit once per plane. Strips of n = 8 *
 STRIP_BLOCKS, or a quarter of the plane's blocks if fewer, decode a block row
@@ -47,8 +47,8 @@ columns or rows hold whatever bits follow and are sliced away. This fast path
 raises nothing: if the pass runs past the stream, a check fails or an index
 decodes above the limit, it gives up and the per-block loop decodes the plane
 again and raises the error. Bytes past the last block are the one fault neither
-decoder looks for: ``decode_plane`` rejects them from the end bit of the pass or
-of the per-block loop. So every plane size raises the same errors and messages.
+decoder looks for: ``decode_plane`` rejects them from the end bit that either
+decoder returns. So every plane size raises the same errors and messages.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # 4; 5.0 in strips of 1024). A decoding strip works in about 4 bytes per cell
 # (130 KB for 512 noise blocks): its stream bytes, then three words per block row.
 STRIP_BLOCKS = 64
-# The header pass builds its 16-bit windows, 2 bytes per stream byte, for this many
-# stream bytes at a time, or for as many as one block row can span if that is more.
-CHASE_BYTES = 1 << 15
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
 _ONES = [(256**n - 1) // 255 for n in range(_CELLS + 1)]
@@ -159,7 +156,7 @@ def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice
     cols = blocks * BLOCK_SIZE
     for y in range(0, height, rows):
         for x in range(0, width, cols):
-            yield slice(y, y + rows), slice(x, x + cols)
+            yield slice(y, min(y + rows, height)), slice(x, min(x + cols, width))
 
 
 def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
@@ -297,9 +294,8 @@ def decode_plane(
         )
     chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
     plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
-    if chased is not None and _decode_strips(stream, chased, plane, top):
-        end = int(chased[0][-1])
-    else:
+    end = None if chased is None else _decode_strips(stream, chased, plane, top)
+    if end is None:
         end = _decode_blocks(stream, plane, top)
     if len(stream) != (end + 7) // 8:
         raise CorruptStreamError(
@@ -327,9 +323,11 @@ def _chase(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
 
-    Each step goes from one block's repetition bit to the next block's by a
-    table indexed by that bit and max_delta (one table per cell count), reading
-    a chunk's windows (see CHASE_BYTES). numpy then reads every header at once and makes
+    The pass reads the encoder's strips in stream order. Each step goes from one
+    block's repetition bit to the next block's by a table indexed by that bit and
+    max_delta (one table per cell count), reading 16-bit _windows built for a chunk
+    of two strips' reach, or the rest of the stream, whenever the chunk left cannot
+    hold the next strip. numpy then reads every header at once and makes
     _decode_blocks' header checks on them. starts holds each block's first bit
     and, last, the plane's end; a repeated block's max_delta reads 0. None means
     the pass ran past the stream or a check failed: only _decode_blocks defines
@@ -338,27 +336,27 @@ def _chase(
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
     data = np.frombuffer(stream, dtype=np.uint8)
-    # windows from a block row's first byte on, enough for all of its headers
-    reach = (_grid(1, width)[1] * (2 * w + 1) + BLOCK_SIZE * width * w >> 3) + 2
+    rows = {}  # per strip shape: each block's table, and the bytes its headers can span
     reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
     chunks = []  # (first entry of reps, first byte) of each chunk
     base, win, q = 0, b"", w
-    for rows, count in ((BLOCK_SIZE, height // BLOCK_SIZE), (height % BLOCK_SIZE, 1)):
-        cells = _cells(rows, width)
-        tables = {n: _advance(w, n) for n in set(cells)}
-        row = [tables[n] for n in cells]
-        for _ in range(count):
-            if (q >> 3) + reach > len(win) and base + len(win) < len(data):
-                base += q >> 3
-                q &= 7
-                win = _windows(data, base, min(base + max(reach, CHASE_BYTES), len(data)))
-                chunks.append((len(reps), base))
-            try:
-                reps.fromlist(
-                    [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in row]
-                )
-            except IndexError:  # a window past the stream's last byte
-                return None
+    for ys, xs in _strips(height, width, 8 * STRIP_BLOCKS):
+        shape = ys.stop - ys.start, xs.stop - xs.start
+        if shape not in rows:
+            cells = _cells(*shape)
+            tables = {n: _advance(w, n) for n in set(cells)}
+            reach = (len(cells) * (2 * w + 1) + shape[0] * shape[1] * w >> 3) + 2
+            rows[shape] = [tables[n] for n in cells], reach
+        row, reach = rows[shape]
+        if (q >> 3) + reach > len(win) and base + len(win) < len(data):
+            base += q >> 3
+            q &= 7
+            win = _windows(data, base, min(base + 2 * reach, len(data)))
+            chunks.append((len(reps), base))
+        try:
+            reps.fromlist([q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in row])
+        except IndexError:  # a window past the stream's last byte
+            return None
     if ((base << 3) + q - w + 7) >> 3 > len(stream):
         return None
     starts = np.frombuffer(reps, dtype=np.int64)
@@ -393,9 +391,10 @@ def _decode_strips(
     chased: tuple[np.ndarray, np.ndarray, np.ndarray],
     plane: np.ndarray,
     top: int,
-) -> bool:
-    """Decode a plane's strips from _chase's headers; False, the plane part written, if an
-    index decodes above top. Each block's entry of starts becomes its first delta bit."""
+) -> int | None:
+    """Decode a plane's strips from _chase's headers; returns the plane's end bit, or None,
+    the plane part written, if an index decodes above top. Each block's entry of starts
+    but the last becomes its first delta bit."""
     w = top.bit_length()
     starts, lows, spreads = chased
     height, width = plane.shape
@@ -440,8 +439,8 @@ def _decode_strips(
         out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :strip_width]
         del fields, cells  # before the next strip makes its own
         if out.max() > top:
-            return False
-    return True
+            return None
+    return int(starts[-1])
 
 
 def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, top: int) -> int:

@@ -14,7 +14,8 @@ class RasterImage:
     """8-bit image stored as a read-only (height, width, channels) uint8 array.
 
     Samples are row-major and channel-interleaved; channels is 1 (grayscale)
-    or 3 (RGB). A 2D array is accepted and treated as a single channel.
+    or 3 (RGB). A 2D array is accepted and treated as a single channel. The
+    image shares memory with a C-contiguous uint8 input, which stays writeable.
     """
 
     pixels: np.ndarray
@@ -31,7 +32,7 @@ class RasterImage:
             raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
         if channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {channels}")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.ascontiguousarray(arr, dtype=np.uint8).view()  # the caller's array keeps its flags
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
 

@@ -68,12 +68,10 @@ def read_netpbm(data: bytes) -> RasterImage:
         raise NetpbmError("maxval must be followed by a single whitespace byte")
     pos += 1
     expected = width * height * channels
-    payload = data[pos : pos + expected]
-    if len(payload) < expected:
-        raise NetpbmError(
-            f"payload too short: need {expected} bytes, found {len(payload)}"
-        )
-    samples = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    if len(data) - pos < expected:
+        raise NetpbmError(f"payload too short: need {expected} bytes, found {len(data) - pos}")
+    # a view of bytes, or of a copy of a mutable buffer, so the image cannot change
+    samples = np.frombuffer(bytes(data), np.uint8, expected, pos).reshape(height, width, channels)
     return RasterImage(samples)
 
 

@@ -558,9 +558,10 @@ def test_row_pack_matches_pack():
 
 @pytest.mark.parametrize("strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 8, 8)])
 def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
-    # both directions read STRIP_BLOCKS when they run, so setting it moves their strips of
-    # 8 * STRIP_BLOCKS blocks alike, but that decoding strips take a quarter of the plane's
-    # blocks where that is fewer
+    # both directions read STRIP_BLOCKS when they run, so setting it moves the encoder's
+    # strips of 8 * STRIP_BLOCKS blocks, which the header pass walks too, and the decoding
+    # strips alike, save that decoding strips take a quarter of the plane's blocks where
+    # that is fewer
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_plane(plane)
     real, strips = bitstream._strips, []
@@ -575,7 +576,7 @@ def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
         stream = encode_plane(plane)
         assert np.array_equal(decode_plane(stream, 64, 512), plane)
     assert stream == expected
-    assert [len(each) for each in strips] == [encoding, decoding]
+    assert [len(each) for each in strips] == [encoding, encoding, decoding]
 
 
 def edge_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -865,13 +866,16 @@ def _decode_strips(
 
 def decoded(chase, strips, stream: bytes, height: int, width: int, k: int):
     """(starts, lows, spreads) of a header pass, or None, and then the plane its strip decoder
-    writes, or False if that gives up."""
+    writes, or False if that gives up or returns an end bit other than the pass's."""
     chased = chase(stream, height, width, 255 // k)
     if chased is None:
         return None, None
     heads = [fields.copy() for fields in chased]  # before the strips write over starts
     plane = np.zeros((height, width), dtype=np.uint8)
-    return heads, strips(stream, chased, plane, 255 // k) and plane
+    end = strips(stream, chased, plane, 255 // k)
+    if end is True:  # the oracle's strips return True, the decoder's the end bit or None
+        end = int(heads[0][-1])
+    return heads, end == int(heads[0][-1]) and plane
 
 
 def oracle_decodes(stream: bytes, height: int, width: int, k: int) -> bool:
@@ -919,10 +923,10 @@ def test_decoder_matches_oracle(k):
 
 
 def test_chase_chunks_match_oracle():
-    # with chunks of a few bytes the pass builds windows for each block row, as many bytes
-    # as one row can span, and must still find the oracle's starts; where the last chunk
-    # ends on the stream's final byte, the pass reads that byte's window zero-padded; and a
-    # stream cut inside the last chunk makes it give up
+    # with strips of a few blocks the pass builds windows for many chunks of two strips'
+    # reach and must still find the oracle's starts; its last chunk ends on the stream's
+    # final byte, whose window it reads zero-padded; and a stream cut inside the last
+    # chunk makes it give up
     rng = np.random.default_rng(61)
     spans = rng.integers(1, 52, (65, 1)).repeat(8, axis=0)  # block rows of many lengths
     plane = (rng.integers(0, 52, (520, 24)) % spans).astype(np.uint8)
@@ -934,21 +938,16 @@ def test_chase_chunks_match_oracle():
         chunks.append((start, stop))
         return real(data, start, stop)
 
-    # a chunk starts at the byte of a block row's first repetition bit
-    rows = [(int(start) + 6) >> 3 for start in expected[0][:-1:3]]
-    exact_ends = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "_windows", spied)
-        for size in [1] + [len(stream) - row for row in rows]:
-            patch.setattr(bitstream, "CHASE_BYTES", size)
+        for strip_blocks in range(1, 9):
+            patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
             chunks.clear()
             heads = bitstream._chase(stream, 520, 24, 51)
             assert all(np.array_equal(a, b) for a, b in zip(heads, expected))
-            assert size > 1 or len(chunks) == 65
-            # every chunk but the last is as long as the first
-            exact_ends += len(chunks) > 1 and chunks[-1][0] + chunks[0][1] == len(stream)
+            assert len(chunks) > (10 if strip_blocks == 1 else 1)
+            assert chunks[-1][1] == len(stream)
             last = chunks[-1][0]
             for cut in {last + 1, (last + len(stream)) // 2, len(stream) - 1}:
                 assert bitstream._chase(stream[:cut], 520, 24, 51) is None
                 assert _chase(stream[:cut], 520, 24, 51) is None
-    assert exact_ends

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmmcodec import container, core
+from fmmcodec import bitstream, container, core
 from fmmcodec.errors import CorruptStreamError, FmmError, FormatError, TruncatedStreamError
 from fmmcodec.image import RasterImage
 
@@ -132,6 +132,26 @@ class TestDecompress:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * img.pixels.size
+
+    @pytest.mark.parametrize("shape", [(8, 16384), (16384, 8)])
+    def test_chase_windows_are_bounded(self, shape, monkeypatch):
+        # the header pass builds windows a chunk of two strips' reach at a time, whatever
+        # the plane's shape, even where one block row is a whole stream of four strips
+        w = core.max_index().bit_length()
+        strip = 8 * bitstream.STRIP_BLOCKS  # blocks, each at most a full header and 64 deltas
+        bound = 2 * ((strip * (2 * w + 1 + 64 * w) >> 3) + 2)
+        real, chunks = bitstream._windows, []
+
+        def spied(data, start, stop):
+            chunks.append(stop - start)
+            return real(data, start, stop)
+
+        rng = np.random.default_rng(shape[0])
+        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
+        blob = container.compress(img)
+        monkeypatch.setattr(bitstream, "_windows", spied)
+        assert container.decompress(blob) == RasterImage(core.quantize_plane(img.pixels))
+        assert len(chunks) > 1 and max(chunks) <= bound
 
     def test_one_channel_decodes_in_place(self):
         # a one-channel image is its decoded plane times k, so decompress holds the plane

@@ -34,6 +34,27 @@ class TestRead:
         with pytest.raises(NetpbmError, match="payload"):
             read_netpbm(b"P5 4 4 255 " + bytes(8))
 
+    def test_payload_is_viewed_not_copied(self):
+        # the image is a view of the input bytes: reading a 512x512 RGB image allocates
+        # no second payload (1 byte per sample)
+        rng = np.random.default_rng(5)
+        data = b"P6\n512 512\n255\n" + rng.integers(0, 256, 512 * 512 * 3, dtype=np.uint8).tobytes()
+        tracemalloc.start()
+        try:
+            image = read_netpbm(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * image.pixels.size
+        assert image.pixels.tobytes() == data[15:]
+
+    def test_mutable_input_is_copied(self):
+        # a bytearray changed after the read leaves the image as it was read
+        data = bytearray(b"P5 2 1 255 " + bytes([3, 4]))
+        image = read_netpbm(data)
+        data[-2:] = bytes([9, 9])
+        assert image.plane().tolist() == [[3, 4]]
+
     @pytest.mark.parametrize("maxval", [254, 256, 65535, 1])
     def test_wrong_maxval(self, maxval):
         with pytest.raises(NetpbmError, match="maxval"):
@@ -68,6 +89,14 @@ class TestRead:
     def test_empty(self):
         with pytest.raises(NetpbmError):
             read_netpbm(b"")
+
+
+def test_image_leaves_caller_array_writeable():
+    # the image shares the caller's C-contiguous uint8 array through a read-only view
+    px = np.zeros((4, 4, 3), np.uint8)
+    image = RasterImage(px)
+    assert px.flags.writeable and not image.pixels.flags.writeable
+    assert np.shares_memory(image.pixels, px)
 
 
 class TestWrite:
