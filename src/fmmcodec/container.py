@@ -119,18 +119,20 @@ def decompress(data: bytes) -> RasterImage:
 def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """(channel, row, col, cells, min, max_delta, delta width, bits) of every block.
 
-    The container is decompressed first, so a file that decompress
-    rejects raises its error before any block is yielded. max_delta and
-    the delta width are 0 for a repeated block; bits is the block's length.
+    Every channel is decoded first, with decompress's checks in its order but no pixel
+    array, so a file that decompress rejects raises its error before any block is yielded.
+    max_delta and the delta width are 0 for a repeated block; bits is the block's length.
     """
-    decompress(data)
     header = read_header(data)
-    top = core.max_index(header.modulus)
-    grid = [range(n) for n in _grid(header.height, header.width)]
-    for channel, stream in enumerate(_channel_streams(data, header)):
-        # decompress accepted every header, so the pass does not give up
-        starts, lows, spreads = _chase(stream, header.height, header.width, top)
-        tiles = zip(itertools.product(*grid), _cells(header.height, header.width))
+    height, width, k = header.height, header.width, header.modulus
+    streams = _channel_streams(data, header)
+    for stream in streams:
+        decode_plane(stream, height, width, k)
+    grid = [range(n) for n in _grid(height, width)]
+    for channel, stream in enumerate(streams):
+        # every header was accepted, so the pass does not give up
+        starts, lows, spreads = _chase(stream, height, width, core.max_index(k))
+        tiles = zip(itertools.product(*grid), _cells(height, width))
         fields = zip(tiles, lows.tolist(), spreads.tolist(), np.diff(starts).tolist())
         for ((row, col), cells), lo, spread, bits in fields:
             yield channel, row, col, cells, lo, spread, spread.bit_length(), bits

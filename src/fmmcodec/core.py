@@ -15,6 +15,7 @@ k give compact indices in [0, 255 // k] (0..51 for k = 5).
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -57,6 +58,11 @@ def checked_array(values, top: int = 255) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _index_table(k: int) -> bytes:
+    return bytes(min((v + k // 2) // k, 255 // k) for v in range(256))
+
+
 def quantize_sample(value: int, k: int = DEFAULT_MODULUS) -> int:
     """Nearest multiple of k to one sample, clamped into [0, 255].
 
@@ -66,21 +72,18 @@ def quantize_sample(value: int, k: int = DEFAULT_MODULUS) -> int:
     that is k // 2.
     """
     k = validate_modulus(k)
-    return int(quantize_indices([operator.index(value)], k)[0]) * k
+    return _index_table(k)[int(checked_array(operator.index(value)))] * k
 
 
 def quantize_indices(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
     """Index of the nearest in-range multiple of k for every sample.
 
-    The quantize and divide stages in one pass: to_indices(quantize_plane(p))
-    without the intermediate samples. Shape preserved, uint8 result.
+    to_indices(quantize_plane(p)) as one lookup in a 256-byte table per modulus, built on its
+    first use. A new writable uint8 array of the input's shape; uint8 input costs 2 B/sample.
     """
-    k = validate_modulus(k)
-    nearest = checked_array(plane).astype(np.uint16)
-    nearest += k // 2
-    nearest //= k
-    np.minimum(nearest, 255 // k, out=nearest)
-    return nearest.astype(np.uint8)
+    table = _index_table(validate_modulus(k))
+    samples = checked_array(plane).astype(np.uint8, copy=False)
+    return np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(samples.shape).copy()
 
 
 def quantize_plane(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:

@@ -1,3 +1,4 @@
+import collections
 import time
 import tracemalloc
 
@@ -185,6 +186,19 @@ class TestDecompress:
             tracemalloc.stop()
         assert peak <= 4 * img.pixels.size
 
+    def test_one_channel_encodes_near_its_indices(self):
+        # compress holds the channel's indices (2 B/sample while they are made) and the
+        # strips' working set; a uint16 copy of the plane beside them (3.0) must not pass
+        rng = np.random.default_rng(29)
+        img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            container.compress(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * img.pixels.size
+
     @pytest.mark.parametrize("shape", [(8, 512), (64, 64), (128, 128)])
     def test_mid_plane_encode_memory_is_bounded(self, shape):
         # planes of 64 to 256 blocks encode as one strip each, so a strip's working set
@@ -321,6 +335,20 @@ class TestBlockHeaders:
         img = RasterImage(np.zeros((8, 8, 3), dtype=np.uint8))
         channels = [ch for ch, *_ in container.block_headers(container.compress(img))]
         assert channels == [0, 1, 2]
+
+    def test_memory_is_one_plane_not_the_image(self):
+        # every channel is decoded and dropped before any block is yielded, so no pixel
+        # array of the whole image (1 B/sample more) is alive
+        rng = np.random.default_rng(31)
+        img = RasterImage(rng.integers(0, 256, (256, 256, 3), dtype=np.uint8))
+        blob = container.compress(img)
+        tracemalloc.start()
+        try:
+            collections.deque(container.block_headers(blob), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * img.pixels.size
 
 
 @given(

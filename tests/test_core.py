@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,38 @@ class TestQuantize:
     def test_all_zeros_fixed_point(self):
         zeros = np.zeros((4, 4), dtype=np.uint8)
         assert np.array_equal(core.quantize_plane(zeros), zeros)
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            np.arange(256 * 3, dtype=np.uint8).reshape(16, 16, 3)[:, :, 1],
+            np.arange(256, dtype=np.uint8).reshape(16, 16)[::3, ::-2],
+            np.arange(256, dtype=np.int64).reshape(8, 32).T,
+            np.zeros((0, 7), dtype=np.uint8),
+        ],
+        ids=["channel-view", "strided-view", "int64", "zero-size"],
+    )
+    def test_indices_are_a_new_writable_array(self, plane):
+        # callers write into the indices, so they must own a C-contiguous uint8 array
+        out = core.quantize_indices(plane, 7)
+        assert out.dtype == np.uint8 and out.shape == plane.shape
+        assert out.flags.c_contiguous and out.flags.owndata and out.flags.writeable
+        expected = [nearest_multiple(int(v), 7) // 7 for v in plane.ravel()]
+        assert out.ravel().tolist() == expected
+        out[...] = 0
+
+    def test_indices_of_a_channel_view_hold_two_bytes_per_sample(self):
+        # one copy of the samples and the translated indices; a uint16 copy (3 B/sample)
+        # must not pass
+        rng = np.random.default_rng(23)
+        plane = RasterImage(rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)).plane(1)
+        tracemalloc.start()
+        try:
+            core.quantize_indices(plane)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * plane.size
 
 
 class TestIndices:
