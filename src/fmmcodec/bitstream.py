@@ -32,13 +32,13 @@ blocks whatever the plane's shape. The encoder, with n = 8 * STRIP_BLOCKS,
 gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
 a row's indices less the block's min, one big-endian 64-bit word, and numpy
 adds each field into the 64-bit word where it starts, the rest into the next.
-The decoder first reads the headers of the whole plane in one pass
-(``_chase``) over the encoder's strips: one Python step per block, from
-its repetition bit to the next block's, through a table of block lengths
-indexed by that bit and max_delta (2^(W+1) entries per cell count), on
-16-bit ``_windows`` built two strips' reach at a time.
-numpy then reads and checks every header at once, and takes each block's delta
-width, row length and first delta bit once per plane. Strips of n = 8 *
+The decoder first reads the headers of the whole plane in one pass (``_chase``)
+over the encoder's strips: one Python step per block, from its repetition bit to
+the next block's, through a table of block lengths indexed by that bit and
+max_delta (2^(W+1) entries per cell count), on 16-bit ``_windows`` built two
+strips' reach at a time. numpy then reads and checks every header at once, and
+takes each block's delta width and row length once per plane; ``block_fields``
+gives the same headers, so no plane is walked twice. Strips of n = 8 *
 STRIP_BLOCKS, or a quarter of the plane's blocks if fewer, decode a block row
 per 64-bit word: a row is at most 56 bits long, so the window at its first bit,
 joined from two aligned words, holds it, and ``_unpack_rows`` spreads 8 fields
@@ -281,6 +281,24 @@ def decode_plane(
     including any decoded index above 255 // k, and TruncatedStreamError for a
     short stream. Bytes past the last block raise CorruptStreamError.
     """
+    return _decode(stream, height, width, k)[0]
+
+
+def block_fields(
+    stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
+) -> tuple[np.ndarray, ...]:
+    """Row, col, cells, min, max_delta, delta width and bits of each block, in stream order;
+    max_delta and the delta width are 0 for a repeated block. Raises decode_plane's errors."""
+    chased = _decode(stream, height, width, k)[1]
+    # a plane that the per-block loop decoded has not been through the pass, which accepts it
+    starts, lows, spreads = chased or _chase(stream, height, width, max_index(k))
+    rows, cols = np.divmod(np.arange(len(lows)), _grid(height, width)[1])
+    cells = np.array(_cells(height, width))
+    return rows, cols, cells, lows, spreads, _BIT_LENGTH[spreads], np.diff(starts)
+
+
+def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tuple:
+    """decode_plane's plane, and the headers that _chase read for it, or None."""
     top = max_index(k)
     w = top.bit_length()
     if height < 1 or width < 1:
@@ -301,7 +319,7 @@ def decode_plane(
         raise CorruptStreamError(
             f"stream is {len(stream)} bytes but its blocks need {(end + 7) // 8}"
         )
-    return plane
+    return plane, chased
 
 
 def _advance(w: int, cells: int) -> list[int]:
@@ -387,23 +405,17 @@ def _chase(
 
 
 def _decode_strips(
-    stream: bytes | memoryview,
-    chased: tuple[np.ndarray, np.ndarray, np.ndarray],
-    plane: np.ndarray,
-    top: int,
+    stream: bytes | memoryview, chased: tuple[np.ndarray, ...], plane: np.ndarray, top: int
 ) -> int | None:
     """Decode a plane's strips from _chase's headers; returns the plane's end bit, or None,
-    the plane part written, if an index decodes above top. Each block's entry of starts
-    but the last becomes its first delta bit."""
+    the plane part written, if an index decodes above top."""
     w = top.bit_length()
     starts, lows, spreads = chased
     height, width = plane.shape
-    # per block: the delta width, the bits of one of its rows and its first row's first bit
+    # per block: the delta width and the bits of one of its rows
     widths = _BIT_LENGTH[spreads]
     cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE).astype(np.uint8)
     row_bits = (widths.reshape(-1, len(cols)) * cols).ravel()
-    firsts = starts[:-1]
-    firsts += np.where(spreads, np.uint8(2 * w + 1), np.uint8(w + 1))
     data = np.frombuffer(stream, dtype=np.uint8)
     first = 0
     for ys, xs in _strips(height, width, min(8 * STRIP_BLOCKS, -(-len(lows) // 4))):
@@ -412,17 +424,18 @@ def _decode_strips(
         grid_rows, grid_cols = grid = _grid(rows, strip_width)
         blocks = slice(first, first + grid_rows * grid_cols)
         first = blocks.stop
-        # whole words from the first delta's byte to the next block's first delta or the
-        # plane's end, and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
+        # whole words from the strip's first header byte to the next strip's or the plane's
+        # end, and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
         origin = int(starts[blocks.start]) >> 3
         size = ((int(starts[first]) + 7) >> 3) - origin
         words = np.zeros((size >> 3) + 9, dtype=np.uint64)
         words.view(np.uint8)[:size] = data[origin : origin + size]
         if np.little_endian:
             words.byteswap(inplace=True)
-        # row y of a block starts at bit firsts + y * row_bits
+        # row y of a block starts at bit starts + 2 * w + 1 + y * row_bits; a repeated block's
+        # header is w bits shorter, but its rows are 0 bits wide and read 0 wherever they start
         at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * row_bits[blocks].reshape(grid)
-        at += (firsts[blocks] - (origin << 3)).reshape(grid)
+        at += (starts[blocks] + (2 * w + 1 - (origin << 3))).reshape(grid)
         bits = at & 63
         at >>= 6
         fields = words.take(at)

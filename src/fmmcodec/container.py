@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .bitstream import _cells, _chase, _grid, decode_plane, encode_plane
+from .bitstream import block_fields, decode_plane, encode_plane
 from .errors import CorruptStreamError, FormatError, ModulusError
 from .image import RasterImage
 
@@ -124,15 +124,7 @@ def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, i
     max_delta and the delta width are 0 for a repeated block; bits is the block's length.
     """
     header = read_header(data)
-    height, width, k = header.height, header.width, header.modulus
-    streams = _channel_streams(data, header)
-    for stream in streams:
-        decode_plane(stream, height, width, k)
-    grid = [range(n) for n in _grid(height, width)]
-    for channel, stream in enumerate(streams):
-        # every header was accepted, so the pass does not give up
-        starts, lows, spreads = _chase(stream, height, width, core.max_index(k))
-        tiles = zip(itertools.product(*grid), _cells(height, width))
-        fields = zip(tiles, lows.tolist(), spreads.tolist(), np.diff(starts).tolist())
-        for ((row, col), cells), lo, spread, bits in fields:
-            yield channel, row, col, cells, lo, spread, spread.bit_length(), bits
+    size = header.height, header.width, header.modulus
+    channels = [block_fields(stream, *size) for stream in _channel_streams(data, header)]
+    for channel, fields in enumerate(channels):
+        yield from zip(itertools.repeat(channel), *(column.tolist() for column in fields))

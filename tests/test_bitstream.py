@@ -2,6 +2,7 @@ import time
 import traceback
 import tracemalloc
 from array import array
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -465,8 +466,8 @@ def test_valid_strips_never_scan(k):
 
 def test_only_block_loop_raises_stream_errors():
     # the header pass and the strip decoder give up and raise nothing: on mutants of
-    # strip-coded planes every error comes from the per-block loop, or from decode_plane's
-    # size bound and trailing-bytes check
+    # strip-coded planes every error comes from the per-block loop, or from the size bound
+    # and trailing-bytes check of _decode, the decode behind decode_plane and block_fields
     rng = np.random.default_rng(37)
     raisers, seen = set(), set()
     for k in (3, 5, 127):
@@ -487,7 +488,7 @@ def test_only_block_loop_raises_stream_errors():
                 except FmmError as exc:
                     raisers.add(traceback.extract_tb(exc.__traceback__)[-1].name)
                     seen.add(type(exc))
-    assert raisers == {"_decode_blocks", "decode_plane"}
+    assert raisers == {"_decode_blocks", "_decode"}
     assert seen == {CorruptStreamError, TruncatedStreamError}
 
 
@@ -867,12 +868,11 @@ def _decode_strips(
 def decoded(chase, strips, stream: bytes, height: int, width: int, k: int):
     """(starts, lows, spreads) of a header pass, or None, and then the plane its strip decoder
     writes, or False if that gives up or returns an end bit other than the pass's."""
-    chased = chase(stream, height, width, 255 // k)
-    if chased is None:
+    heads = chase(stream, height, width, 255 // k)
+    if heads is None:
         return None, None
-    heads = [fields.copy() for fields in chased]  # before the strips write over starts
     plane = np.zeros((height, width), dtype=np.uint8)
-    end = strips(stream, chased, plane, 255 // k)
+    end = strips(stream, heads, plane, 255 // k)  # which must leave the headers as they are
     if end is True:  # the oracle's strips return True, the decoder's the end bit or None
         end = int(heads[0][-1])
     return heads, end == int(heads[0][-1]) and plane
@@ -951,3 +951,94 @@ def test_chase_chunks_match_oracle():
             for cut in {last + 1, (last + len(stream)) // 2, len(stream) - 1}:
                 assert bitstream._chase(stream[:cut], 520, 24, 51) is None
                 assert _chase(stream[:cut], 520, 24, 51) is None
+
+
+def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:
+    """The stream with each (bit, size, change) field, size bits from that bit, replaced by
+    change of its value."""
+    bits, total = int.from_bytes(stream, "big"), 8 * len(stream)
+    for at, size, change in fields:
+        shift = total - at - size
+        value = bits >> shift & ((1 << size) - 1)
+        bits += (change(value) - value) << shift
+    return bits.to_bytes(len(stream), "big")
+
+
+@pytest.mark.parametrize("height, width, strip_blocks", [(520, 24, 2), (8, 16384, STRIP_BLOCKS)])
+def test_fast_path_seams_match_block_loop(height, width, strip_blocks):
+    # multi-chunk planes of both strip orientations: 520x24 in strips of whole block rows
+    # (16-block strips, as STRIP_BLOCKS is 2 here) and one block row of 2,048 blocks in
+    # runs of 512 along it. Mutants flip bits at and near the pass's chunk switches, the
+    # strips' first headers and the last block, cut the stream inside the last block, and
+    # recode a block there with min_index one lower or give it another max_delta, which
+    # the encoder never writes but both decoders accept where every index stays in range.
+    # decode_plane must give the per-block loop's pixels or its error class and message;
+    # and a mutant the loop accepts must decode with the loop patched out too, as the fast
+    # path gives up only on streams the loop rejects, so that a wrong chunk rebase cannot
+    # hide behind the fallback
+    def walk(*args):
+        raise AssertionError("an accepted stream fell back to the per-block loop")
+
+    rng = np.random.default_rng(height * width + 67)
+    grid = _grid(height, width)
+    spans = rng.integers(1, 53, grid).repeat(8, axis=0).repeat(8, axis=1)[:height, :width]
+    plane = (rng.integers(0, 52, (height, width)) % spans).astype(np.uint8)  # some repeated
+    stream = encode_plane(plane)
+    heads, end = plane_heads(plane, 5)
+    starts = [deltas - 7 - 6 * (spread > 0) for _, spread, _, deltas in heads] + [end]
+    real, chunks = bitstream._windows, []
+
+    def spied(data, start, stop):
+        chunks.append(start)
+        return real(data, start, stop)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
+        patch.setattr(bitstream, "_windows", spied)
+        assert np.array_equal(decode_plane(stream, height, width), plane)
+    assert len(chunks) > 1
+    seams = [8 * byte for byte in chunks[1:]]
+    for blocks in (8 * strip_blocks, min(8 * strip_blocks, -(-len(heads) // 4))):
+        first = 0
+        for ys, xs in _strips(height, width, blocks):
+            seams.append(starts[first])
+            rows, cols = _grid(ys.stop - ys.start, xs.stop - xs.start)
+            first += rows * cols
+    seams += starts[-2:]
+    near = np.minimum(np.searchsorted(starts, seams, side="right") - 1, len(heads) - 1)
+    mutants = [stream]
+    for _ in range(16):
+        bit = int(rng.choice(seams)) + int(rng.integers(-16, 17))
+        bit = min(max(bit, 0), 8 * len(stream) - 1)
+        data = bytearray(stream)
+        data[bit >> 3] ^= 0x80 >> (bit & 7)
+        mutants.append(bytes(data))
+    mutants += [stream[: int(rng.integers(starts[-2] // 8, len(stream)))] for _ in range(2)]
+    for i in rng.choice(near, 6).tolist():  # blocks that a seam falls in
+        lo, spread, dw, deltas = heads[i]
+        if not spread:
+            fields = [(starts[i], 6, lambda _: int(rng.integers(0, 64)))]
+        elif lo and (spread + 1).bit_length() == dw and rng.integers(0, 2):
+            # the same pixels from min_index one lower: every delta and max_delta one higher
+            cells = (starts[i + 1] - deltas) // dw
+            fields = [(starts[i], 6, lambda v: v - 1), (starts[i] + 7, 6, lambda v: v + 1)]
+            fields += [(deltas + j * dw, dw, lambda v: v + 1) for j in range(cells)]
+        else:  # max_delta of the same delta width, so the same pixels, or any
+            bounds = (1 << dw >> 1, 1 << dw) if rng.integers(0, 2) else (1, 64)
+            fields = [(starts[i] + 7, 6, lambda _: int(rng.integers(*bounds)))]
+        mutants.append(rewritten(stream, fields))
+    seen = set()
+    for data in mutants:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
+            expected = outcome(walked_plane, data, height, width, 5)
+            decoded = outcome(decode_plane, data, height, width, 5)
+            if isinstance(expected, tuple):
+                assert decoded == expected
+                seen.add(expected[0])
+                continue
+            assert np.array_equal(decoded, expected)
+            seen.add(np.ndarray)
+            patch.setattr(bitstream, "_decode_blocks", walk)
+            assert np.array_equal(decode_plane(data, height, width), expected)
+    assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}

@@ -331,6 +331,37 @@ class TestBlockHeaders:
                 start = end
         assert list(container.block_headers(blob)) == expected
 
+    @pytest.mark.parametrize("height, width", [(96, 96), (24, 40)])
+    def test_one_header_pass_per_channel(self, height, width, monkeypatch):
+        # 96x96 planes have 144 blocks, so every channel is strip-coded: block_headers
+        # takes each channel's fields from the pass its decode ran, with no second pass,
+        # and the strip decoder leaves that pass's starts as it found them. 24x40 planes
+        # have 15 blocks, which the per-block loop decodes, so the pass runs after it, once.
+        # container binds no private name of bitstream, which the spies would not replace
+        privates = {n for n in vars(bitstream) if n.startswith("_") and not n.startswith("__")}
+        assert not privates & set(vars(container))
+        rng = np.random.default_rng(47)
+        pixels = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        blob = container.compress(RasterImage(pixels))
+        chase, strips, passes, kept = bitstream._chase, bitstream._decode_strips, [], []
+
+        def chased(*args):
+            passes.append(chase(*args))
+            return passes[-1]
+
+        def decoded(stream, heads, plane, top):
+            starts = heads[0].copy()
+            end = strips(stream, heads, plane, top)
+            kept.append(np.array_equal(heads[0], starts))
+            return end
+
+        monkeypatch.setattr(bitstream, "_chase", chased)
+        monkeypatch.setattr(bitstream, "_decode_strips", decoded)
+        blocks = -(-height // 8) * -(-width // 8)
+        assert len(list(container.block_headers(blob))) == 3 * blocks
+        assert len(passes) == 3
+        assert kept == [True] * 3 * (blocks >= bitstream.STRIP_BLOCKS)
+
     def test_three_channels(self):
         img = RasterImage(np.zeros((8, 8, 3), dtype=np.uint8))
         channels = [ch for ch, *_ in container.block_headers(container.compress(img))]
@@ -394,7 +425,7 @@ def _mutants(blob: bytes, rng: np.random.Generator, count: int):
 def test_mutation_fuzz(k, channels):
     # every mutant decodes or raises an FmmError subclass, quickly; any
     # other exception (MemoryError, IndexError, a numpy error) fails the test.
-    # inspect's block headers reject exactly the mutants decode rejects.
+    # inspect's block headers reject exactly the mutants decode rejects, with its error.
     rng = np.random.default_rng(1000 + k * 10 + channels)
     for i in range(7):
         if i < 6:
@@ -409,13 +440,13 @@ def test_mutation_fuzz(k, channels):
             started = time.perf_counter()
             try:
                 container.decompress(data)
-                decoded = True
-            except FmmError:
-                decoded = False
+                decoded = None
+            except FmmError as exc:
+                decoded = type(exc), str(exc)
             assert time.perf_counter() - started < 0.5
             try:
                 list(container.block_headers(data))
-                walked = True
-            except FmmError:
-                walked = False
+                walked = None
+            except FmmError as exc:
+                walked = type(exc), str(exc)
             assert walked == decoded
