@@ -15,6 +15,11 @@ with max_delta = 0 is not canonical and the decoder rejects it. Blocks
 are written back to back with no byte alignment between them, and the
 stream is zero-padded to a whole byte.
 
+The encoder, ``append_samples``, translates uint8 samples to indices by
+``core.index_table`` a strip at a time as it gathers them (a plane of fewer
+than STRIP_BLOCKS blocks at once), so it holds no index plane; ``encode_plane``
+hands it indices times k, which quantize back to the same indices.
+
 A plane of fewer than STRIP_BLOCKS blocks is coded one block at a time,
 and each block's deltas are packed as one Python integer: a block's
 indices, one byte each and read as a big-endian integer, hold every
@@ -58,7 +63,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_MODULUS, checked_array, max_index
+from .core import DEFAULT_MODULUS, checked_array, index_table, max_index
 from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
@@ -68,9 +73,10 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # take the per-block loop, where a 1x1 plane takes 6 us against 220 as a strip. On a
 # 2-core VM, strips of 512 blocks code the photo_rgb benchmark faster than strips of
 # 256 (encode 39%, decode 15%). An encoding strip works in about 270 bytes per noise
-# block, and compressing 256x256 noise peaks at 3.4 bytes per sample (the bound is
-# 4; 5.0 in strips of 1024). A decoding strip works in about 4 bytes per cell
-# (130 KB for 512 noise blocks): its stream bytes, then three words per block row.
+# block, and compressing 256x256 noise peaks at 2.9 bytes per sample (the bound is
+# 4; 3.4 while compress held an index plane, and 5.0 then in strips of 1024). A
+# decoding strip works in about 4 bytes per cell (130 KB for 512 noise blocks): its
+# stream bytes, then three words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -165,16 +171,27 @@ def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
     plane = np.asarray(indices)
     if plane.ndim != 2 or plane.size == 0:
         raise ValueError(f"expected a nonempty 2D plane, got shape {plane.shape}")
-    plane = checked_array(plane, top).astype(np.uint8, copy=False)
-    w = top.bit_length()
-    height, width = plane.shape
-    rows, cols = _grid(height, width)
     out = bytearray()
+    # indices times k are samples that quantize back to the same indices
+    append_samples(out, checked_array(plane, top).astype(np.uint8, copy=False) * np.uint8(k), k)
+    return bytes(out)
+
+
+def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS) -> None:
+    """Append the block stream of a nonempty 2D uint8 sample plane's indices to out,
+    quantizing each strip by index_table(k) just before it is encoded."""
+    if samples.dtype != np.uint8 or samples.ndim != 2 or samples.size == 0:
+        raise ValueError(f"expected a nonempty 2D uint8 plane, got {samples.dtype} {samples.shape}")
+    table = index_table(k)
+    w = table[-1].bit_length()  # the last byte is the largest index, 255 // k
+    height, width = samples.shape
+    rows, cols = _grid(height, width)
     acc = nbits = 0  # pending bits that do not yet fill a byte, and how many
     if rows * cols >= STRIP_BLOCKS:
         for strip in _strips(height, width, 8 * STRIP_BLOCKS):
-            acc, nbits = _encode_strip(plane[strip], w, out, acc, nbits)
+            acc, nbits = _encode_strip(_indices(samples[strip], table), w, out, acc, nbits)
     else:
+        plane = _indices(samples, table)
         for y in range(0, height, BLOCK_SIZE):
             for x in range(0, width, BLOCK_SIZE):
                 cells = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE].tobytes()
@@ -194,7 +211,11 @@ def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
                 nbits = rem
     if nbits:
         out.append(acc << (8 - nbits))
-    return bytes(out)
+
+
+def _indices(samples: np.ndarray, table: bytes) -> np.ndarray:
+    """A read-only, C-contiguous uint8 array of table's byte for each of samples'."""
+    return np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(samples.shape)
 
 
 def _encode_strip(
@@ -215,9 +236,16 @@ def _encode_strip(
     cells = words.view(np.uint8).reshape(BLOCK_SIZE, grid_rows, grid_cols, BLOCK_SIZE)
     cells[...] = strip.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).swapaxes(0, 1)
     cells = cells.reshape(BLOCK_SIZE, -1, BLOCK_SIZE)
-    lanes = np.empty(words.shape, dtype=np.uint8)  # per block column, over its rows
-    lo = np.minimum.reduce(np.minimum.reduce(cells, out=lanes.T).T)
-    spread = np.maximum.reduce(np.maximum.reduce(cells, out=lanes.T).T) - lo
+    # each block column's extreme over its rows, then over the columns: a reduce into
+    # contiguous (blocks, 8) bytes, which the headers' words lend until they are written,
+    # and a transposed copy take a third of the time of one reduce into the transpose
+    columns = fields[0].view(np.uint8).reshape(-1, BLOCK_SIZE)
+    lanes = np.empty(words.shape, dtype=np.uint8)
+    lanes[...] = np.minimum.reduce(cells, out=columns).T
+    lo = np.minimum.reduce(lanes)
+    lanes[...] = np.maximum.reduce(cells, out=columns).T
+    spread = np.maximum.reduce(lanes) - lo
+    del columns, lanes  # before the packing makes its temporaries
     words[...] = words.view(">u8")  # each row's 8 bytes as one big-endian word, on any host
     words -= lo * np.uint64(_ONES[BLOCK_SIZE])
     dw = _BIT_LENGTH[spread].reshape(grid)

@@ -14,7 +14,7 @@ from typing import Sequence
 from . import container, metrics
 from .core import DEFAULT_MODULUS, validate_modulus
 from .errors import FmmError, ModulusError
-from .netpbm import read_netpbm, write_netpbm
+from .netpbm import netpbm_header, read_netpbm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +110,9 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     _require_distinct(args.input, args.output)
     image = container.decompress(Path(args.input).read_bytes())
-    Path(args.output).write_bytes(write_netpbm(image))
+    with open(args.output, "wb") as out:  # write_netpbm's bytes, without joining a copy
+        out.write(netpbm_header(image))
+        out.write(image.pixels.data)
     print(f"{args.output}: {image.width}x{image.height}, {image.channels} channel(s)")
     return EXIT_OK
 

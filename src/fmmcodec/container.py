@@ -13,6 +13,10 @@ then for each channel an unsigned 32-bit byte length followed by that many
 bytes of bit-packed blocks (row-major block-grid order, final partial byte
 zero-padded). Decoding returns the quantized image, so a compressed file
 decodes bit-identically no matter where it is read.
+
+``compress`` quantizes each channel strip by strip inside the encoder
+(``bitstream.append_samples``) and appends every stream to the one buffer it
+returns, so it holds no index plane and no second copy of a stream.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .bitstream import block_fields, decode_plane, encode_plane
+from .bitstream import append_samples, block_fields, decode_plane
 from .errors import CorruptStreamError, FormatError, ModulusError
 from .image import RasterImage
 
@@ -44,15 +48,16 @@ class ContainerHeader:
     channels: int
 
 
-def compress(image: RasterImage, modulus: int = core.DEFAULT_MODULUS) -> bytes:
-    """Encode an image; the result decompresses to its quantized form."""
+def compress(image: RasterImage, modulus: int = core.DEFAULT_MODULUS) -> bytearray:
+    """Encode an image into one buffer; the result decompresses to its quantized form."""
     k = core.validate_modulus(modulus)
-    parts = [_HEADER.pack(MAGIC, VERSION, k, image.width, image.height, image.channels)]
+    out = bytearray(_HEADER.pack(MAGIC, VERSION, k, image.width, image.height, image.channels))
     for channel in range(image.channels):
-        stream = encode_plane(core.quantize_indices(image.plane(channel), k), k)
-        parts.append(_STREAM_LEN.pack(len(stream)))
-        parts.append(stream)
-    return b"".join(parts)
+        at = len(out)
+        out += bytes(_STREAM_LEN.size)  # the length, filled in once the stream is appended
+        append_samples(out, image.plane(channel), k)
+        _STREAM_LEN.pack_into(out, at, len(out) - at - _STREAM_LEN.size)
+    return out
 
 
 def read_header(data: bytes) -> ContainerHeader:

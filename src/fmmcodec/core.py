@@ -58,6 +58,15 @@ def checked_array(values, top: int = 255) -> np.ndarray:
     return arr
 
 
+def index_table(k: int = DEFAULT_MODULUS) -> bytes:
+    """The quantize rule as a 256-byte map from sample to index, built on a modulus's first use.
+
+    Byte v is min((v + k // 2) // k, 255 // k), the index of the nearest in-range multiple
+    of k, so bytes.translate(index_table(k)) quantizes uint8 samples; the last byte is 255 // k.
+    """
+    return _index_table(validate_modulus(k))
+
+
 @functools.cache
 def _index_table(k: int) -> bytes:
     return bytes(min((v + k // 2) // k, 255 // k) for v in range(256))
@@ -78,10 +87,11 @@ def quantize_sample(value: int, k: int = DEFAULT_MODULUS) -> int:
 def quantize_indices(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
     """Index of the nearest in-range multiple of k for every sample.
 
-    to_indices(quantize_plane(p)) as one lookup in a 256-byte table per modulus, built on its
-    first use. A new writable uint8 array of the input's shape; uint8 input costs 2 B/sample.
+    to_indices(quantize_plane(p)) as one lookup in index_table(k). A new writable uint8 array
+    of the input's shape; uint8 input costs 2 B/sample. compress does not call it: the encoder
+    quantizes each strip by the same table as it gathers it, so it holds no index plane.
     """
-    table = _index_table(validate_modulus(k))
+    table = index_table(k)
     samples = checked_array(plane).astype(np.uint8, copy=False)
     return np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(samples.shape).copy()
 

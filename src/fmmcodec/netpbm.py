@@ -75,8 +75,12 @@ def read_netpbm(data: bytes) -> RasterImage:
     return RasterImage(samples)
 
 
+def netpbm_header(image: RasterImage) -> bytes:
+    """The canonical header that write_netpbm puts before the image's pixel bytes."""
+    magic = b"P5" if image.channels == 1 else b"P6"
+    return b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
+
+
 def write_netpbm(image: RasterImage) -> bytes:
     """Serialize to the canonical binary form: read(write(img)) == img."""
-    magic = b"P5" if image.channels == 1 else b"P6"
-    header = b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
-    return header + image.pixels.data
+    return netpbm_header(image) + image.pixels.data

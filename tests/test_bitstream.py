@@ -155,6 +155,16 @@ class TestBlockCodec:
         with pytest.raises(ValueError):
             encode_plane(np.full((2, 2), 52, dtype=np.uint8))
 
+    def test_appends_samples_after_what_out_holds(self):
+        # the encoder takes uint8 samples only: other integers' bytes are not samples
+        samples = np.random.default_rng(8).integers(0, 256, (9, 70), dtype=np.uint8)
+        out = bytearray(b"head")
+        bitstream.append_samples(out, samples, 7)
+        assert out == b"head" + encode_plane(core.quantize_indices(samples, 7), 7)
+        for bad in [samples.astype(np.int64), samples[:0], samples[None]]:
+            with pytest.raises(ValueError):
+                bitstream.append_samples(bytearray(), bad, 7)
+
     def test_decoder_fields(self):
         stream = encode_plane(INDEX_BLOCK)
         lo, max_delta, dw, bits = only_block(stream, 8, 8)

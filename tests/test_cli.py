@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ class TestDecompress:
         cli.main(["compress", str(photo_ppm), str(blob_path)])
         cli.main(["decompress", str(blob_path), str(back_path)])
         assert back_path.read_bytes().startswith(b"P6\n")
+
+    def test_writes_pixels_without_a_joined_copy(self, tmp_path, capsys):
+        # the file is write_netpbm's bytes, written as the header and then the pixel buffer;
+        # joining them first would hold the pixels twice, 2 bytes per sample at the write
+        y, x = np.mgrid[0:512, 0:512]
+        smooth = ((x + y) // 4 % 256).astype(np.uint8)
+        blob_path, back_path = tmp_path / "s.fmm", tmp_path / "s.ppm"
+        blob_path.write_bytes(container.compress(RasterImage(np.dstack([smooth] * 3))))
+        tracemalloc.start()
+        try:
+            assert cli.main(["decompress", str(blob_path), str(back_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back_path.read_bytes() == write_netpbm(container.decompress(blob_path.read_bytes()))
+        assert peak <= 1.9 * smooth.size * 3
 
     def test_wrong_magic(self, tmp_path, capsys):
         bad = tmp_path / "bad.fmm"

@@ -56,6 +56,24 @@ class TestCompress:
         again = container.compress(container.decompress(blob), 7)
         assert again == blob
 
+    @pytest.mark.parametrize("k", [3, 5, 7, 9, 13, 33, 127])  # the tiny_mixed moduli
+    def test_matches_whole_plane_composition(self, k):
+        # compress quantizes strip by strip into one buffer; the oracle is the composition it
+        # replaced: each channel's whole index plane encoded alone, then framed. Planes of
+        # 63, 64 and 65 blocks sit either side of the size fork, 8x16384 makes strips along
+        # one block row and 9x4100 splits them mid-row; three channels are strided views
+        rng = np.random.default_rng(k)
+        shapes = [(1, 1), (24, 31), (56, 72), (63, 64), (40, 104), (57, 71), (9, 4100)]
+        for height, width, channels in [(*s, c) for s in shapes for c in (1, 3)] + [(8, 16384, 1)]:
+            pixels = rng.integers(0, 256, (height, width, channels), dtype=np.uint8)
+            pixels[: height // 2, : width // 2] = pixels[0, 0]  # repeated blocks beside mixed
+            img = RasterImage(pixels)
+            streams = [
+                bitstream.encode_plane(core.quantize_indices(img.plane(c), k), k)
+                for c in range(channels)
+            ]
+            assert container.compress(img, k) == frame(streams, width, height, k)
+
 
 class TestDecompress:
     @pytest.mark.parametrize("k", [3, 5, 9])
@@ -187,8 +205,8 @@ class TestDecompress:
         assert peak <= 4 * img.pixels.size
 
     def test_one_channel_encodes_near_its_indices(self):
-        # compress holds the channel's indices (2 B/sample while they are made) and the
-        # strips' working set; a uint16 copy of the plane beside them (3.0) must not pass
+        # a uint16 copy of the plane beside the channel's indices and the strips' working
+        # set (3.0 B/sample) must not pass
         rng = np.random.default_rng(29)
         img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
         tracemalloc.start()
@@ -198,6 +216,21 @@ class TestDecompress:
         finally:
             tracemalloc.stop()
         assert peak <= 2.75 * img.pixels.size
+
+    @pytest.mark.parametrize("shape", [(1024, 1024, 1), (512, 512, 3)])
+    def test_holds_no_index_plane_or_second_stream(self, shape):
+        # compress holds its one output buffer (0.78 B/sample of noise) and one strip's
+        # working set; a channel's index plane (1 B per channel sample) or a second copy of
+        # a stream beside them must not pass
+        rng = np.random.default_rng(shape[2])
+        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            container.compress(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * img.pixels.size
 
     @pytest.mark.parametrize("shape", [(8, 512), (64, 64), (128, 128)])
     def test_mid_plane_encode_memory_is_bounded(self, shape):

@@ -57,6 +57,16 @@ class TestQuantize:
         for v in range(256):
             assert core.quantize_sample(v, k) == nearest_multiple(v, k)
 
+    def test_index_table_is_the_validated_rule(self):
+        # the encoder quantizes by this table and reads W from its last byte, 255 // k; a
+        # float modulus equal to a cached one must still be rejected
+        for k in range(3, 128, 2):
+            table = core.index_table(k)
+            assert [index * k for index in table] == [nearest_multiple(v, k) for v in range(256)]
+            assert table[-1] == 255 // k
+        with pytest.raises(ModulusError):
+            core.index_table(5.0)
+
     def test_top_of_range_clamps(self):
         # 255 % 13 = 8 > 13 // 2, so the nearest multiple of 13 to 255
         # would be 260; the in-range multiple 247 is used instead.
