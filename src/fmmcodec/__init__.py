@@ -12,7 +12,6 @@ from .core import (
     DEFAULT_MODULUS,
     from_indices,
     max_index,
-    quantize_indices,
     quantize_plane,
     quantize_sample,
     to_indices,
@@ -60,7 +59,6 @@ __all__ = [
     "max_index",
     "mse",
     "psnr",
-    "quantize_indices",
     "quantize_plane",
     "quantize_sample",
     "read_header",

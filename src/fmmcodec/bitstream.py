@@ -17,8 +17,7 @@ stream is zero-padded to a whole byte.
 
 The encoder, ``append_samples``, translates uint8 samples to indices by
 ``core.index_table`` a strip at a time as it gathers them (a plane of fewer
-than STRIP_BLOCKS blocks at once), so it holds no index plane; ``encode_plane``
-hands it indices times k, which quantize back to the same indices.
+than STRIP_BLOCKS blocks at once), so it holds no index plane.
 
 A plane of fewer than STRIP_BLOCKS blocks is coded one block at a time,
 and each block's deltas are packed as one Python integer: a block's
@@ -63,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_MODULUS, checked_array, index_table, max_index
+from .core import DEFAULT_MODULUS, index_table, max_index
 from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
@@ -163,18 +162,6 @@ def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice
     for y in range(0, height, rows):
         for x in range(0, width, cols):
             yield slice(y, min(y + rows, height)), slice(x, min(x + cols, width))
-
-
-def encode_plane(indices, k: int = DEFAULT_MODULUS) -> bytes:
-    """Block stream of a 2D index plane, final partial byte zero-padded."""
-    top = max_index(k)
-    plane = np.asarray(indices)
-    if plane.ndim != 2 or plane.size == 0:
-        raise ValueError(f"expected a nonempty 2D plane, got shape {plane.shape}")
-    out = bytearray()
-    # indices times k are samples that quantize back to the same indices
-    append_samples(out, checked_array(plane, top).astype(np.uint8, copy=False) * np.uint8(k), k)
-    return bytes(out)
 
 
 def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS) -> None:
@@ -298,7 +285,7 @@ def _cells(rows: int, width: int) -> list[int]:
 def decode_plane(
     stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
 ) -> np.ndarray:
-    """Index plane of a block stream; exact inverse of encode_plane.
+    """Index plane of a block stream; exact inverse of append_samples.
 
     The stream must hold exactly the blocks of a height x width plane. A
     stream too short for even one header per block is rejected before any
@@ -452,11 +439,12 @@ def _decode_strips(
         grid_rows, grid_cols = grid = _grid(rows, strip_width)
         blocks = slice(first, first + grid_rows * grid_cols)
         first = blocks.stop
-        # whole words from the strip's first header byte to the next strip's or the plane's
-        # end, and 8 more, as rows past an edge block's end read up to 6 * 56 bits on
+        # the words that hold the bytes from the strip's first header byte to the next strip's
+        # or the plane's end, and 6 more: row 7 of a one-row edge block starts 6 rows of at
+        # most 7 * 8 bits past the block's end, so at most in the 6th word past the bytes
         origin = int(starts[blocks.start]) >> 3
         size = ((int(starts[first]) + 7) >> 3) - origin
-        words = np.zeros((size >> 3) + 9, dtype=np.uint64)
+        words = np.zeros(((size + 7) >> 3) + 6, dtype=np.uint64)
         words.view(np.uint8)[:size] = data[origin : origin + size]
         if np.little_endian:
             words.byteswap(inplace=True)

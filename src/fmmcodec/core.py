@@ -84,21 +84,9 @@ def quantize_sample(value: int, k: int = DEFAULT_MODULUS) -> int:
     return _index_table(k)[int(checked_array(operator.index(value)))] * k
 
 
-def quantize_indices(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
-    """Index of the nearest in-range multiple of k for every sample.
-
-    to_indices(quantize_plane(p)) as one lookup in index_table(k). A new writable uint8 array
-    of the input's shape; uint8 input costs 2 B/sample. compress does not call it: the encoder
-    quantizes each strip by the same table as it gathers it, so it holds no index plane.
-    """
-    table = index_table(k)
-    samples = checked_array(plane).astype(np.uint8, copy=False)
-    return np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(samples.shape).copy()
-
-
 def quantize_plane(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
-    """Elementwise quantize_sample over an integer array; shape preserved."""
-    return quantize_indices(plane, k) * np.uint8(k)
+    """Elementwise quantize_sample over an integer array, by the same table; shape preserved."""
+    return np.frombuffer(index_table(k), np.uint8)[checked_array(plane)] * np.uint8(k)
 
 
 def to_indices(values, k: int = DEFAULT_MODULUS) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fmmcodec import cli, container, core, metrics
-from fmmcodec.bitstream import _chase, decode_plane, encode_plane
+from fmmcodec.bitstream import block_fields, decode_plane
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import write_netpbm
 
@@ -32,6 +32,7 @@ from golden import (
     SIGMA_INDEX,
     SIGMA_ORIGINAL,
 )
+from streams import encode_indices
 
 # analytic floor for k = 5: max error 2 per sample, mse <= 4,
 # psnr >= 20 log10(255 / 2) = 20 log10(127.5)
@@ -62,8 +63,8 @@ def test_criterion_1_divide_stage():
 
 
 def test_criterion_1_min_subtract_stage():
-    stream = encode_plane(INDEX_BLOCK)
-    _, (lo,), (max_delta,) = [fields.tolist() for fields in _chase(stream, 8, 8, core.max_index())]
+    stream = encode_indices(INDEX_BLOCK)
+    *_, (lo,), (max_delta,), _, _ = [fields.tolist() for fields in block_fields(stream, 8, 8)]
     assert lo == INDEX_MIN
     assert max_delta == MAX_DELTA
     assert np.array_equal(decode_plane(stream, 8, 8).astype(np.int16) - lo, DELTA_BLOCK)
@@ -82,21 +83,20 @@ def test_criterion_2_dispersion():
 
 def test_criterion_3_uniform_block():
     block = np.full((8, 8), 11, dtype=np.uint8)
-    stream = encode_plane(block)
+    stream = encode_indices(block)
     assert stream == bytes([0b00101110])  # 0010111 zero-padded
-    (_, bits), _, _ = [fields.tolist() for fields in _chase(stream, 8, 8, core.max_index())]
+    *_, (bits,) = [fields.tolist() for fields in block_fields(stream, 8, 8)]
     assert bits == 7
     assert np.array_equal(decode_plane(stream, 8, 8), block)
 
 
 def test_criterion_3_mixed_block():
-    stream = encode_plane(INDEX_BLOCK)
-    (_, bits), (lo,), (max_delta,) = [
-        fields.tolist() for fields in _chase(stream, 8, 8, core.max_index())
-    ]
+    stream = encode_indices(INDEX_BLOCK)
+    fields = block_fields(stream, 8, 8)
+    *_, (lo,), (max_delta,), (dw,), (bits,) = [column.tolist() for column in fields]
     assert bits == BLOCK_BITS == 269
     assert lo == INDEX_MIN
-    assert (max_delta, max_delta.bit_length()) == (MAX_DELTA, 4)  # max_delta > 0: not repeated
+    assert (max_delta, dw) == (MAX_DELTA, 4)  # max_delta > 0: not repeated
     assert np.array_equal(decode_plane(stream, 8, 8), INDEX_BLOCK)
 
 

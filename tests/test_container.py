@@ -58,8 +58,8 @@ class TestCompress:
 
     @pytest.mark.parametrize("k", [3, 5, 7, 9, 13, 33, 127])  # the tiny_mixed moduli
     def test_matches_whole_plane_composition(self, k):
-        # compress quantizes strip by strip into one buffer; the oracle is the composition it
-        # replaced: each channel's whole index plane encoded alone, then framed. Planes of
+        # compress quantizes strip by strip into one buffer; the oracle is each channel's
+        # quantized plane encoded alone by the same encoder, then framed. Planes of
         # 63, 64 and 65 blocks sit either side of the size fork, 8x16384 makes strips along
         # one block row and 9x4100 splits them mid-row; three channels are strided views
         rng = np.random.default_rng(k)
@@ -68,10 +68,9 @@ class TestCompress:
             pixels = rng.integers(0, 256, (height, width, channels), dtype=np.uint8)
             pixels[: height // 2, : width // 2] = pixels[0, 0]  # repeated blocks beside mixed
             img = RasterImage(pixels)
-            streams = [
-                bitstream.encode_plane(core.quantize_indices(img.plane(c), k), k)
-                for c in range(channels)
-            ]
+            streams = [bytearray() for _ in range(channels)]
+            for c, stream in enumerate(streams):
+                bitstream.append_samples(stream, core.quantize_plane(img.plane(c), k), k)
             assert container.compress(img, k) == frame(streams, width, height, k)
 
 
@@ -356,7 +355,7 @@ class TestBlockHeaders:
         blob = container.compress(RasterImage(pixels))
         expected = []
         for channel in range(3):
-            heads, _ = plane_heads(core.quantize_indices(pixels[:, :, channel]), 5)
+            heads, _ = plane_heads(core.to_indices(core.quantize_plane(pixels[:, :, channel])), 5)
             start = 0
             for i, (lo, spread, dw, deltas) in enumerate(heads):
                 end = deltas + 64 * dw
