@@ -8,15 +8,7 @@ container; ``read_netpbm``/``write_netpbm`` handle uncompressed I/O.
 
 from .bitstream import BLOCK_SIZE
 from .container import compress, decompress, read_header
-from .core import (
-    DEFAULT_MODULUS,
-    from_indices,
-    max_index,
-    quantize_plane,
-    quantize_sample,
-    to_indices,
-    validate_modulus,
-)
+from .core import DEFAULT_MODULUS, quantize_plane, validate_modulus
 from .errors import (
     CorruptStreamError,
     FmmError,
@@ -55,16 +47,12 @@ __all__ = [
     "compress",
     "compression_ratio",
     "decompress",
-    "from_indices",
-    "max_index",
     "mse",
     "psnr",
     "quantize_plane",
-    "quantize_sample",
     "read_header",
     "read_netpbm",
     "stddev",
-    "to_indices",
     "validate_modulus",
     "write_netpbm",
     "__version__",

@@ -62,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_MODULUS, index_table, max_index
+from .core import DEFAULT_MODULUS, index_table
 from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
@@ -73,9 +73,8 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # 2-core VM, strips of 512 blocks code the photo_rgb benchmark faster than strips of
 # 256 (encode 39%, decode 15%). An encoding strip works in about 270 bytes per noise
 # block, and compressing 256x256 noise peaks at 2.9 bytes per sample (the bound is
-# 4; 3.4 while compress held an index plane, and 5.0 then in strips of 1024). A
-# decoding strip works in about 4 bytes per cell (130 KB for 512 noise blocks): its
-# stream bytes, then three words per block row.
+# 4). A decoding strip works in about 4 bytes per cell (130 KB for 512 noise blocks):
+# its stream bytes, then three words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -292,9 +291,10 @@ def decode_plane(
     block is read or the plane is allocated. A plane of STRIP_BLOCKS or more
     blocks is tried by the strip decoder first; if it gives up, or the plane
     is smaller, the per-block loop decodes it and raises the first fault in
-    stream order, naming its block: CorruptStreamError for corrupt fields,
-    including any decoded index above 255 // k, and TruncatedStreamError for a
-    short stream. Bytes past the last block raise CorruptStreamError.
+    stream order, naming its block and its first bit (``block R,C: ... (bit
+    N)``): CorruptStreamError for corrupt fields, including any decoded index
+    above 255 // k, and TruncatedStreamError for a short stream. Bytes past
+    the last block raise CorruptStreamError.
     """
     return _decode(stream, height, width, k)[0]
 
@@ -306,7 +306,7 @@ def block_fields(
     max_delta and the delta width are 0 for a repeated block. Raises decode_plane's errors."""
     chased = _decode(stream, height, width, k)[1]
     # a plane that the per-block loop decoded has not been through the pass, which accepts it
-    starts, lows, spreads = chased or _chase(stream, height, width, max_index(k))
+    starts, lows, spreads = chased or _chase(stream, height, width, index_table(k)[-1])
     rows, cols = np.divmod(np.arange(len(lows)), _grid(height, width)[1])
     cells = np.array(_cells(height, width))
     return rows, cols, cells, lows, spreads, _BIT_LENGTH[spreads], np.diff(starts)
@@ -314,7 +314,7 @@ def block_fields(
 
 def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tuple:
     """decode_plane's plane, and the headers that _chase read for it, or None."""
-    top = max_index(k)
+    top = index_table(k)[-1]  # 255 // k, after the modulus is validated
     w = top.bit_length()
     if height < 1 or width < 1:
         raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
@@ -508,19 +508,23 @@ def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, top: int) -> int
                     raise CorruptStreamError(f"block range {lo}+{spread} exceeds index limit {top}")
                 n, dw = block.size, spread.bit_length()
                 start = pos + 2 * w + 1
-                pos = start + n * dw
-                if pos > total:
+                end = start + n * dw
+                if end > total:
                     raise TruncatedStreamError(f"needed {n * dw} bits, only {total - start} left")
             except FmmError as exc:
-                raise type(exc)(f"block {y // BLOCK_SIZE},{x // BLOCK_SIZE}: {exc}") from None
-            fields = int.from_bytes(stream[start >> 3 : (pos + 7) >> 3], "big")
-            deltas = _unpack((fields >> (-pos & 7)) & ((1 << n * dw) - 1), n, dw)
+                row, col = y // BLOCK_SIZE, x // BLOCK_SIZE
+                raise type(exc)(f"block {row},{col}: {exc} (bit {pos})") from None
+            fields = int.from_bytes(stream[start >> 3 : (end + 7) >> 3], "big")
+            deltas = _unpack((fields >> (-end & 7)) & ((1 << n * dw) - 1), n, dw)
             # a dw-bit delta may pass top even though lo + spread does not; as
             # every delta is < 128, adding 127 - top + lo to each byte lane
             # sets its high bit, with no carry, exactly when lo + delta > top
             if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
                 row, col = y // BLOCK_SIZE, x // BLOCK_SIZE
-                raise CorruptStreamError(f"block {row},{col} decodes an index above limit {top}")
+                raise CorruptStreamError(
+                    f"block {row},{col} decodes an index above limit {top} (bit {pos})"
+                )
             cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
             block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
+            pos = end
     return pos

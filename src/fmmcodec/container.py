@@ -24,13 +24,13 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import core
 from .bitstream import append_samples, block_fields, decode_plane
-from .errors import CorruptStreamError, FormatError, ModulusError
+from .errors import CorruptStreamError, FmmError, FormatError, ModulusError
 from .image import RasterImage
 
 MAGIC = b"FMM1"
@@ -102,12 +102,21 @@ def _channel_streams(data: bytes, header: ContainerHeader) -> list[memoryview]:
     return streams
 
 
+def _decode_channel(decode: Callable, channel: int, stream: memoryview, header: ContainerHeader):
+    """decode(stream, height, width, k) of one channel's stream; a stream error is raised
+    again with its channel first (``channel C: ...``)."""
+    try:
+        return decode(stream, header.height, header.width, header.modulus)
+    except FmmError as exc:
+        raise type(exc)(f"channel {channel}: {exc}") from None
+
+
 def decompress(data: bytes) -> RasterImage:
     """Decode a container back to the quantized image it stores."""
     header = read_header(data)
     height, width, k = header.height, header.width, header.modulus
     for channel, stream in enumerate(_channel_streams(data, header)):
-        plane = decode_plane(stream, height, width, k)
+        plane = _decode_channel(decode_plane, channel, stream, header)
         if channel == 0:
             # one plane is itself the pixel array; three get one, allocated only
             # after the first stream passed decode_plane's size bound
@@ -129,7 +138,7 @@ def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, i
     max_delta and the delta width are 0 for a repeated block; bits is the block's length.
     """
     header = read_header(data)
-    size = header.height, header.width, header.modulus
-    channels = [block_fields(stream, *size) for stream in _channel_streams(data, header)]
+    streams = enumerate(_channel_streams(data, header))
+    channels = [_decode_channel(block_fields, c, stream, header) for c, stream in streams]
     for channel, fields in enumerate(channels):
         yield from zip(itertools.repeat(channel), *(column.tolist() for column in fields))

@@ -36,25 +36,16 @@ def validate_modulus(k) -> int:
     return k
 
 
-def max_index(k: int = DEFAULT_MODULUS) -> int:
-    """Largest index a quantized sample can produce (51 for k = 5)."""
-    return 255 // validate_modulus(k)
-
-
-def checked_array(values, top: int = 255) -> np.ndarray:
-    """Integer samples in [0, 255], or indices in [0, top] when top < 255; else ValueError."""
+def checked_array(values) -> np.ndarray:
+    """values as an array of integer samples in [0, 255]; else ValueError."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "ui":
-        noun = "samples" if top == 255 else "indices"
-        raise ValueError(f"{noun} must be integers, got dtype {arr.dtype}")
-    # an unsigned dtype proves the lower bound, and uint8 the sample range
-    if arr.size and (
-        (arr.dtype.kind == "i" and int(arr.min()) < 0)
-        or ((top < 255 or arr.dtype != np.uint8) and int(arr.max()) > top)
+        raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
+    # uint8 proves the range, and an unsigned dtype the lower bound
+    if arr.size and arr.dtype != np.uint8 and (
+        (arr.dtype.kind == "i" and int(arr.min()) < 0) or int(arr.max()) > 255
     ):
-        if top == 255:
-            raise ValueError("samples must lie in [0, 255]")
-        raise ValueError(f"index out of range 0..{top}")
+        raise ValueError("samples must lie in [0, 255]")
     return arr
 
 
@@ -72,33 +63,12 @@ def _index_table(k: int) -> bytes:
     return bytes(min((v + k // 2) // k, 255 // k) for v in range(256))
 
 
-def quantize_sample(value: int, k: int = DEFAULT_MODULUS) -> int:
-    """Nearest multiple of k to one sample, clamped into [0, 255].
-
-    k is odd, so there are no rounding ties. When 255 is not close to a
-    multiple of k the nearest in-range multiple is returned, so the
-    sample moves by at most max(k // 2, 255 % k); for k in {3, 5, 7, 9}
-    that is k // 2.
-    """
-    k = validate_modulus(k)
-    return _index_table(k)[int(checked_array(operator.index(value)))] * k
-
-
 def quantize_plane(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:
-    """Elementwise quantize_sample over an integer array, by the same table; shape preserved."""
+    """Nearest in-range multiple of k to each sample of an integer array or scalar, in uint8,
+    by index_table(k); shape preserved.
+
+    k is odd, so there are no rounding ties. When 255 is not close to a multiple of k the
+    nearest in-range multiple is taken, so a sample moves by at most max(k // 2, 255 % k);
+    for k in {3, 5, 7, 9} that is k // 2.
+    """
     return np.frombuffer(index_table(k), np.uint8)[checked_array(plane)] * np.uint8(k)
-
-
-def to_indices(values, k: int = DEFAULT_MODULUS) -> np.ndarray:
-    """Divide quantized samples by k, giving indices in [0, 255 // k]."""
-    k = validate_modulus(k)
-    arr = checked_array(values)
-    if np.any(arr % k):
-        raise ValueError(f"samples must all be multiples of {k}; quantize first")
-    return (arr // k).astype(np.uint8)
-
-
-def from_indices(indices, k: int = DEFAULT_MODULUS) -> np.ndarray:
-    """Multiply indices back to samples, in uint8; inverse of to_indices."""
-    k = validate_modulus(k)
-    return checked_array(indices, 255 // k).astype(np.uint8, copy=False) * np.uint8(k)

@@ -23,7 +23,7 @@ from fmmcodec.bitstream import (
     block_fields,
     decode_plane,
 )
-from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
+from fmmcodec.errors import CorruptStreamError, FmmError, ModulusError, TruncatedStreamError
 from fmmcodec.image import RasterImage
 
 from golden import BLOCK_BITS, INDEX_BLOCK
@@ -322,6 +322,79 @@ def test_strip_decoder_names_the_block(height, width, bad, name):
     for decode in (walked_plane, decode_plane):
         with pytest.raises(CorruptStreamError, match=name):
             decode(stream, height, width, 5)
+
+
+def test_block_errors_name_their_first_bit():
+    # a block error ends with the block's first bit, whichever check fails, even once the
+    # deltas' end is known: block 0,1 follows block 0,0's 6 + 1 + 6 + 64 bits, at bit 77
+    first = format(0, "06b") + "0" + format(1, "06b") + "01" * 32
+    for second, error, message in [
+        (format(63, "06b") + "1", CorruptStreamError, "block 0,1: block minimum 63 exceeds"),
+        (format(49, "06b") + "0" + format(2, "06b") + "11" * 64, CorruptStreamError,
+         "block 0,1 decodes an index above limit 51"),
+        (format(0, "06b") + "0" + format(51, "06b") + "0" * 8, TruncatedStreamError,
+         "block 0,1: needed 384 bits"),
+    ]:
+        with pytest.raises(error, match=rf"^{message}.* \(bit 77\)$"):
+            decode_plane(bits_to_bytes(first + second), 8, 16, 5)
+    # on a strip-coded plane, whose fast path gives up so the per-block loop raises
+    repeated = format(0, "06b") + "1"
+    over = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63
+    stream = bits_to_bytes(repeated * 70 + over + repeated * 57)
+    with pytest.raises(CorruptStreamError, match=r"^block 0,70 decodes .* \(bit 490\)$"):
+        decode_plane(stream, 8, 1024, 5)
+
+
+@pytest.mark.parametrize("coding", ["2810c8", "241b70", "28382880"])
+def test_non_canonical_codings_decode_alike(coding):
+    # the README's format section: at k = 5 the 2x2 block [[10, 11], [12, 11]] decodes alike
+    # as encoded, with min_index 9 and max_delta 3, and with max_delta 7 (3-bit deltas)
+    assert decode_plane(bytes.fromhex(coding), 2, 2, 5).tolist() == [[10, 11], [12, 11]]
+
+
+def test_non_canonical_strip_plane_decodes_like_the_block_loop():
+    # every block of a 64-block, strip-coded 8x512 plane is written with min_index one below
+    # its smallest index, so with a max_delta one above its spread, constant blocks too.
+    # The strip path decodes it as the per-block loop does, and block_fields reports the
+    # min and max_delta that the stream carries
+    rng = np.random.default_rng(65)
+    plane = rng.integers(1, 52, (8, 512)).astype(np.uint8)
+    plane[:, :128] = plane[0, 0]
+    acc = nbits = 0
+    heads = []
+    for x in range(0, 512, 8):
+        cells = plane[:, x : x + 8].ravel().tolist()
+        lo = min(cells) - 1
+        spread = max(cells) - lo
+        dw = spread.bit_length()
+        acc = acc << 13 | lo << 7 | spread  # min_index, repetition bit 0, max_delta
+        for index in cells:
+            acc = acc << dw | (index - lo)
+        nbits += 13 + 64 * dw
+        heads.append((lo, spread, dw, 13 + 64 * dw))
+    stream = (acc << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+
+    def walk(*args):
+        raise AssertionError("the strip-coded plane fell back to the per-block loop")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_decode_blocks", walk)
+        assert np.array_equal(decode_plane(stream, 8, 512, 5), plane)
+        fields = block_fields(stream, 8, 512, 5)
+    assert np.array_equal(walked_plane(stream, 8, 512, 5), plane)
+    assert list(zip(*(column.tolist() for column in fields[3:]))) == heads
+
+
+@pytest.mark.parametrize("k", [4, 129, 5.0])
+def test_codec_entry_points_validate_the_modulus(k):
+    samples = np.zeros((8, 8), dtype=np.uint8)
+    stream = encode_indices(samples)
+    with pytest.raises(ModulusError):
+        bitstream.append_samples(bytearray(), samples, k)
+    with pytest.raises(ModulusError):
+        decode_plane(stream, 8, 8, k)
+    with pytest.raises(ModulusError):
+        block_fields(stream, 8, 8, k)
 
 
 def test_short_stream_rejected_before_any_block():
@@ -762,7 +835,7 @@ def photo_plane(k: int, rng: np.random.Generator) -> np.ndarray:
     smooth = 128 + 90 * np.sin(x / 41 + rng.uniform(0, 6)) * np.cos(y / 57)
     noisy = smooth + rng.normal(0, 1, smooth.shape) * np.linspace(0, 40, 512)
     samples = core.quantize_plane(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), k)
-    return core.to_indices(samples, k)
+    return samples // k
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])

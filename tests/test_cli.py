@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fmmcodec import cli, container, core
+from fmmcodec.errors import CorruptStreamError
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import read_netpbm, write_netpbm
 
@@ -213,6 +214,30 @@ class TestInspect:
         path.write_bytes(container.compress(RasterImage(pixels)))
         assert cli.main(["inspect", str(path)]) == 0
         assert capsys.readouterr().out == INSPECT_13X10X3
+
+    def test_errors_name_channel_block_and_bit(self, tmp_path, capsys):
+        # the last stream of a 3-channel strip-coded file starts with 0xFF: min_index 63,
+        # above the limit 51 at k = 5. decompress, block_headers and fmm inspect all raise
+        # or print the one error, naming the channel, the block and its first bit
+        rng = np.random.default_rng(96)
+        pixels = rng.integers(0, 256, (96, 96, 3), dtype=np.uint8)
+        blob = container.compress(RasterImage(pixels))
+        at = container.HEADER_SIZE
+        for _ in range(2):
+            at += 4 + int.from_bytes(blob[at : at + 4], "big")
+        blob[at + 4] = 0xFF
+        message = "channel 2: block 0,0: block minimum 63 exceeds index limit 51 (bit 0)"
+        for read in (container.decompress, lambda data: list(container.block_headers(data))):
+            with pytest.raises(CorruptStreamError) as caught:
+                read(bytes(blob))
+            assert str(caught.value) == message
+        path = tmp_path / "bad.fmm"
+        path.write_bytes(blob)
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n" and "ch=" not in out
+        assert cli.main(["decompress", str(path), str(tmp_path / "bad.ppm")]) == cli.EXIT_FORMAT
+        assert capsys.readouterr().err == err
 
 
 class TestBench:

@@ -155,7 +155,7 @@ class TestDecompress:
     def test_chase_windows_are_bounded(self, shape, monkeypatch):
         # the header pass builds windows a chunk of two strips' reach at a time, whatever
         # the plane's shape, even where one block row is a whole stream of four strips
-        w = core.max_index().bit_length()
+        w = core.index_table()[-1].bit_length()
         strip = 8 * bitstream.STRIP_BLOCKS  # blocks, each at most a full header and 64 deltas
         bound = 2 * ((strip * (2 * w + 1 + 64 * w) >> 3) + 2)
         real, chunks = bitstream._windows, []
@@ -355,7 +355,7 @@ class TestBlockHeaders:
         blob = container.compress(RasterImage(pixels))
         expected = []
         for channel in range(3):
-            heads, _ = plane_heads(core.to_indices(core.quantize_plane(pixels[:, :, channel])), 5)
+            heads, _ = plane_heads(core.quantize_plane(pixels[:, :, channel]) // 5, 5)
             start = 0
             for i, (lo, spread, dw, deltas) in enumerate(heads):
                 end = deltas + 64 * dw

@@ -36,26 +36,19 @@ class TestValidateModulus:
 
 class TestQuantize:
     def test_known_samples(self):
-        # remainder map: 0 -> +0, 1 -> -1, 2 -> -2, 3 -> +2, 4 -> +1
-        assert core.quantize_sample(220) == 220
-        assert core.quantize_sample(221) == 220
-        assert core.quantize_sample(222) == 220
-        assert core.quantize_sample(223) == 225
-        assert core.quantize_sample(224) == 225
-        assert core.quantize_sample(3) == 5
-        assert core.quantize_sample(17) == 15
-        assert core.quantize_sample(0) == 0
-        assert core.quantize_sample(254) == 255
-        assert core.quantize_sample(255) == 255
+        # remainder map: 0 -> +0, 1 -> -1, 2 -> -2, 3 -> +2, 4 -> +1; a scalar is a 0-d plane
+        for value, quantized in [(220, 220), (221, 220), (222, 220), (223, 225), (224, 225),
+                                 (3, 5), (17, 15), (0, 0), (254, 255), (255, 255)]:
+            assert core.quantize_plane(value) == quantized
 
     def test_exhaustive_default_modulus(self):
         for v in range(256):
-            assert core.quantize_sample(v) == nearest_multiple(v, 5)
+            assert core.quantize_plane(v) == nearest_multiple(v, 5)
 
     @pytest.mark.parametrize("k", [3, 7, 9, 11, 127])
     def test_exhaustive_other_moduli(self, k):
         for v in range(256):
-            assert core.quantize_sample(v, k) == nearest_multiple(v, k)
+            assert core.quantize_plane(v, k) == nearest_multiple(v, k)
 
     def test_index_table_is_the_validated_rule(self):
         # the encoder quantizes by this table and reads W from its last byte, 255 // k; a
@@ -70,13 +63,14 @@ class TestQuantize:
     def test_top_of_range_clamps(self):
         # 255 % 13 = 8 > 13 // 2, so the nearest multiple of 13 to 255
         # would be 260; the in-range multiple 247 is used instead.
-        assert core.quantize_sample(255, 13) == 247
+        assert core.quantize_plane(255, 13) == 247
 
     def test_rejects_out_of_range_samples(self):
-        with pytest.raises(ValueError):
-            core.quantize_sample(256)
-        with pytest.raises(ValueError):
-            core.quantize_sample(-1)
+        for bad in (256, -1, [[0, 256]], np.array([-1, 3], dtype=np.int8)):
+            with pytest.raises(ValueError, match=r"samples must lie in \[0, 255\]"):
+                core.quantize_plane(bad)
+        with pytest.raises(ValueError, match="samples must be integers"):
+            core.quantize_plane(np.zeros(3))
 
     def test_plane_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -84,7 +78,7 @@ class TestQuantize:
         out = core.quantize_plane(plane, 5)
         assert out.dtype == np.uint8
         for v, q in zip(plane.ravel(), out.ravel()):
-            assert q == core.quantize_sample(int(v), 5)
+            assert q == core.quantize_plane(int(v), 5) == nearest_multiple(int(v), 5)
         # channel and strided views, int64 and zero-size planes, for every modulus
         for other in [
             np.arange(256 * 3, dtype=np.uint8).reshape(16, 16, 3)[:, :, 1],
@@ -95,7 +89,7 @@ class TestQuantize:
             for k in range(3, 128, 2):
                 out = core.quantize_plane(other, k)
                 assert out.dtype == np.uint8 and out.shape == other.shape
-                expected = [core.quantize_sample(int(v), k) for v in other.ravel()]
+                expected = [nearest_multiple(int(v), k) for v in other.ravel()]
                 assert out.ravel().tolist() == expected
 
     def test_plane_is_idempotent(self):
@@ -125,7 +119,7 @@ class TestQuantize:
         samples = np.arange(256, dtype=np.uint8)
         for k in range(3, 128, 2):
             table = np.frombuffer(core.index_table(k), np.uint8)
-            assert np.array_equal(table, core.to_indices(core.quantize_plane(samples, k), k))
+            assert np.array_equal(table, core.quantize_plane(samples, k) // k)
             assert [int(i) * k for i in table] == [nearest_multiple(v, k) for v in range(256)]
 
     def test_all_zeros_fixed_point(self):
@@ -134,33 +128,26 @@ class TestQuantize:
 
 
 class TestIndices:
+    """The divide stage: index_table(k) maps each sample straight to its quantized value / k."""
+
     def test_roundtrip(self):
         quantized = core.quantize_plane(ORIGINAL_BLOCK, 5)
-        indices = core.to_indices(quantized, 5)
-        assert np.array_equal(core.from_indices(indices, 5), quantized)
+        indices = np.frombuffer(core.index_table(5), np.uint8)[ORIGINAL_BLOCK]
+        assert np.array_equal(indices * np.uint8(5), quantized)
+        assert np.array_equal(core.quantize_plane(quantized, 5), quantized)
 
     def test_known_block(self):
-        assert np.array_equal(core.to_indices(QUANTIZED_BLOCK, 5), INDEX_BLOCK)
+        table = np.frombuffer(core.index_table(5), np.uint8)
+        assert np.array_equal(table[QUANTIZED_BLOCK], INDEX_BLOCK)
 
     def test_endpoints(self):
-        assert core.to_indices(np.array([[255, 0]], dtype=np.uint8), 5).tolist() == [[51, 0]]
-        assert core.from_indices(np.array([[44, 51, 0]], dtype=np.uint8), 5).tolist() == [
-            [220, 255, 0]
-        ]
-
-    def test_to_indices_rejects_non_multiples(self):
-        with pytest.raises(ValueError):
-            core.to_indices(np.array([[7]], dtype=np.uint8), 5)
-
-    def test_from_indices_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            core.from_indices(np.array([[52]], dtype=np.uint8), 5)
-        with pytest.raises(ValueError):
-            core.from_indices(np.array([[86]], dtype=np.uint8), 3)
+        table = core.index_table(5)
+        assert [table[v] for v in (255, 0, 220)] == [51, 0, 44]
+        assert core.quantize_plane([[220, 255, 0]], 5).tolist() == [[220, 255, 0]]
 
     @pytest.mark.parametrize("k,top", [(3, 85), (5, 51), (7, 36), (9, 28), (127, 2)])
     def test_max_index(self, k, top):
-        assert core.max_index(k) == top
+        assert core.index_table(k)[-1] == top
 
 
 class TestBlocks:
