@@ -15,9 +15,9 @@ with max_delta = 0 is not canonical and the decoder rejects it. Blocks
 are written back to back with no byte alignment between them, and the
 stream is zero-padded to a whole byte.
 
-The encoder, ``append_samples``, translates uint8 samples to indices by
-``core.index_table`` a strip at a time as it gathers them (a plane of fewer
-than STRIP_BLOCKS blocks at once), so it holds no index plane.
+Samples go in and come out: ``append_samples`` translates them to indices by
+``core.index_table`` a strip at a time (a plane of under STRIP_BLOCKS blocks
+whole), and each decoder writes an index, once checked, as that index times k.
 
 A plane of fewer than STRIP_BLOCKS blocks is coded one block at a time,
 and each block's deltas are packed as one Python integer: a block's
@@ -284,17 +284,17 @@ def _cells(rows: int, width: int) -> list[int]:
 def decode_plane(
     stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
 ) -> np.ndarray:
-    """Index plane of a block stream; exact inverse of append_samples.
+    """Quantized sample plane of a block stream, each index times k: the exact inverse
+    of append_samples, as decode_plane(append_samples(s, k)) is quantize_plane(s, k).
 
-    The stream must hold exactly the blocks of a height x width plane. A
-    stream too short for even one header per block is rejected before any
-    block is read or the plane is allocated. A plane of STRIP_BLOCKS or more
-    blocks is tried by the strip decoder first; if it gives up, or the plane
-    is smaller, the per-block loop decodes it and raises the first fault in
-    stream order, naming its block and its first bit (``block R,C: ... (bit
-    N)``): CorruptStreamError for corrupt fields, including any decoded index
-    above 255 // k, and TruncatedStreamError for a short stream. Bytes past
-    the last block raise CorruptStreamError.
+    The stream must hold exactly the blocks of a height x width plane; one too short
+    for a header per block is rejected before any block is read or the plane is
+    allocated. A plane of STRIP_BLOCKS or more blocks is tried by the strip decoder
+    first, which gives up before writing a strip that fails a check; then, or if the
+    plane is smaller, the per-block loop decodes it and raises the first fault in stream
+    order, naming its block and its first bit (``block R,C: ... (bit N)``):
+    CorruptStreamError for a corrupt field, an index above 255 // k or bytes past the
+    last block, TruncatedStreamError for a short stream.
     """
     return _decode(stream, height, width, k)[0]
 
@@ -327,9 +327,9 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
         )
     chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
     plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
-    end = None if chased is None else _decode_strips(stream, chased, plane, top)
+    end = None if chased is None else _decode_strips(stream, chased, plane, k)
     if end is None:
-        end = _decode_blocks(stream, plane, top)
+        end = _decode_blocks(stream, plane, k)
     if len(stream) != (end + 7) // 8:
         raise CorruptStreamError(
             f"stream is {len(stream)} bytes but its blocks need {(end + 7) // 8}"
@@ -420,10 +420,11 @@ def _chase(
 
 
 def _decode_strips(
-    stream: bytes | memoryview, chased: tuple[np.ndarray, ...], plane: np.ndarray, top: int
+    stream: bytes | memoryview, chased: tuple[np.ndarray, ...], plane: np.ndarray, k: int
 ) -> int | None:
-    """Decode a plane's strips from _chase's headers; returns the plane's end bit, or None,
-    the plane part written, if an index decodes above top."""
+    """Decode a plane's strips from _chase's headers into samples, each index times k; returns
+    the plane's end bit, or None if an index decodes above 255 // k, its strip left unwritten."""
+    top = index_table(k)[-1]
     w = top.bit_length()
     starts, lows, spreads = chased
     height, width = plane.shape
@@ -465,19 +466,21 @@ def _decode_strips(
         # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
         cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)
         cells.view(">u8").transpose(1, 0, 2)[...] = fields
-        out[:] = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :strip_width]
-        del fields, cells  # before the next strip makes its own
-        if out.max() > top:
+        indices = cells.reshape(grid_rows * BLOCK_SIZE, -1)[:rows, :strip_width]
+        if indices.max() > top:  # before the multiply, which would wrap such an index in uint8
             return None
+        np.multiply(indices, np.uint8(k), out=out)
+        del fields, cells, indices  # before the next strip makes its own
     return int(starts[-1])
 
 
-def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, top: int) -> int:
-    """Decode a whole plane into out one block at a time; returns the end bit.
+def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, k: int) -> int:
+    """Decode a plane into out one block at a time, each index times k; returns the end bit.
 
     Each block's header is checked, and its deltas decoded and checked, before
     the next header is read, so the first fault in stream order is the one raised.
     """
+    top = index_table(k)[-1]
     w = top.bit_length()
     total, pos = 8 * len(stream), 0
     height, width = out.shape
@@ -494,7 +497,7 @@ def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, top: int) -> int
                 if lo > top:
                     raise CorruptStreamError(f"block minimum {lo} exceeds index limit {top}")
                 if window >> (31 - w) & 1:
-                    block.fill(lo)
+                    block.fill(lo * k)
                     pos += w + 1
                     continue
                 if pos + 2 * w + 1 > total:
@@ -516,15 +519,15 @@ def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, top: int) -> int
                 raise type(exc)(f"block {row},{col}: {exc} (bit {pos})") from None
             fields = int.from_bytes(stream[start >> 3 : (end + 7) >> 3], "big")
             deltas = _unpack((fields >> (-end & 7)) & ((1 << n * dw) - 1), n, dw)
-            # a dw-bit delta may pass top even though lo + spread does not; as
-            # every delta is < 128, adding 127 - top + lo to each byte lane
-            # sets its high bit, with no carry, exactly when lo + delta > top
+            # a dw-bit delta may pass top even though lo + spread does not; as every delta is
+            # < 128, adding 127 - top + lo to each byte lane sets its high bit, with no carry,
+            # exactly when lo + delta > top. Past this check, each lane times k fits its byte
             if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
                 row, col = y // BLOCK_SIZE, x // BLOCK_SIZE
                 raise CorruptStreamError(
                     f"block {row},{col} decodes an index above limit {top} (bit {pos})"
                 )
-            cells = (deltas + lo * _ONES[n]).to_bytes(n, "big")
+            cells = ((deltas + lo * _ONES[n]) * k).to_bytes(n, "big")
             block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
             pos = end
     return pos

@@ -14,9 +14,9 @@ bytes of bit-packed blocks (row-major block-grid order, final partial byte
 zero-padded). Decoding returns the quantized image, so a compressed file
 decodes bit-identically no matter where it is read.
 
-``compress`` quantizes each channel strip by strip inside the encoder
-(``bitstream.append_samples``) and appends every stream to the one buffer it
-returns, so it holds no index plane and no second copy of a stream.
+This module is framing only, as the block streams take and give samples:
+``compress`` appends each channel's ``bitstream.append_samples`` stream to the
+one buffer it returns; ``decompress`` makes the image from ``decode_plane``'s planes.
 """
 
 from __future__ import annotations
@@ -114,18 +114,14 @@ def _decode_channel(decode: Callable, channel: int, stream: memoryview, header: 
 def decompress(data: bytes) -> RasterImage:
     """Decode a container back to the quantized image it stores."""
     header = read_header(data)
-    height, width, k = header.height, header.width, header.modulus
     for channel, stream in enumerate(_channel_streams(data, header)):
         plane = _decode_channel(decode_plane, channel, stream, header)
+        # one plane is the pixel array; three get one once the first passed the size bound
+        if header.channels == 1:
+            return RasterImage(plane)
         if channel == 0:
-            # one plane is itself the pixel array; three get one, allocated only
-            # after the first stream passed decode_plane's size bound
-            if header.channels == 1:
-                pixels = plane[:, :, None]
-            else:
-                pixels = np.empty((height, width, header.channels), dtype=np.uint8)
-        # decode_plane bounds every index by 255 // k, so the product fits uint8
-        np.multiply(plane, np.uint8(k), out=pixels[:, :, channel])
+            pixels = np.empty((header.height, header.width, header.channels), dtype=np.uint8)
+        pixels[:, :, channel] = plane
         del plane  # freed before the next channel is decoded
     return RasterImage(pixels)
 
@@ -140,5 +136,6 @@ def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, i
     header = read_header(data)
     streams = enumerate(_channel_streams(data, header))
     channels = [_decode_channel(block_fields, c, stream, header) for c, stream in streams]
+    del streams  # enumerate holds its last (channel, view), which pins a caller's bytearray
     for channel, fields in enumerate(channels):
         yield from zip(itertools.repeat(channel), *(column.tolist() for column in fields))

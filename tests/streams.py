@@ -13,3 +13,11 @@ def encode_indices(indices, k: int = 5) -> bytes:
     out = bytearray()
     bitstream.append_samples(out, indices.astype(np.uint8) * np.uint8(k), k)
     return bytes(out)
+
+
+def decode_indices(stream, height: int, width: int, k: int = 5) -> np.ndarray:
+    """The index plane of a block stream: decode_plane's samples divided by k, after checking
+    that each is a multiple of k, so a decoder that writes anything else cannot pass as one."""
+    samples = bitstream.decode_plane(stream, height, width, k)
+    assert not (samples % k).any(), f"decoded samples are not all multiples of {k}"
+    return samples // np.uint8(k)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fmmcodec import cli, container, core, metrics
-from fmmcodec.bitstream import block_fields, decode_plane
+from fmmcodec.bitstream import block_fields
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import write_netpbm
 
@@ -32,7 +32,7 @@ from golden import (
     SIGMA_INDEX,
     SIGMA_ORIGINAL,
 )
-from streams import encode_indices
+from streams import decode_indices, encode_indices
 
 # analytic floor for k = 5: max error 2 per sample, mse <= 4,
 # psnr >= 20 log10(255 / 2) = 20 log10(127.5)
@@ -69,7 +69,7 @@ def test_criterion_1_min_subtract_stage():
     *_, (lo,), (max_delta,), _, _ = [fields.tolist() for fields in block_fields(stream, 8, 8)]
     assert lo == INDEX_MIN
     assert max_delta == MAX_DELTA
-    assert np.array_equal(decode_plane(stream, 8, 8).astype(np.int16) - lo, DELTA_BLOCK)
+    assert np.array_equal(decode_indices(stream, 8, 8).astype(np.int16) - lo, DELTA_BLOCK)
 
 
 # --- criterion 2: dispersion statistics ---
@@ -89,7 +89,7 @@ def test_criterion_3_uniform_block():
     assert stream == bytes([0b00101110])  # 0010111 zero-padded
     *_, (bits,) = [fields.tolist() for fields in block_fields(stream, 8, 8)]
     assert bits == 7
-    assert np.array_equal(decode_plane(stream, 8, 8), block)
+    assert np.array_equal(decode_indices(stream, 8, 8), block)
 
 
 def test_criterion_3_mixed_block():
@@ -99,7 +99,7 @@ def test_criterion_3_mixed_block():
     assert bits == BLOCK_BITS == 269
     assert lo == INDEX_MIN
     assert (max_delta, dw) == (MAX_DELTA, 4)  # max_delta > 0: not repeated
-    assert np.array_equal(decode_plane(stream, 8, 8), INDEX_BLOCK)
+    assert np.array_equal(decode_indices(stream, 8, 8), INDEX_BLOCK)
 
 
 # --- criteria 4 and 5 share one 1,000-image sweep ---

@@ -27,7 +27,7 @@ from fmmcodec.errors import CorruptStreamError, FmmError, ModulusError, Truncate
 from fmmcodec.image import RasterImage
 
 from golden import BLOCK_BITS, INDEX_BLOCK
-from streams import encode_indices
+from streams import decode_indices, encode_indices
 
 MODULI = range(3, 128, 2)
 
@@ -107,7 +107,7 @@ class TestBlockCodec:
         bits = reference_block_bits(arr, k)
         assert block_bits(stream, rows, cols, k) == len(bits)
         assert stream == bits_to_bytes(bits)
-        assert np.array_equal(decode_plane(stream, rows, cols, k), arr)
+        assert np.array_equal(decode_indices(stream, rows, cols, k), arr)
 
     def test_single_cell_zero_block(self):
         stream = encode_indices(np.zeros((1, 1), dtype=np.uint8))
@@ -120,7 +120,7 @@ class TestBlockCodec:
             k = int(rng.choice([3, 5, 7, 9, 127]))
             rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             arr = rng.integers(0, 255 // k + 1, (rows, cols)).astype(np.uint8)
-            out = decode_plane(encode_indices(arr, k), rows, cols, k)
+            out = decode_indices(encode_indices(arr, k), rows, cols, k)
             assert np.array_equal(out, arr)
 
     def test_blocks_concatenate_unaligned(self):
@@ -133,7 +133,7 @@ class TestBlockCodec:
         blob = container.compress(RasterImage(np.hstack([a, b]) * np.uint8(5)))
         tiles = [fields[1:4] for fields in container.block_headers(blob)]
         assert tiles == [(0, 0, 3 * 8), (0, 1, 3 * 2)]
-        plane = decode_plane(stream, 3, 10)
+        plane = decode_indices(stream, 3, 10)
         assert np.array_equal(plane[:, :8], a)
         assert np.array_equal(plane[:, 8:], b)
 
@@ -168,7 +168,7 @@ class TestBlockCodec:
         assert (lo, max_delta, dw) == (42, 8, 4)  # max_delta > 0: not repeated
         assert bits == BLOCK_BITS
         assert 64 * dw == 256  # payload bits
-        assert np.array_equal(decode_plane(stream, 8, 8), INDEX_BLOCK)
+        assert np.array_equal(decode_indices(stream, 8, 8), INDEX_BLOCK)
 
     def test_decoder_fields_repeated(self):
         stream = encode_indices(np.full((4, 7), 9, dtype=np.uint8))
@@ -240,7 +240,7 @@ def test_plane_bytes_match_reference(k, shape, span, seed):
         plane[: shape[0] // 2] = lo  # repeated blocks next to mixed ones
     stream = encode_indices(plane, k)
     assert stream == bits_to_bytes(reference_plane_bits(plane, k))
-    assert np.array_equal(decode_plane(stream, *shape, k), plane)
+    assert np.array_equal(decode_indices(stream, *shape, k), plane)
 
 
 def walked_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
@@ -349,7 +349,7 @@ def test_block_errors_name_their_first_bit():
 def test_non_canonical_codings_decode_alike(coding):
     # the README's format section: at k = 5 the 2x2 block [[10, 11], [12, 11]] decodes alike
     # as encoded, with min_index 9 and max_delta 3, and with max_delta 7 (3-bit deltas)
-    assert decode_plane(bytes.fromhex(coding), 2, 2, 5).tolist() == [[10, 11], [12, 11]]
+    assert decode_indices(bytes.fromhex(coding), 2, 2, 5).tolist() == [[10, 11], [12, 11]]
 
 
 def test_non_canonical_strip_plane_decodes_like_the_block_loop():
@@ -379,10 +379,26 @@ def test_non_canonical_strip_plane_decodes_like_the_block_loop():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "_decode_blocks", walk)
-        assert np.array_equal(decode_plane(stream, 8, 512, 5), plane)
+        assert np.array_equal(decode_indices(stream, 8, 512, 5), plane)
         fields = block_fields(stream, 8, 512, 5)
-    assert np.array_equal(walked_plane(stream, 8, 512, 5), plane)
+    assert np.array_equal(walked_plane(stream, 8, 512, 5), plane * np.uint8(5))
     assert list(zip(*(column.tolist() for column in fields[3:]))) == heads
+
+
+@pytest.mark.parametrize("k", MODULI)
+def test_decode_plane_inverts_append_samples(k):
+    # decode_plane gives back the quantized samples that append_samples took: on planes of
+    # 1, 8, 56 and 63 blocks (the per-block loop) and of 64, 72 and 132 (the strip codec),
+    # with edge blocks of 1 to 7 rows and columns, and repeated blocks beside mixed ones
+    rng = np.random.default_rng(k + 83)
+    shapes = [(1, 1), (3, 61), (56, 64), (55, 71), (57, 57), (8, 512), (67, 59), (9, 521)]
+    for i, shape in enumerate(shapes):
+        samples = rng.integers(0, 256, shape, dtype=np.uint8)
+        if i % 2:
+            samples[: shape[0] // 2] = samples[0, 0]
+        out = bytearray()
+        bitstream.append_samples(out, samples, k)
+        assert np.array_equal(decode_plane(out, *shape, k), core.quantize_plane(samples, k))
 
 
 @pytest.mark.parametrize("k", [4, 129, 5.0])
@@ -538,7 +554,7 @@ def test_valid_strips_never_scan(k):
         message = f"^stream is {len(stream) + 1} bytes but its blocks need {len(stream)}$"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "_decode_blocks", walk)
-            assert np.array_equal(decode_plane(stream, height, width, k), plane)
+            assert np.array_equal(decode_indices(stream, height, width, k), plane)
             for extra in (b"\x00", b"\xff"):
                 with pytest.raises(CorruptStreamError, match=message):
                     decode_plane(stream + extra, height, width, k)
@@ -655,7 +671,7 @@ def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
         patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
         patch.setattr(bitstream, "_strips", counted)
         stream = encode_indices(plane)
-        assert np.array_equal(decode_plane(stream, 64, 512), plane)
+        assert np.array_equal(decode_indices(stream, 64, 512), plane)
     assert stream == expected
     assert [len(each) for each in strips] == [encoding, encoding, decoding]
 
@@ -711,7 +727,7 @@ def test_lane_decoder_agrees_with_block_walk(height, width, k):
     if width % 8 == 1 and height % 8 == 0:
         _, _, dw, start = plane_heads(plane, k)[0][-1]
         assert dw == 7 and start + 7 * dw + 8 * dw > 8 * len(stream)
-    assert np.array_equal(decode_plane(stream, height, width, k), plane)
+    assert np.array_equal(decode_indices(stream, height, width, k), plane)
     mutants = [stream[: int(rng.integers(0, len(stream)))] for _ in range(4)]
     for _ in range(16):
         data = bytearray(stream)
@@ -753,7 +769,7 @@ def test_strip_words_reach_the_farthest_row():
         reaches.add((row_7 >> 6) - (size + 7 >> 3))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "_decode_blocks", walk)
-            assert np.array_equal(decode_plane(stream, 9, 256, 3), plane)
+            assert np.array_equal(decode_indices(stream, 9, 256, 3), plane)
     assert max(reaches) == 5
 
 
@@ -983,21 +999,26 @@ def decoded(chase, strips, stream: bytes, height: int, width: int, k: int):
     if heads is None:
         return None, None
     plane = np.zeros((height, width), dtype=np.uint8)
-    end = strips(stream, heads, plane, 255 // k)  # which must leave the headers as they are
+    end = strips(stream, heads, plane, k)  # which must leave the headers as they are
     if end is True:  # the oracle's strips return True, the decoder's the end bit or None
         end = int(heads[0][-1])
     return heads, end == int(heads[0][-1]) and plane
 
 
 def oracle_decodes(stream: bytes, height: int, width: int, k: int) -> bool:
-    """Whether the oracle decodes the stream, after checking that the decoder agrees."""
-    expected, plane = decoded(_chase, _decode_strips, stream, height, width, k)
+    """Whether the oracle decodes the stream, after checking that the decoder agrees: the
+    oracle's strips write indices, the decoder's the samples, each index times k."""
+
+    def strips(stream, heads, plane, k):
+        return _decode_strips(stream, heads, plane, 255 // k)
+
+    expected, plane = decoded(_chase, strips, stream, height, width, k)
     heads, got = decoded(bitstream._chase, bitstream._decode_strips, stream, height, width, k)
     assert (heads is None) == (expected is None)
     if expected is not None:
         assert all(np.array_equal(a, b) for a, b in zip(heads, expected))
         assert (got is False) == (plane is False)
-        assert plane is False or np.array_equal(got, plane)
+        assert plane is False or np.array_equal(got, plane * np.uint8(k))
     return plane is not None and plane is not False
 
 
@@ -1132,7 +1153,7 @@ def fast_path_seams(height: int, width: int, strip_blocks: int, k: int, seed: in
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
         patch.setattr(bitstream, "_windows", spied)
-        assert np.array_equal(decode_plane(stream, height, width, k), plane)
+        assert np.array_equal(decode_indices(stream, height, width, k), plane)
     assert len(chunks) > 1
     seams = [8 * byte for byte in chunks[1:]]
     for blocks in (8 * strip_blocks, min(8 * strip_blocks, -(-len(heads) // 4))):

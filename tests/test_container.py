@@ -172,8 +172,8 @@ class TestDecompress:
         assert len(chunks) > 1 and max(chunks) <= bound
 
     def test_one_channel_decodes_in_place(self):
-        # a one-channel image is its decoded plane times k, so decompress holds the plane
-        # and the header pass's per-block arrays, not a second pixel array
+        # a one-channel image is its decoded plane, so decompress holds the plane and
+        # the header pass's per-block arrays, not a second pixel array
         rng = np.random.default_rng(17)
         img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
         blob = container.compress(img)
@@ -398,6 +398,15 @@ class TestBlockHeaders:
         img = RasterImage(np.zeros((8, 8, 3), dtype=np.uint8))
         channels = [ch for ch, *_ in container.block_headers(container.compress(img))]
         assert channels == [0, 1, 2]
+
+    def test_suspended_headers_leave_the_buffer_resizable(self):
+        # compress returns a bytearray: once the first block is yielded, the generator must
+        # hold no view into it, or resizing it raises BufferError
+        blob = container.compress(RasterImage(np.zeros((8, 16, 3), dtype=np.uint8)))
+        headers = container.block_headers(blob)
+        assert next(headers)[:3] == (0, 0, 0)
+        blob += b"x"
+        assert len(list(headers)) == 3 * 2 - 1
 
     def test_memory_is_one_plane_not_the_image(self):
         # every channel is decoded and dropped before any block is yielded, so no pixel

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fmmcodec import container, core, metrics
-from fmmcodec.bitstream import append_samples, decode_plane
+from fmmcodec.bitstream import append_samples
 from fmmcodec.errors import ModulusError
 from fmmcodec.image import RasterImage
 
 from golden import INDEX_BLOCK, ORIGINAL_BLOCK, QUANTIZED_BLOCK
-from streams import encode_indices
+from streams import decode_indices, encode_indices
 
 
 def nearest_multiple(value: int, k: int) -> int:
@@ -188,7 +188,7 @@ class TestBlocks:
     def test_split_10x10(self):
         plane = np.arange(100, dtype=np.uint8).reshape(10, 10) % 52
         assert self.tiles(plane) == [(0, 0, 8 * 8), (0, 1, 8 * 2), (1, 0, 2 * 8), (1, 1, 2 * 2)]
-        assert np.array_equal(decode_plane(encode_indices(plane), 10, 10), plane)
+        assert np.array_equal(decode_indices(encode_indices(plane), 10, 10), plane)
 
     def test_split_16x16(self):
         grid = self.tiles(np.zeros((16, 16)))
@@ -198,7 +198,7 @@ class TestBlocks:
     def test_split_exact_block_is_identity(self):
         plane = np.arange(64, dtype=np.uint8).reshape(8, 8)
         assert self.tiles(plane, k=3) == [(0, 0, 8 * 8)]
-        assert np.array_equal(decode_plane(encode_indices(plane, 3), 8, 8, 3), plane)
+        assert np.array_equal(decode_indices(encode_indices(plane, 3), 8, 8, 3), plane)
 
     @given(
         height=st.integers(min_value=1, max_value=40),
@@ -209,7 +209,7 @@ class TestBlocks:
         plane = rng.integers(0, 52, (height, width), dtype=np.uint8)
         stream = encode_indices(plane)
         assert len(self.tiles(plane)) == -(-height // 8) * -(-width // 8)
-        rebuilt = decode_plane(stream, height, width)
+        rebuilt = decode_indices(stream, height, width)
         assert np.array_equal(rebuilt, plane)
 
     def test_block_stats_mixed(self):
