@@ -39,8 +39,15 @@ adds each field into the 64-bit word where it starts, the rest into the next.
 The decoder first reads the headers of the whole plane in one pass (``_chase``)
 over the encoder's strips: one Python step per block, from its repetition bit to
 the next block's, through a table of block lengths indexed by that bit and
-max_delta (2^(W+1) entries per cell count), on 16-bit ``_windows`` built two
-strips' reach at a time. numpy then reads and checks every header at once, and
+max_delta, the block's key (2^(W+1) entries per cell count), on 16-bit
+``_windows`` built two strips' reach at a time. A strip whose length is that of
+blocks whose keys all have one bit length, as on noise, where every block has
+W-bit deltas, makes the pass guess that the next strip is alike: numpy sums the
+guessed lengths into each block's repetition bit and reads the keys there with
+two gathers. The strip's first bit is known, so every guessed bit up to that of
+the first key of another bit length is proven, and the steps go on from that
+block. The grammar does not resynchronise, so no guess is kept unchecked.
+numpy then reads and checks every header at once, and
 takes each block's delta width and row length once per plane; ``block_fields``
 gives the same headers, so no plane is walked twice. Strips of n = 8 *
 STRIP_BLOCKS, or a quarter of the plane's blocks if fewer, decode a block row
@@ -327,9 +334,9 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
         )
     chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
     plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
-    end = None if chased is None else _decode_strips(stream, chased, plane, k)
+    end = None if chased is None else _decode_strips(stream, chased, plane, k, top)
     if end is None:
-        end = _decode_blocks(stream, plane, k)
+        end = _decode_blocks(stream, plane, k, top)
     if len(stream) != (end + 7) // 8:
         raise CorruptStreamError(
             f"stream is {len(stream)} bytes but its blocks need {(end + 7) // 8}"
@@ -360,19 +367,28 @@ def _chase(
     block's repetition bit to the next block's by a table indexed by that bit and
     max_delta (one table per cell count), reading 16-bit _windows built for a chunk
     of two strips' reach, or the rest of the stream, whenever the chunk left cannot
-    hold the next strip. numpy then reads every header at once and makes
-    _decode_blocks' header checks on them. starts holds each block's first bit
-    and, last, the plane's end; a repeated block's max_delta reads 0. None means
-    the pass ran past the stream or a check failed: only _decode_blocks defines
-    which error that is. Bytes past the blocks are left to decode_plane.
+    hold the next strip. When a strip's total advance is what its blocks would take
+    if every (repetition, max_delta) key had one bit length, the next strip is
+    guessed to be such: numpy sums its guessed advances into each block's
+    repetition bit, reads every key there with two gathers and takes the first
+    whose bit length is not the guess. The strip's first bit is known, so each
+    bit up to that block's is right, and the steps go on from that block. A strip
+    whose last key would lie in the stream's last byte or past it is stepped.
+    numpy then reads every header at once and makes _decode_blocks' header checks
+    on them. starts holds each block's first bit and, last, the plane's end; a
+    repeated block's max_delta reads 0. None means the pass ran past the stream or
+    a check failed: only _decode_blocks defines which error that is. Bytes past the
+    blocks are left to decode_plane.
     """
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
     data = np.frombuffer(stream, dtype=np.uint8)
     rows = {}  # per strip shape: each block's table, and the bytes its headers can span
+    guesses = {}  # per strip shape and key bit length, once the plane guesses: block offsets
     reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
     chunks = []  # (first entry of reps, first byte) of each chunk
     base, win, q = 0, b"", w
+    guess = None  # the bit length of every key of the last strip, if its advance says so
     for ys, xs in _strips(height, width, 8 * STRIP_BLOCKS):
         shape = ys.stop - ys.start, xs.stop - xs.start
         if shape not in rows:
@@ -381,15 +397,49 @@ def _chase(
             reach = (len(cells) * (2 * w + 1) + shape[0] * shape[1] * w >> 3) + 2
             rows[shape] = [tables[n] for n in cells], reach
         row, reach = rows[shape]
-        if (q >> 3) + reach > len(win) and base + len(win) < len(data):
-            base += q >> 3
-            q &= 7
-            win = _windows(data, base, min(base + 2 * reach, len(data)))
-            chunks.append((len(reps), base))
-        try:
-            reps.fromlist([q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in row])
-        except IndexError:  # a window past the stream's last byte
-            return None
+        first, done = (base << 3) + q, 0  # the strip's first bit, and blocks it has read
+        if guess is not None:
+            if (shape, guess) not in guesses:
+                # from the strip's first repetition bit to each block's and the next strip's:
+                # w + 1 bits a block if every key has bit length w + 1, as a repeated block's,
+                # else 2 * w + 1 bits a block and guess bits a cell
+                head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
+                offsets = np.zeros(len(row) + 1, dtype=np.int64)
+                np.cumsum(np.array(_cells(*shape)) * each + head, out=offsets[1:])
+                guesses[shape, guess] = offsets
+            at = guesses[shape, guess] + q
+            if base + (int(at[-2]) >> 3) + 1 < len(data):  # the last key's 2 bytes
+                byte = at[:-1] >> 3
+                keys = np.left_shift(data[base:].take(byte), 8, dtype=np.uint16)
+                keys |= data[base + 1 :].take(byte)
+                bits = at[:-1].astype(np.uint8)
+                bits &= 7
+                keys <<= bits  # each key in the top w + 1 bits, as keys >> 15 - w; it has bit
+                keys >>= 14 - w + max(guess, 1)  # length g if key >> g - 1 is 1, or key is 0
+                wrong = keys != min(guess, 1)
+                done = int(wrong.argmax()) if wrong.any() else len(row)
+                reps.frombytes(at[1 : done + 1].tobytes())
+                q = int(at[done])  # the first wrong guess's true bit, or the next strip's
+        if done < len(row):
+            if (q >> 3) + reach > len(win) and base + len(win) < len(data):
+                base += q >> 3
+                q &= 7
+                win = _windows(data, base, min(base + 2 * reach, len(data)))
+                chunks.append((len(reps), base))
+            rest = row[done:] if done else row  # as a slice would copy an unguessed strip's row
+            try:
+                reps.fromlist(
+                    [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in rest]
+                )
+            except IndexError:  # a window past the stream's last byte
+                return None
+        # keys of one bit length g advance a strip w + 1 bits a block if g is w + 1, as
+        # repeated blocks, else 2 * w + 1 bits a block and g a cell
+        total = (base << 3) + q - first
+        deltas, odd = divmod(total - len(row) * (2 * w + 1), shape[0] * shape[1])
+        guess = deltas if not odd and 0 <= deltas <= w else None
+        if total == len(row) * (w + 1):
+            guess = w + 1
     if ((base << 3) + q - w + 7) >> 3 > len(stream):
         return None
     starts = np.frombuffer(reps, dtype=np.int64)
@@ -420,11 +470,11 @@ def _chase(
 
 
 def _decode_strips(
-    stream: bytes | memoryview, chased: tuple[np.ndarray, ...], plane: np.ndarray, k: int
+    stream: bytes | memoryview, chased: tuple[np.ndarray, ...], plane: np.ndarray, k: int, top: int
 ) -> int | None:
     """Decode a plane's strips from _chase's headers into samples, each index times k; returns
-    the plane's end bit, or None if an index decodes above 255 // k, its strip left unwritten."""
-    top = index_table(k)[-1]
+    the plane's end bit, or None if an index decodes above top, 255 // k, its strip left
+    unwritten."""
     w = top.bit_length()
     starts, lows, spreads = chased
     height, width = plane.shape
@@ -474,13 +524,13 @@ def _decode_strips(
     return int(starts[-1])
 
 
-def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, k: int) -> int:
+def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, k: int, top: int) -> int:
     """Decode a plane into out one block at a time, each index times k; returns the end bit.
 
-    Each block's header is checked, and its deltas decoded and checked, before
-    the next header is read, so the first fault in stream order is the one raised.
+    Each block's header is checked against top, 255 // k, and its deltas decoded and
+    checked, before the next header is read, so the first fault in stream order is the
+    one raised.
     """
-    top = index_table(k)[-1]
     w = top.bit_length()
     total, pos = 8 * len(stream), 0
     height, width = out.shape

@@ -258,6 +258,25 @@ def outcome(decode, stream: bytes, height: int, width: int, k: int):
         return type(exc), str(exc)
 
 
+def named(result) -> str:
+    """An outcome in words: its error's class and message, or its plane's shape."""
+    if isinstance(result, tuple):
+        return f"{result[0].__name__}: {result[1]}"
+    return f"a plane of shape {result.shape}"
+
+
+def assert_same_outcome(got, expected) -> None:
+    """Assert that two outcomes agree: equal planes, or the same error class and message.
+    A failure names both, and the first sample where two planes of one shape differ."""
+    if isinstance(got, tuple) or isinstance(expected, tuple):
+        same, where = type(got) is type(expected) and got == expected, ""
+    else:
+        same, where = np.array_equal(got, expected), ""
+        if not same and got.shape == expected.shape:
+            where = f", first unlike at {np.argwhere(got != expected)[0].tolist()}"
+    assert same, f"decoded {named(got)}, expected {named(expected)}{where}"
+
+
 def test_strip_decoder_agrees_with_block_walk():
     # above STRIP_BLOCKS, decode_plane reads headers one by one but gathers
     # deltas a strip at a time; on valid, bit-flipped and truncated streams
@@ -285,11 +304,7 @@ def test_strip_decoder_agrees_with_block_walk():
         mutants += [stream[: int(rng.integers(0, len(stream)))] for _ in range(5)]
         for data in mutants:
             walked = outcome(walked_plane, data, height, width, k)
-            decoded = outcome(decode_plane, data, height, width, k)
-            if isinstance(walked, tuple):
-                assert decoded == walked
-            else:
-                assert np.array_equal(decoded, walked)
+            assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
             seen.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
     assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
@@ -480,11 +495,7 @@ def test_chase_matches_scan():
                 mutants.append(bytes(data))
             for data in mutants:
                 expected = outcome(walked_plane, data, height, width, k)
-                decoded = outcome(decode_plane, data, height, width, k)
-                if isinstance(expected, tuple):
-                    assert decoded == expected
-                else:
-                    assert np.array_equal(decoded, expected)
+                assert_same_outcome(outcome(decode_plane, data, height, width, k), expected)
                 seen.add(expected[0] if isinstance(expected, tuple) else np.ndarray)
     assert tails == {1, 2}
     assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
@@ -736,11 +747,7 @@ def test_lane_decoder_agrees_with_block_walk(height, width, k):
         mutants.append(bytes(data))
     for data in [stream, *mutants]:
         walked = outcome(walked_plane, data, height, width, k)
-        decoded = outcome(decode_plane, data, height, width, k)
-        if isinstance(walked, tuple):
-            assert decoded == walked
-        else:
-            assert np.array_equal(decoded, walked)
+        assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
 
 
 def test_strip_words_reach_the_farthest_row():
@@ -999,7 +1006,7 @@ def decoded(chase, strips, stream: bytes, height: int, width: int, k: int):
     if heads is None:
         return None, None
     plane = np.zeros((height, width), dtype=np.uint8)
-    end = strips(stream, heads, plane, k)  # which must leave the headers as they are
+    end = strips(stream, heads, plane, k, 255 // k)  # which must leave the headers as they are
     if end is True:  # the oracle's strips return True, the decoder's the end bit or None
         end = int(heads[0][-1])
     return heads, end == int(heads[0][-1]) and plane
@@ -1009,8 +1016,8 @@ def oracle_decodes(stream: bytes, height: int, width: int, k: int) -> bool:
     """Whether the oracle decodes the stream, after checking that the decoder agrees: the
     oracle's strips write indices, the decoder's the samples, each index times k."""
 
-    def strips(stream, heads, plane, k):
-        return _decode_strips(stream, heads, plane, 255 // k)
+    def strips(stream, heads, plane, k, top):
+        return _decode_strips(stream, heads, plane, top)
 
     expected, plane = decoded(_chase, strips, stream, height, width, k)
     heads, got = decoded(bitstream._chase, bitstream._decode_strips, stream, height, width, k)
@@ -1083,6 +1090,93 @@ def test_chase_chunks_match_oracle():
             for cut in {last + 1, (last + len(stream)) // 2, len(stream) - 1}:
                 assert bitstream._chase(stream[:cut], 520, 24, 51) is None
                 assert _chase(stream[:cut], 520, 24, 51) is None
+
+
+def uniform_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Random indices, each block's first cell 0 and last 255 // k, so that every block's
+    (repetition, max_delta) key has bit length W and the blocks of a cell count one length."""
+    top = 255 // k
+    plane = rng.integers(0, top + 1, (height, width)).astype(np.uint8)
+    plane[::BLOCK_SIZE, ::BLOCK_SIZE] = 0
+    ends = [np.minimum(np.arange(BLOCK_SIZE, n + BLOCK_SIZE, BLOCK_SIZE), n) for n in plane.shape]
+    plane[np.ix_(ends[0] - 1, ends[1] - 1)] = top
+    return plane
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_guessed_strips_match_oracle(k):
+    # a 132x1001 plane is coded in strips of 630, 630, 630 and 252 blocks of 64, 8, 32 and 4
+    # cells. Its blocks spread over 0..255 // k, so the pass steps the first strip and guesses
+    # the others, but for one odd block, repeated or of 1-bit deltas, at the first, middle or
+    # last block of the first guessed strip, at the first of the next, whose guess lies in
+    # the stream as a strip follows, or last in the plane, repeated, so that its key's second
+    # byte lies past the stream's end. The pass must find the oracle's starts; on streams cut
+    # inside a guessed strip or with a bit of a guessed block's max_delta flipped, the
+    # oracle's starts or None, as decode_plane gives the block loop's plane or its error
+    rng = np.random.default_rng(k + 89)
+    top = 255 // k
+    w = top.bit_length()
+    height, width = 132, 1001
+    grid_cols = _grid(height, width)[1]
+    firsts = [0]
+    for ys, xs in _strips(height, width, 8 * STRIP_BLOCKS):
+        rows, cols = _grid(ys.stop - ys.start, xs.stop - xs.start)
+        firsts.append(firsts[-1] + rows * cols)
+    assert firsts == [0, 630, 1260, 1890, 2142]
+    gave_up, outcomes = set(), set()
+    for n, odd in enumerate([630, 945, 1259, 1260, 2141]):
+        plane = uniform_plane(height, width, k, rng)
+        y, x = divmod(odd, grid_cols)
+        block = plane[8 * y : 8 * y + 8, 8 * x : 8 * x + 8]
+        if n % 2:  # deltas of 1 bit
+            block[...] = rng.integers(top - 1, top + 1, block.shape)
+            block[0, 0], block[-1, -1] = top - 1, top
+        else:
+            block[...] = top // 2
+        stream = encode_indices(plane, k)
+        heads, end = plane_heads(plane, k)
+        starts = [deltas - (w + 1) - w * (spread > 0) for _, spread, _, deltas in heads] + [end]
+        mutants = [stream]
+        for strip in (1, 2):
+            at = int(rng.integers(starts[firsts[strip]], starts[firsts[strip + 1]]))
+            mutants.append(stream[: at >> 3])
+            i = int(rng.integers(firsts[strip], firsts[strip + 1]))
+            if heads[i][1]:  # a flipped max_delta bit, the top one or any
+                bit = starts[i] + w + 1 + int(rng.integers(0, w)) * int(rng.integers(0, 2))
+                data = bytearray(stream)
+                data[bit >> 3] ^= 0x80 >> (bit & 7)
+                mutants.append(bytes(data))
+        for data in mutants:
+            expected = _chase(data, height, width, top)
+            got = bitstream._chase(data, height, width, top)
+            assert (got is None) == (expected is None)
+            assert expected is None or all(np.array_equal(a, b) for a, b in zip(got, expected))
+            walked = outcome(walked_plane, data, height, width, k)
+            assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
+            gave_up.add(expected is None)
+            outcomes.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
+        assert np.array_equal(decode_indices(stream, height, width, k), plane)
+    assert gave_up == {False, True}
+    assert outcomes == {np.ndarray, CorruptStreamError, TruncatedStreamError}
+
+
+def test_noise_plane_is_guessed():
+    # every block of 1024x1024 uniform noise has 6-bit deltas at k = 5: the pass steps the
+    # first of its 32 strips over one window and guesses the rest, where stepping them all
+    # builds a window for each chunk of two strips' reach
+    samples = np.random.default_rng(97).integers(0, 256, (1024, 1024), dtype=np.uint8)
+    stream = bytearray()
+    bitstream.append_samples(stream, samples, 5)
+    real, chunks = bitstream._windows, []
+
+    def spied(data, start, stop):
+        chunks.append(start)
+        return real(data, start, stop)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_windows", spied)
+        assert np.array_equal(decode_plane(stream, 1024, 1024, 5), core.quantize_plane(samples))
+    assert 1 <= len(chunks) <= 2
 
 
 def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:
@@ -1190,12 +1284,10 @@ def fast_path_seams(height: int, width: int, strip_blocks: int, k: int, seed: in
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
             expected = outcome(walked_plane, data, height, width, k)
-            decoded = outcome(decode_plane, data, height, width, k)
+            assert_same_outcome(outcome(decode_plane, data, height, width, k), expected)
             if isinstance(expected, tuple):
-                assert decoded == expected
                 seen.add(expected[0])
                 continue
-            assert np.array_equal(decoded, expected)
             seen.add(np.ndarray)
             patch.setattr(bitstream, "_decode_blocks", walk)
             assert np.array_equal(decode_plane(data, height, width, k), expected)

@@ -154,7 +154,9 @@ class TestDecompress:
     @pytest.mark.parametrize("shape", [(8, 16384), (16384, 8)])
     def test_chase_windows_are_bounded(self, shape, monkeypatch):
         # the header pass builds windows a chunk of two strips' reach at a time, whatever
-        # the plane's shape, even where one block row is a whole stream of four strips
+        # the plane's shape, even where one block row is a whole stream of four strips. Blocks
+        # of many delta widths are stepped over more than one chunk; uniform noise, whose
+        # strips after the first are guessed, needs a window for the first strip alone
         w = core.index_table()[-1].bit_length()
         strip = 8 * bitstream.STRIP_BLOCKS  # blocks, each at most a full header and 64 deltas
         bound = 2 * ((strip * (2 * w + 1 + 64 * w) >> 3) + 2)
@@ -165,11 +167,15 @@ class TestDecompress:
             return real(data, start, stop)
 
         rng = np.random.default_rng(shape[0])
-        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
-        blob = container.compress(img)
+        noise = rng.integers(0, 256, shape, dtype=np.uint8)
+        grid = -(-shape[0] // 8), -(-shape[1] // 8)
+        spans = rng.integers(1, 256, grid).repeat(8, axis=0).repeat(8, axis=1)  # per block
         monkeypatch.setattr(bitstream, "_windows", spied)
-        assert container.decompress(blob) == RasterImage(core.quantize_plane(img.pixels))
-        assert len(chunks) > 1 and max(chunks) <= bound
+        for pixels, stepped in [(noise % spans.astype(np.uint8), True), (noise, False)]:
+            chunks.clear()
+            blob = container.compress(RasterImage(pixels))
+            assert container.decompress(blob) == RasterImage(core.quantize_plane(pixels))
+            assert (len(chunks) > 1) == stepped and max(chunks) <= bound
 
     def test_one_channel_decodes_in_place(self):
         # a one-channel image is its decoded plane, so decompress holds the plane and
@@ -381,9 +387,9 @@ class TestBlockHeaders:
             passes.append(chase(*args))
             return passes[-1]
 
-        def decoded(stream, heads, plane, top):
+        def decoded(stream, heads, plane, *grammar):
             starts = heads[0].copy()
-            end = strips(stream, heads, plane, top)
+            end = strips(stream, heads, plane, *grammar)
             kept.append(np.array_equal(heads[0], starts))
             return end
 
