@@ -373,7 +373,8 @@ def _chase(
     repetition bit, reads every key there with two gathers and takes the first
     whose bit length is not the guess. The strip's first bit is known, so each
     bit up to that block's is right, and the steps go on from that block. A strip
-    whose last key would lie in the stream's last byte or past it is stepped.
+    whose last key would lie in the stream's last byte or past it is stepped, and one
+    whose guessed end lies past the stream's end gives None.
     numpy then reads every header at once and makes _decode_blocks' header checks
     on them. starts holds each block's first bit and, last, the plane's end; a
     repeated block's max_delta reads 0. None means the pass ran past the stream or
@@ -418,8 +419,10 @@ def _chase(
                 keys >>= 14 - w + max(guess, 1)  # length g if key >> g - 1 is 1, or key is 0
                 wrong = keys != min(guess, 1)
                 done = int(wrong.argmax()) if wrong.any() else len(row)
-                reps.frombytes(at[1 : done + 1].tobytes())
                 q = int(at[done])  # the first wrong guess's true bit, or the next strip's
+                if base + (q >> 3) > len(data):  # the last block's deltas run past the end
+                    return None
+                reps.frombytes(at[1 : done + 1].tobytes())
         if done < len(row):
             if (q >> 3) + reach > len(win) and base + len(win) < len(data):
                 base += q >> 3

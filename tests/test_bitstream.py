@@ -1179,6 +1179,23 @@ def test_noise_plane_is_guessed():
     assert 1 <= len(chunks) <= 2
 
 
+def test_noise_cut_past_guessed_strip_end():
+    # a 1024x1024 noise stream cut inside the last block of strip 3, past the first window,
+    # after that block's key bytes: the guess reads every key of the strip, but its end lies
+    # past the stream's end, so the pass gives up and the block loop names the short block
+    samples = np.random.default_rng(97).integers(0, 256, (1024, 1024), dtype=np.uint8)
+    stream = bytearray()
+    bitstream.append_samples(stream, samples, 5)
+    last = 397 * (4 * 8 * STRIP_BLOCKS - 1)  # strips of 512 blocks, each of 397 bits at k = 5
+    for cut in ((last + 11 >> 3) + 2, (last + 397 >> 3) - 20, (last + 397 >> 3) - 1):
+        data = bytes(stream[:cut])
+        assert bitstream._chase(data, 1024, 1024, 51) is None
+        assert _chase(data, 1024, 1024, 51) is None
+        got = outcome(decode_plane, data, 1024, 1024, 5)
+        assert_same_outcome(got, outcome(walked_plane, data, 1024, 1024, 5))
+        assert got[0] is TruncatedStreamError
+
+
 def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:
     """The stream with each (bit, size, change) field, size bits from that bit, replaced by
     change of its value."""
