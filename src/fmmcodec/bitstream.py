@@ -42,18 +42,22 @@ the next block's, through a table of block lengths indexed by that bit and
 max_delta, the block's key (2^(W+1) entries per cell count), on 16-bit
 ``_windows`` built two strips' reach at a time. A strip whose length is that of
 blocks whose keys all have one bit length, as on noise, where every block has
-W-bit deltas, makes the pass guess that the next strip is alike: numpy sums the
-guessed lengths into each block's repetition bit and reads the keys there with
-two gathers. The strip's first bit is known, so every guessed bit up to that of
-the first key of another bit length is proven, and the steps go on from that
-block. The grammar does not resynchronise, so no guess is kept unchecked.
-numpy then reads and checks every header at once, and
-takes each block's delta width and row length once per plane; ``block_fields``
-gives the same headers, so no plane is walked twice. Strips of n = 8 *
-STRIP_BLOCKS, or a quarter of the plane's blocks if fewer, decode a block row
-per 64-bit word: a row is at most 56 bits long, so the window at its first bit,
-joined from two aligned words, holds it, and ``_unpack_rows`` spreads 8 fields
-into 8 byte lanes in the steps of ``_unpack``. Lanes past an edge block's
+W-bit deltas, makes the pass guess that the blocks after it are alike: numpy sums
+the guessed lengths into each block's repetition bit over a run of the following
+strips of that shape, a strip's blocks more than the guess has held for, and
+reads the keys there with two gathers. The run's first bit is known, so every
+guessed bit up to that of the first key of another bit length is proven. Where
+the guess has held for STRIP_BLOCKS blocks, that block's own key gives its length
+and the guess goes on past it; else the steps go on from that block. The grammar
+does not resynchronise, so no guess is kept unchecked. numpy then reads and
+checks every header at once, and takes each block's delta width and row length
+once per plane; ``block_fields`` gives the same headers, so no plane is walked
+twice. Strips of two encoder strips, n = 16 * STRIP_BLOCKS, or of a quarter of
+the plane's blocks if fewer, decode a block row per 64-bit word: a row is at most
+56 bits long, so the window at its first bit, joined from two aligned words,
+holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
+of ``_unpack``, with scalar operands where the strip's blocks have one delta
+width. Lanes past an edge block's
 columns or rows hold whatever bits follow and are sliced away. This fast path
 raises nothing: if the pass runs past the stream, a check fails or an index
 decodes above the limit, it gives up and the per-block loop decodes the plane
@@ -75,13 +79,15 @@ from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # Planes of at least this many blocks are coded with numpy in strips of eight times
-# as many blocks, or of a quarter of the plane's to decode if fewer; smaller planes
-# take the per-block loop, where a 1x1 plane takes 6 us against 220 as a strip. On a
-# 2-core VM, strips of 512 blocks code the photo_rgb benchmark faster than strips of
-# 256 (encode 39%, decode 15%). An encoding strip works in about 270 bytes per noise
-# block, and compressing 256x256 noise peaks at 2.9 bytes per sample (the bound is
-# 4). A decoding strip works in about 4 bytes per cell (130 KB for 512 noise blocks):
-# its stream bytes, then three words per block row.
+# as many blocks to encode and sixteen times as many to decode, or of a quarter of the
+# plane's to decode if fewer; smaller planes take the per-block loop, where a 1x1
+# plane takes 6 us against 220 as a strip. On a 2-core VM, strips of 512 blocks code
+# the photo_rgb benchmark faster than strips of 256 (encode 39%, decode 15%), and
+# decoding strips of 1,024 blocks decode it about 10% faster than strips of 512. An
+# encoding strip works in about 270 bytes per noise block, and compressing 256x256
+# noise peaks at 2.9 bytes per sample (the bound is 4). A decoding strip works in
+# about 4 bytes per cell (260 KB for 1,024 noise blocks): its stream bytes, then
+# three words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -130,8 +136,9 @@ def _unpack(fields: int, cells: int, width: int) -> int:
     return fields
 
 
-def _unpack_rows(fields: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """In place, _unpack(f >> 64 - 8 * dw, 8, dw) of each uint64 f, for widths' dw on its axes."""
+def _unpack_rows(fields: np.ndarray, widths: np.ndarray | np.integer) -> np.ndarray:
+    """In place, _unpack(f >> 64 - 8 * dw, 8, dw) of each uint64 f, for widths' dw on its axes,
+    or for one dw where widths is a scalar, whose steps are then scalar operands."""
     steps = _ROW_STEPS.take(widths, axis=1)
     fields >>= steps[0]  # numpy shifts by 64 to 0, so a row of width 0 reads 0
     for high, times in zip(steps[1::2], steps[2::2]):
@@ -358,6 +365,20 @@ def _windows(data: np.ndarray, start: int, stop: int) -> memoryview:
     return memoryview(windows)
 
 
+def _first_odd(data: np.ndarray, at: np.ndarray, guess: int, w: int) -> int:
+    """Index of the first key, of those whose first bits in data at gives, whose bit length
+    is not guess, or len(at); a key is a block's repetition bit and max_delta, w + 1 bits."""
+    byte = at >> 3
+    keys = np.left_shift(data.take(byte), 8, dtype=np.uint16)
+    keys |= data[1:].take(byte)
+    bits = at.astype(np.uint8)
+    bits &= 7
+    keys <<= bits  # each key in the top w + 1 bits, as keys >> 15 - w; it has bit
+    keys >>= 14 - w + max(guess, 1)  # length g if key >> g - 1 is 1, or key is 0
+    wrong = keys != min(guess, 1)
+    return int(wrong.argmax()) if wrong.any() else len(at)
+
+
 def _chase(
     stream: bytes | memoryview, height: int, width: int, top: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -368,13 +389,18 @@ def _chase(
     max_delta (one table per cell count), reading 16-bit _windows built for a chunk
     of two strips' reach, or the rest of the stream, whenever the chunk left cannot
     hold the next strip. When a strip's total advance is what its blocks would take
-    if every (repetition, max_delta) key had one bit length, the next strip is
-    guessed to be such: numpy sums its guessed advances into each block's
-    repetition bit, reads every key there with two gathers and takes the first
-    whose bit length is not the guess. The strip's first bit is known, so each
-    bit up to that block's is right, and the steps go on from that block. A strip
-    whose last key would lie in the stream's last byte or past it is stepped, and one
-    whose guessed end lies past the stream's end gives None.
+    if every (repetition, max_delta) key had one bit length, the blocks after it are
+    guessed to be such, a run at a time: numpy sums the guessed advances into each
+    block's repetition bit, up to the last following strip of the same shape and for
+    a strip's blocks more than runs have proven the guess on, so runs double on
+    noise, and _first_odd reads every key there and takes the first whose bit length
+    is not the guess. The run's first bit is known, so each bit up to that block's is
+    right. Where runs have proven the guess on STRIP_BLOCKS blocks since it was made
+    or since the pass last went past such a block, it takes that block's advance from
+    its own key and guesses again from the next, so a plane turning mixed costs a
+    numpy pass per STRIP_BLOCKS blocks at most; else the steps go on from that block.
+    Blocks whose keys would lie in the stream's last byte or past it are stepped, and
+    a run whose proven end lies past the stream's end gives None.
     numpy then reads every header at once and makes _decode_blocks' header checks
     on them. starts holds each block's first bit and, last, the plane's end; a
     repeated block's max_delta reads 0. None means the pass ran past the stream or
@@ -384,65 +410,92 @@ def _chase(
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
     data = np.frombuffer(stream, dtype=np.uint8)
+    shapes = [
+        (ys.stop - ys.start, xs.stop - xs.start)
+        for ys, xs in _strips(height, width, 8 * STRIP_BLOCKS)
+    ]
+    ends = list(range(1, len(shapes) + 1))  # past each strip's run of strips of its shape
+    for i in reversed(range(len(shapes) - 1)):
+        if shapes[i] == shapes[i + 1]:
+            ends[i] = ends[i + 1]
     rows = {}  # per strip shape: each block's table, and the bytes its headers can span
     guesses = {}  # per strip shape and key bit length, once the plane guesses: block offsets
     reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
     chunks = []  # (first entry of reps, first byte) of each chunk
     base, win, q = 0, b"", w
-    guess = None  # the bit length of every key of the last strip, if its advance says so
-    for ys, xs in _strips(height, width, 8 * STRIP_BLOCKS):
-        shape = ys.stop - ys.start, xs.stop - xs.start
+    # one bit length of every key, if a strip's advance says so, and the block that runs
+    # prove it from
+    guess = since = None
+    i = done = 0  # the strip being read, and how many of its blocks are read
+    while i < len(shapes):
+        shape = shapes[i]
         if shape not in rows:
             cells = _cells(*shape)
             tables = {n: _advance(w, n) for n in set(cells)}
             reach = (len(cells) * (2 * w + 1) + shape[0] * shape[1] * w >> 3) + 2
             rows[shape] = [tables[n] for n in cells], reach
         row, reach = rows[shape]
-        first, done = (base << 3) + q, 0  # the strip's first bit, and blocks it has read
+        if not done:
+            first = (base << 3) + q  # the strip's first bit
         if guess is not None:
             if (shape, guess) not in guesses:
-                # from the strip's first repetition bit to each block's and the next strip's:
-                # w + 1 bits a block if every key has bit length w + 1, as a repeated block's,
-                # else 2 * w + 1 bits a block and guess bits a cell
+                # from a strip's first repetition bit to each block's, over every strip of its
+                # shape: w + 1 bits a block if every key has bit length w + 1, as a repeated
+                # block's, else 2 * w + 1 bits a block and guess bits a cell
                 head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
-                offsets = np.zeros(len(row) + 1, dtype=np.int64)
-                np.cumsum(np.array(_cells(*shape)) * each + head, out=offsets[1:])
+                count = shapes.count(shape)
+                offsets = np.zeros(count * len(row) + 1, dtype=np.int64)
+                np.cumsum(np.tile(np.array(_cells(*shape)) * each + head, count), out=offsets[1:])
                 guesses[shape, guess] = offsets
-            at = guesses[shape, guess] + q
-            if base + (int(at[-2]) >> 3) + 1 < len(data):  # the last key's 2 bytes
-                byte = at[:-1] >> 3
-                keys = np.left_shift(data[base:].take(byte), 8, dtype=np.uint16)
-                keys |= data[base + 1 :].take(byte)
-                bits = at[:-1].astype(np.uint8)
-                bits &= 7
-                keys <<= bits  # each key in the top w + 1 bits, as keys >> 15 - w; it has bit
-                keys >>= 14 - w + max(guess, 1)  # length g if key >> g - 1 is 1, or key is 0
-                wrong = keys != min(guess, 1)
-                done = int(wrong.argmax()) if wrong.any() else len(row)
-                q = int(at[done])  # the first wrong guess's true bit, or the next strip's
-                if base + (q >> 3) > len(data):  # the last block's deltas run past the end
-                    return None
-                reps.frombytes(at[1 : done + 1].tobytes())
-        if done < len(row):
-            if (q >> 3) + reach > len(win) and base + len(win) < len(data):
-                base += q >> 3
-                q &= 7
-                win = _windows(data, base, min(base + 2 * reach, len(data)))
-                chunks.append((len(reps), base))
-            rest = row[done:] if done else row  # as a slice would copy an unguessed strip's row
-            try:
-                reps.fromlist(
-                    [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in rest]
-                )
-            except IndexError:  # a window past the stream's last byte
-                return None
+            offsets = guesses[shape, guess]
+            # a run of blocks up to the last strip of this shape in a row, of a strip's blocks
+            # more than runs have proven the guess on, whose keys' 2 bytes lie in the stream
+            held = len(reps) - 1 - since
+            fits = offsets.searchsorted(8 * (len(data) - 1 - base) - q + int(offsets[done]))
+            stop = min((ends[i] - i) * len(row), done + len(row) + held, int(fits))
+            if stop > done:
+                at = offsets[done : stop + 1] + (q - int(offsets[done]))
+                right = _first_odd(data[base:], at[:-1], guess, w)
+                odd = right < stop - done  # the run stopped at a key of another bit length
+                q = int(at[right])  # that key's true bit, or the next block's
+                reps.frombytes(at[1 : right + 1].tobytes())
+                passed, done = divmod(done + right, len(row))
+                i += passed
+                if passed:
+                    first = (base << 3) + q - int(offsets[done])
+                # past an odd block, by its own key, only where runs have proven the guess
+                # on STRIP_BLOCKS blocks since the last one, so a pass proves that many
+                if not odd or held + right >= STRIP_BLOCKS:
+                    if odd:
+                        key = int.from_bytes(data[base + (q >> 3) :][:2], "big")
+                        q += row[done][key >> (shift - (q & 7)) & low]
+                        reps.append(q)
+                        since = len(reps) - 1
+                        i, done = (i + 1, 0) if done + 1 == len(row) else (i, done + 1)
+                    continue
+        if base + (q >> 3) > len(data):  # a guessed block's deltas run past the stream's end
+            return None
+        if (q >> 3) + reach > len(win) and base + len(win) < len(data):
+            base += q >> 3
+            q &= 7
+            win = _windows(data, base, min(base + 2 * reach, len(data)))
+            chunks.append((len(reps), base))
+        rest = row[done:] if done else row  # as a slice would copy an unguessed strip's row
+        try:
+            reps.fromlist(
+                [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in rest]
+            )
+        except IndexError:  # a window past the stream's last byte
+            return None
         # keys of one bit length g advance a strip w + 1 bits a block if g is w + 1, as
         # repeated blocks, else 2 * w + 1 bits a block and g a cell
         total = (base << 3) + q - first
-        deltas, odd = divmod(total - len(row) * (2 * w + 1), shape[0] * shape[1])
-        guess = deltas if not odd and 0 <= deltas <= w else None
+        deltas, extra = divmod(total - len(row) * (2 * w + 1), shape[0] * shape[1])
+        guess = deltas if not extra and 0 <= deltas <= w else None
         if total == len(row) * (w + 1):
             guess = w + 1
+        since = len(reps) - 1
+        i, done = i + 1, 0
     if ((base << 3) + q - w + 7) >> 3 > len(stream):
         return None
     starts = np.frombuffer(reps, dtype=np.int64)
@@ -487,7 +540,7 @@ def _decode_strips(
     row_bits = (widths.reshape(-1, len(cols)) * cols).ravel()
     data = np.frombuffer(stream, dtype=np.uint8)
     first = 0
-    for ys, xs in _strips(height, width, min(8 * STRIP_BLOCKS, -(-len(lows) // 4))):
+    for ys, xs in _strips(height, width, min(16 * STRIP_BLOCKS, -(-len(lows) // 4))):
         out = plane[ys, xs]
         rows, strip_width = out.shape
         grid_rows, grid_cols = grid = _grid(rows, strip_width)
@@ -514,7 +567,8 @@ def _decode_strips(
         tail >>= np.subtract(64, bits, out=bits).view(np.uint64)  # to 0 where bits is 64
         fields |= tail
         del tail, at, bits, words  # before the unpack makes its temporaries
-        _unpack_rows(fields, widths[blocks].reshape(grid))
+        dw = widths[blocks]
+        _unpack_rows(fields, dw[0] if dw.min() == dw.max() else dw.reshape(grid))
         fields += lows[blocks].reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
         # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
         cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)

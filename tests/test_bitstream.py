@@ -635,7 +635,8 @@ def test_pack_matches_reference():
 
 def test_row_unpack_matches_unpack():
     # each uint64 holds a block row's 8 fields in its top 8 * dw bits above random bits;
-    # the numpy unpack must spread them into byte lanes as _unpack does, for every width
+    # the numpy unpack must spread them into byte lanes as _unpack does, for every width,
+    # given a width per word or one scalar width for all
     rng = np.random.default_rng(43)
     widths = np.repeat(np.arange(8, dtype=np.uint8), 40)
     rows = rng.integers(0, 2**64, (3, len(widths)), dtype=np.uint64)
@@ -644,6 +645,10 @@ def test_row_unpack_matches_unpack():
         for r in rows
     ]
     assert bitstream._unpack_rows(rows.copy(), widths).tolist() == expected
+    for dw in range(8):
+        same = widths == dw
+        got = bitstream._unpack_rows(rows[:, same].copy(), widths[same][0])
+        assert got.tolist() == [[row[i] for i in np.flatnonzero(same)] for row in expected]
 
 
 def test_row_pack_matches_pack():
@@ -664,12 +669,14 @@ def test_row_pack_matches_pack():
     assert bitstream._pack_rows(words, widths, cols).tolist() == expected
 
 
-@pytest.mark.parametrize("strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 8, 8)])
+@pytest.mark.parametrize(
+    "strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 8, 4), (4, 16, 8)]
+)
 def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
     # both directions read STRIP_BLOCKS when they run, so setting it moves the encoder's
     # strips of 8 * STRIP_BLOCKS blocks, which the header pass walks too, and the decoding
-    # strips alike, save that decoding strips take a quarter of the plane's blocks where
-    # that is fewer
+    # strips of two of them, 16 * STRIP_BLOCKS blocks, save that decoding strips take a
+    # quarter of the plane's blocks where that is fewer
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_indices(plane)
     real, strips = bitstream._strips, []
@@ -1194,6 +1201,173 @@ def test_noise_cut_past_guessed_strip_end():
         got = outcome(decode_plane, data, 1024, 1024, 5)
         assert_same_outcome(got, outcome(walked_plane, data, 1024, 1024, 5))
         assert got[0] is TruncatedStreamError
+
+
+def test_odd_block_keeps_the_plane_guessed():
+    # every block of a 1024x1024 plane has W-bit deltas, so the pass steps its first strip
+    # over one window and guesses the rest. A repeated block at block row 9, in the third
+    # strip, stops a guessed run; its own key gives its length and the guess goes on past
+    # it, so the pass still builds only the window of its first strip
+    rng = np.random.default_rng(101)
+    plane = uniform_plane(1024, 1024, 5, rng)
+    odd = plane.copy()
+    odd[72:80, 296:304] = 7  # block 9,37
+    real, chunks = bitstream._windows, []
+
+    def spied(data, start, stop):
+        chunks.append(start)
+        return real(data, start, stop)
+
+    for indices in (plane, odd):
+        stream = encode_indices(indices, 5)
+        chunks.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "_windows", spied)
+            heads = bitstream._chase(stream, 1024, 1024, 51)
+        assert chunks == [0]
+        assert all(np.array_equal(a, b) for a, b in zip(heads, _chase(stream, 1024, 1024, 51)))
+        assert np.array_equal(decode_indices(stream, 1024, 1024, 5), indices)
+
+
+def passes(calls: list):
+    """A spy on _first_odd that records each pass's (keys read, index returned)."""
+    real = bitstream._first_odd
+
+    def spied(data, at, guess, w):
+        calls.append((len(at), real(data, at, guess, w)))
+        return calls[-1][1]
+
+    return spied
+
+
+def test_plane_turning_mixed_stops_guessing():
+    # with strips of 64 blocks, a 256x256 plane's first 8 strips have W-bit deltas and its
+    # other blocks alternate 1- and 2-bit deltas, so no strip of them earns a guess. Runs
+    # double from a strip, 1, 2 and then 4 strips, until one meets the first mixed block;
+    # as the guess held for more than STRIP_BLOCKS blocks, the pass goes past it, but the
+    # run of one strip after it stops at once, and the pass steps the rest of the plane:
+    # no numpy pass per block
+    rng = np.random.default_rng(103)
+    plane = uniform_plane(256, 256, 5, rng)
+    mixed = rng.integers(0, 4, (128, 256))
+    ones = (np.arange(16 * 32).reshape(16, 32) % 2).repeat(8, 0).repeat(8, 1) == 1
+    mixed[ones] %= 2
+    mixed[::8, ::8], mixed[7::8, 7::8] = 0, np.where(ones[7::8, 7::8], 1, 3)
+    plane[128:] = 10 + mixed
+    stream = encode_indices(plane, 5)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "STRIP_BLOCKS", 8)
+        patch.setattr(bitstream, "_first_odd", passes(calls))
+        heads = bitstream._chase(stream, 256, 256, 51)
+    assert [right for _, right in calls] == [64, 128, 256, 0, 0] and calls[-1][0] == 64
+    assert all(np.array_equal(a, b) for a, b in zip(heads, _chase(stream, 256, 256, 51)))
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_guessed_runs_match_block_loop(k):
+    # with strips of 64 blocks, a 261x256 plane of W-bit deltas is 16 strips of 64 blocks
+    # and an edge-shaped strip of 32 blocks of 5x8 cells. The pass steps strip 0 and checks
+    # runs of strips 1, 2-3, 4-7 and 8-15, which ends at the edge strip, and then that
+    # strip. An odd block, repeated or of 1-bit deltas, at the first block of strip 8, a
+    # middle one of strip 11, the last of strip 15 or one of the edge strip is the first
+    # wrong key of its run, and the pass goes past it. The pass must find the oracle's
+    # starts; on streams cut inside the last block of a run, after its key, or with a bit of
+    # a block's max_delta flipped, the oracle's starts or None, as decode_plane gives the
+    # block loop's plane or its error
+    rng = np.random.default_rng(k + 107)
+    top = 255 // k
+    w = top.bit_length()
+    height, width = 261, 256
+    clean = [(64, 64), (128, 128), (256, 256), (512, 512), (32, 32)]
+    outcomes = set()
+    for odd in (None, 512, 11 * 64 + 29, 1023, 1040):
+        plane = uniform_plane(height, width, k, rng)
+        if odd is not None:
+            y, x = divmod(odd, 32)
+            block = plane[8 * y : 8 * y + 8, 8 * x : 8 * x + 8]
+            if odd % 2:  # deltas of 1 bit
+                block[...] = rng.integers(top - 1, top + 1, block.shape)
+                block[0, 0], block[-1, -1] = top - 1, top
+            else:
+                block[...] = top // 2
+        stream = encode_indices(plane, k)
+        heads, end = plane_heads(plane, k)
+        starts = [deltas - (w + 1) - w * (spread > 0) for _, spread, _, deltas in heads] + [end]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "STRIP_BLOCKS", 8)
+            patch.setattr(bitstream, "_first_odd", passes(calls))
+            assert np.array_equal(decode_indices(stream, height, width, k), plane)
+        if odd is None:
+            assert calls == clean
+        else:  # the first pass to meet the odd block stops there
+            first = next(i for i, (keys, right) in enumerate(calls) if right < keys)
+            assert sum(keys for keys, _ in calls[:first]) + calls[first][1] == odd - 64
+        mutants = [stream]
+        for last in (1023, len(heads) - 1):  # the last blocks of the run 8-15 and of the plane
+            mutants.append(stream[: (starts[last] + w + 1 + 7 >> 3) + 1])
+        for i in (odd or 512, int(rng.integers(64, len(heads)))):
+            if heads[i][1]:  # a flipped max_delta bit
+                bit = starts[i] + w + 1 + int(rng.integers(0, w))
+                data = bytearray(stream)
+                data[bit >> 3] ^= 0x80 >> (bit & 7)
+                mutants.append(bytes(data))
+        for data in mutants:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bitstream, "STRIP_BLOCKS", 8)
+                got = bitstream._chase(data, height, width, top)
+                expected = _chase(data, height, width, top)
+                assert (got is None) == (expected is None)
+                assert expected is None or all(np.array_equal(a, b) for a, b in zip(got, expected))
+                walked = outcome(walked_plane, data, height, width, k)
+                assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
+            outcomes.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
+    assert outcomes == {np.ndarray, CorruptStreamError, TruncatedStreamError}
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_one_width_strips_match_block_loop(k):
+    # a 99x325 plane of 13x41 blocks, with edge rows and columns, decodes in 4 strips of a
+    # quarter of its blocks; every block of each strip has one delta width, W bits but for
+    # the second strip, whose blocks are all repeated, of width 0, so each strip unpacks its
+    # rows with scalar operands. A delta rewritten to all ones in the third strip decodes an
+    # index above 255 // k there: decode_plane must give the block loop's plane or error
+    rng = np.random.default_rng(k + 109)
+    top = 255 // k
+    w = top.bit_length()
+    height, width = 99, 325
+    plane = uniform_plane(height, width, k, rng)
+    plane[32:64] = np.arange(41).repeat(8)[:width] % (top + 1)  # strip 2's blocks, repeated
+    stream = encode_indices(plane, k)
+    heads, _ = plane_heads(plane, k)
+    widths = []
+    real = bitstream._unpack_rows
+
+    def spied(fields, dw):
+        widths.append(int(dw) if np.ndim(dw) == 0 else None)  # None for a width per block
+        return real(fields, dw)
+
+    def walk(*args):
+        raise AssertionError("a valid strip-coded plane fell back to the per-block loop")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_unpack_rows", spied)
+        patch.setattr(bitstream, "_decode_blocks", walk)
+        assert np.array_equal(decode_indices(stream, height, width, k), plane)
+    assert widths == [w, 0, w, w]
+    lo, _, dw, deltas = heads[9 * 41 + 17]  # block 9,17
+    assert lo == 0 and dw == w
+    data = rewritten(stream, [(deltas + w * int(rng.integers(0, 64)), w, lambda _: 2**w - 1)])
+    widths.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_unpack_rows", spied)
+        got = outcome(decode_plane, data, height, width, k)
+    assert widths == [w, 0, w]  # the third strip gives up
+    walked = outcome(walked_plane, data, height, width, k)
+    assert_same_outcome(got, walked)
+    assert walked == (CorruptStreamError, f"block 9,17 decodes an index above limit {top} "
+                      f"(bit {deltas - 2 * w - 1})")
 
 
 def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:

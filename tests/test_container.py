@@ -179,7 +179,9 @@ class TestDecompress:
 
     def test_one_channel_decodes_in_place(self):
         # a one-channel image is its decoded plane, so decompress holds the plane and
-        # the header pass's per-block arrays, not a second pixel array
+        # the header pass's per-block arrays, not a second pixel array. It peaks at 1.437
+        # bytes per sample, the plane, those arrays and a decoding strip of 1,024 blocks
+        # (1.327 with strips of 512)
         rng = np.random.default_rng(17)
         img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
         blob = container.compress(img)
