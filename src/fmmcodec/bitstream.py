@@ -36,20 +36,20 @@ blocks whatever the plane's shape. The encoder, with n = 8 * STRIP_BLOCKS,
 gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
 a row's indices less the block's min, one big-endian 64-bit word, and numpy
 adds each field into the 64-bit word where it starts, the rest into the next.
-The decoder first reads the headers of the whole plane in one pass (``_chase``)
-over the encoder's strips: one Python step per block, from its repetition bit to
-the next block's, through a table of block lengths indexed by that bit and
-max_delta, the block's key (2^(W+1) entries per cell count), on 16-bit
-``_windows`` built two strips' reach at a time. A strip whose length is that of
-blocks whose keys all have one bit length, as on noise, where every block has
-W-bit deltas, makes the pass guess that the blocks after it are alike: numpy sums
-the guessed lengths into each block's repetition bit over a run of the following
-strips of that shape, a strip's blocks more than the guess has held for, and
-reads the keys there with two gathers. The run's first bit is known, so every
-guessed bit up to that of the first key of another bit length is proven. Where
-the guess has held for STRIP_BLOCKS blocks, that block's own key gives its length
-and the guess goes on past it; else the steps go on from that block. The grammar
-does not resynchronise, so no guess is kept unchecked. numpy then reads and
+The decoder first reads the headers of the whole plane in one pass (``_chase``):
+one Python step per block in stream order, from its repetition bit to the next
+block's, through a table of block lengths indexed by that bit and max_delta, the
+block's key (2^(W+1) entries per cell count), on 16-bit ``_windows`` built two
+groups' reach at a time, a group being 8 * STRIP_BLOCKS blocks. A stepped group
+whose length is that of blocks whose keys all have one bit length, as on noise,
+where every block has W-bit deltas, makes the pass guess that the blocks after it
+are alike: numpy sums the guessed lengths into each block's repetition bit from the
+count of cells before each block, over a run of a group's blocks more than the guess
+has held for, and reads the keys there with two gathers. The run's first bit is
+known, so every guessed bit up to that of the first key of another bit length is
+proven. Where the guess has held for STRIP_BLOCKS blocks, that block's own key gives
+its length and the guess goes on past it; else the steps go on from that block. The
+grammar does not resynchronise, so no guess is kept unchecked. numpy then reads and
 checks every header at once, and takes each block's delta width and row length
 once per plane; ``block_fields`` gives the same headers, so no plane is walked
 twice. Strips of two encoder strips, n = 16 * STRIP_BLOCKS, or of a quarter of
@@ -57,8 +57,8 @@ the plane's blocks if fewer, decode a block row per 64-bit word: a row is at mos
 56 bits long, so the window at its first bit, joined from two aligned words,
 holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
 of ``_unpack``, with scalar operands where the strip's blocks have one delta
-width. Lanes past an edge block's
-columns or rows hold whatever bits follow and are sliced away. This fast path
+width. Lanes past an edge block's columns or rows hold whatever bits follow and
+are sliced away. This fast path
 raises nothing: if the pass runs past the stream, a check fails or an index
 decodes above the limit, it gives up and the per-block loop decodes the plane
 again and raises the error. Bytes past the last block are the one fault neither
@@ -295,6 +295,27 @@ def _cells(rows: int, width: int) -> list[int]:
     return [BLOCK_SIZE * n for n in cols] * full + [edge * n for n in cols] * (edge > 0)
 
 
+def _cells_before(block: int, height: int, width: int) -> int:
+    """Index count of a height x width plane's blocks before the one of flat index block, in
+    stream order: its whole block rows, then 8 columns a block of its own row."""
+    rows, cols = divmod(block, -(-width // BLOCK_SIZE))
+    top = min(BLOCK_SIZE * rows, height)  # the pixel rows above the block's row, or all
+    return width * top + BLOCK_SIZE * cols * min(height - top, BLOCK_SIZE)
+
+
+def _cells_before_each(height: int, width: int) -> np.ndarray:
+    """_cells_before of every block of a height x width plane and, last, the plane's cells."""
+    rows, cols = _grid(height, width)
+    before = np.empty(rows * cols + 1, dtype=np.int64)
+    tops = np.arange(0, height, BLOCK_SIZE)  # the pixel rows above each block row
+    grid = before[:-1].reshape(rows, cols)
+    grid[...] = np.arange(0, width, BLOCK_SIZE)
+    grid *= np.minimum(height - tops, BLOCK_SIZE)[:, None]
+    grid += tops[:, None] * width
+    before[-1] = height * width
+    return before
+
+
 def decode_plane(
     stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
 ) -> np.ndarray:
@@ -322,7 +343,7 @@ def block_fields(
     # a plane that the per-block loop decoded has not been through the pass, which accepts it
     starts, lows, spreads = chased or _chase(stream, height, width, index_table(k)[-1])
     rows, cols = np.divmod(np.arange(len(lows)), _grid(height, width)[1])
-    cells = np.array(_cells(height, width))
+    cells = np.diff(_cells_before_each(height, width))
     return rows, cols, cells, lows, spreads, _BIT_LENGTH[spreads], np.diff(starts)
 
 
@@ -384,23 +405,23 @@ def _chase(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
 
-    The pass reads the encoder's strips in stream order. Each step goes from one
-    block's repetition bit to the next block's by a table indexed by that bit and
-    max_delta (one table per cell count), reading 16-bit _windows built for a chunk
-    of two strips' reach, or the rest of the stream, whenever the chunk left cannot
-    hold the next strip. When a strip's total advance is what its blocks would take
-    if every (repetition, max_delta) key had one bit length, the blocks after it are
-    guessed to be such, a run at a time: numpy sums the guessed advances into each
-    block's repetition bit, up to the last following strip of the same shape and for
-    a strip's blocks more than runs have proven the guess on, so runs double on
-    noise, and _first_odd reads every key there and takes the first whose bit length
-    is not the guess. The run's first bit is known, so each bit up to that block's is
-    right. Where runs have proven the guess on STRIP_BLOCKS blocks since it was made
-    or since the pass last went past such a block, it takes that block's advance from
-    its own key and guesses again from the next, so a plane turning mixed costs a
-    numpy pass per STRIP_BLOCKS blocks at most; else the steps go on from that block.
-    Blocks whose keys would lie in the stream's last byte or past it are stepped, and
-    a run whose proven end lies past the stream's end gives None.
+    The pass reads the blocks in stream order. Each step goes from one block's
+    repetition bit to the next block's by a table indexed by that bit and max_delta
+    (one table per cell count), reading 16-bit _windows built for a chunk of two
+    groups' reach, or the rest of the stream, whenever the chunk left cannot hold the
+    next group of 8 * STRIP_BLOCKS blocks. When a stepped group's total advance is
+    what its blocks would take if every (repetition, max_delta) key had one bit
+    length, the blocks after it are guessed to be such, a run at a time: numpy sums
+    the guessed advances into each block's repetition bit from the cells before each
+    block, for a group's blocks more than runs have proven the guess on, so runs
+    double on noise, and _first_odd reads every key there and takes the first whose
+    bit length is not the guess. The run's first bit is known, so each bit up to that
+    block's is right. Where runs have proven the guess on STRIP_BLOCKS blocks since it
+    was made or since the pass last went past such a block, it takes that block's
+    advance from its own key and guesses again from the next, so a plane turning mixed
+    costs a numpy pass per STRIP_BLOCKS blocks at most; else the steps go on from that
+    block. Blocks whose keys would lie in the stream's last byte or past it are
+    stepped, and a run whose proven end lies past the stream's end gives None.
     numpy then reads every header at once and makes _decode_blocks' header checks
     on them. starts holds each block's first bit and, last, the plane's end; a
     repeated block's max_delta reads 0. None means the pass ran past the stream or
@@ -410,69 +431,45 @@ def _chase(
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
     data = np.frombuffer(stream, dtype=np.uint8)
-    shapes = [
-        (ys.stop - ys.start, xs.stop - xs.start)
-        for ys, xs in _strips(height, width, 8 * STRIP_BLOCKS)
-    ]
-    ends = list(range(1, len(shapes) + 1))  # past each strip's run of strips of its shape
-    for i in reversed(range(len(shapes) - 1)):
-        if shapes[i] == shapes[i + 1]:
-            ends[i] = ends[i + 1]
-    rows = {}  # per strip shape: each block's table, and the bytes its headers can span
-    guesses = {}  # per strip shape and key bit length, once the plane guesses: block offsets
+    full, edge = _cells(BLOCK_SIZE, width), _cells(height % BLOCK_SIZE, width)
+    tables = {n: _advance(w, n) for n in {*full, *edge}}
+    steps = [tables[n] for n in full] * (height // BLOCK_SIZE)  # each block's table
+    steps += [tables[n] for n in edge]  # in place, as a list's + would copy it
+    group = 8 * STRIP_BLOCKS
+    reach = (group * (2 * w + 1 + _CELLS * w) >> 3) + 2  # the bytes a group's headers can span
     reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
     chunks = []  # (first entry of reps, first byte) of each chunk
     base, win, q = 0, b"", w
-    # one bit length of every key, if a strip's advance says so, and the block that runs
-    # prove it from
-    guess = since = None
-    i = done = 0  # the strip being read, and how many of its blocks are read
-    while i < len(shapes):
-        shape = shapes[i]
-        if shape not in rows:
-            cells = _cells(*shape)
-            tables = {n: _advance(w, n) for n in set(cells)}
-            reach = (len(cells) * (2 * w + 1) + shape[0] * shape[1] * w >> 3) + 2
-            rows[shape] = [tables[n] for n in cells], reach
-        row, reach = rows[shape]
-        if not done:
-            first = (base << 3) + q  # the strip's first bit
+    # one bit length of every key, if a group's advance says so, the block that runs prove
+    # it from, and the cells before each block, once the plane guesses
+    guess = since = cells = None
+    while (b := len(reps) - 1) < len(steps):
         if guess is not None:
-            if (shape, guess) not in guesses:
-                # from a strip's first repetition bit to each block's, over every strip of its
-                # shape: w + 1 bits a block if every key has bit length w + 1, as a repeated
-                # block's, else 2 * w + 1 bits a block and guess bits a cell
-                head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
-                count = shapes.count(shape)
-                offsets = np.zeros(count * len(row) + 1, dtype=np.int64)
-                np.cumsum(np.tile(np.array(_cells(*shape)) * each + head, count), out=offsets[1:])
-                guesses[shape, guess] = offsets
-            offsets = guesses[shape, guess]
-            # a run of blocks up to the last strip of this shape in a row, of a strip's blocks
-            # more than runs have proven the guess on, whose keys' 2 bytes lie in the stream
-            held = len(reps) - 1 - since
-            fits = offsets.searchsorted(8 * (len(data) - 1 - base) - q + int(offsets[done]))
-            stop = min((ends[i] - i) * len(row), done + len(row) + held, int(fits))
-            if stop > done:
-                at = offsets[done : stop + 1] + (q - int(offsets[done]))
-                right = _first_odd(data[base:], at[:-1], guess, w)
-                odd = right < stop - done  # the run stopped at a key of another bit length
-                q = int(at[right])  # that key's true bit, or the next block's
+            if cells is None:
+                cells = _cells_before_each(height, width)
+            # from block b's repetition bit to each next block's: w + 1 bits a block if
+            # every key has bit length w + 1, as a repeated block's, else 2 * w + 1 bits a
+            # block and guess bits a cell; for a group's blocks more than runs have proven
+            head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
+            held = b - since
+            at = cells[b : min(len(steps), b + group + held) + 1] * each
+            at += np.arange(0, head * len(at), head) + (q - int(at[0]))
+            # the run's keys whose 2 bytes lie in the stream
+            fits = min(len(at) - 1, int(at.searchsorted(8 * (len(data) - 1 - base))))
+            if fits:
+                right = _first_odd(data[base:], at[:fits], guess, w)
+                q = int(at[right])  # the first odd key's true bit, or the next block's
                 reps.frombytes(at[1 : right + 1].tobytes())
-                passed, done = divmod(done + right, len(row))
-                i += passed
-                if passed:
-                    first = (base << 3) + q - int(offsets[done])
                 # past an odd block, by its own key, only where runs have proven the guess
                 # on STRIP_BLOCKS blocks since the last one, so a pass proves that many
-                if not odd or held + right >= STRIP_BLOCKS:
-                    if odd:
+                if right == fits or held + right >= STRIP_BLOCKS:
+                    if right < fits:
                         key = int.from_bytes(data[base + (q >> 3) :][:2], "big")
-                        q += row[done][key >> (shift - (q & 7)) & low]
+                        q += steps[b + right][key >> (shift - (q & 7)) & low]
                         reps.append(q)
                         since = len(reps) - 1
-                        i, done = (i + 1, 0) if done + 1 == len(row) else (i, done + 1)
                     continue
+                b += right
         if base + (q >> 3) > len(data):  # a guessed block's deltas run past the stream's end
             return None
         if (q >> 3) + reach > len(win) and base + len(win) < len(data):
@@ -480,22 +477,21 @@ def _chase(
             q &= 7
             win = _windows(data, base, min(base + 2 * reach, len(data)))
             chunks.append((len(reps), base))
-        rest = row[done:] if done else row  # as a slice would copy an unguessed strip's row
+        first, stepped = q, steps[b : b + group]
         try:
             reps.fromlist(
-                [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in rest]
+                [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in stepped]
             )
         except IndexError:  # a window past the stream's last byte
             return None
-        # keys of one bit length g advance a strip w + 1 bits a block if g is w + 1, as
+        # keys of one bit length g advance a group w + 1 bits a block if g is w + 1, as
         # repeated blocks, else 2 * w + 1 bits a block and g a cell
-        total = (base << 3) + q - first
-        deltas, extra = divmod(total - len(row) * (2 * w + 1), shape[0] * shape[1])
+        size = _cells_before(b + len(stepped), height, width) - _cells_before(b, height, width)
+        deltas, extra = divmod(q - first - len(stepped) * (2 * w + 1), size)
         guess = deltas if not extra and 0 <= deltas <= w else None
-        if total == len(row) * (w + 1):
+        if q - first == len(stepped) * (w + 1):
             guess = w + 1
         since = len(reps) - 1
-        i, done = i + 1, 0
     if ((base << 3) + q - w + 7) >> 3 > len(stream):
         return None
     starts = np.frombuffer(reps, dtype=np.int64)

@@ -674,9 +674,9 @@ def test_row_pack_matches_pack():
 )
 def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
     # both directions read STRIP_BLOCKS when they run, so setting it moves the encoder's
-    # strips of 8 * STRIP_BLOCKS blocks, which the header pass walks too, and the decoding
-    # strips of two of them, 16 * STRIP_BLOCKS blocks, save that decoding strips take a
-    # quarter of the plane's blocks where that is fewer
+    # strips of 8 * STRIP_BLOCKS blocks and the decoding strips of two of them, 16 *
+    # STRIP_BLOCKS blocks, save that decoding strips take a quarter of the plane's blocks
+    # where that is fewer; the header pass walks blocks in stream order, not strips
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_indices(plane)
     real, strips = bitstream._strips, []
@@ -691,7 +691,7 @@ def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
         stream = encode_indices(plane)
         assert np.array_equal(decode_indices(stream, 64, 512), plane)
     assert stream == expected
-    assert [len(each) for each in strips] == [encoding, encoding, decoding]
+    assert [len(each) for each in strips] == [encoding, decoding]
 
 
 def edge_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -1113,9 +1113,9 @@ def uniform_plane(height: int, width: int, k: int, rng: np.random.Generator) -> 
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_guessed_strips_match_oracle(k):
     # a 132x1001 plane is coded in strips of 630, 630, 630 and 252 blocks of 64, 8, 32 and 4
-    # cells. Its blocks spread over 0..255 // k, so the pass steps the first strip and guesses
-    # the others, but for one odd block, repeated or of 1-bit deltas, at the first, middle or
-    # last block of the first guessed strip, at the first of the next, whose guess lies in
+    # cells. Its blocks spread over 0..255 // k, so the pass steps the first 512 blocks and
+    # guesses the others, but for one odd block, repeated or of 1-bit deltas, at the first,
+    # middle or last block of the second strip, at the first of the third, whose guess lies in
     # the stream as a strip follows, or last in the plane, repeated, so that its key's second
     # byte lies past the stream's end. The pass must find the oracle's starts; on streams cut
     # inside a guessed strip or with a bit of a guessed block's max_delta flipped, the
@@ -1264,12 +1264,62 @@ def test_plane_turning_mixed_stops_guessing():
     assert all(np.array_equal(a, b) for a, b in zip(heads, _chase(stream, 256, 256, 51)))
 
 
+@pytest.mark.parametrize(
+    "height, width", [(1, 1), (5, 3), (17, 23), (65, 63), (9, 4100), (4100, 9)]
+)
+def test_cells_before_counts_block_sizes(height, width):
+    # the cells before each block, and last the plane's, from which the header pass guesses
+    # and block_fields takes each block's: sums of each block's rows times its columns
+    sizes = [
+        min(8, height - y) * min(8, width - x)
+        for y in range(0, height, 8)
+        for x in range(0, width, 8)
+    ]
+    before = [0, *np.cumsum(sizes).tolist()]
+    assert bitstream._cells_before_each(height, width).tolist() == before
+    assert [bitstream._cells_before(b, height, width) for b in range(len(before))] == before
+    stream = encode_indices(np.zeros((height, width), dtype=np.uint8))
+    assert block_fields(stream, height, width)[2].tolist() == sizes
+
+
+@pytest.mark.parametrize(
+    "height, width, strips, runs",
+    [(64, 5000, 16, [512, 1024, 2048, 904]), (40, 4100, 10, [512, 1024, 517])],
+)
+def test_guessed_runs_cross_strip_shapes(height, width, strips, runs):
+    # block rows of 625 and of 513 blocks are encoder strips of 512 and 113 blocks and of
+    # 512 and 1. Every block has W-bit deltas, so the pass steps the first 512 blocks and
+    # checks its guess over runs that double across the strips' changes of shape, in fewer
+    # passes than strips. It must find the oracle's starts; on a stream cut inside the run
+    # of blocks 1024 to 2047, which crosses changes of shape, it gives up, and decode_plane
+    # gives the block loop's plane or error
+    rng = np.random.default_rng(height + width)
+    plane = uniform_plane(height, width, 5, rng)
+    stream = encode_indices(plane, 5)
+    assert len(list(_strips(height, width, 8 * STRIP_BLOCKS))) == strips
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_first_odd", passes(calls))
+        heads = bitstream._chase(stream, height, width, 51)
+    assert calls == [(n, n) for n in runs] and len(calls) < strips
+    assert all(np.array_equal(a, b) for a, b in zip(heads, _chase(stream, height, width, 51)))
+    cut = stream[: (int(heads[0][1600]) >> 3) + 20]  # inside block 1600
+    assert bitstream._chase(cut, height, width, 51) is None
+    assert _chase(cut, height, width, 51) is None
+    whole, short = [outcome(walked_plane, data, height, width, 5) for data in (stream, cut)]
+    assert_same_outcome(outcome(decode_plane, stream, height, width, 5), whole)
+    assert_same_outcome(outcome(decode_plane, cut, height, width, 5), short)
+    assert np.array_equal(whole, plane * np.uint8(5))
+    row, col = divmod(1600, _grid(height, width)[1])
+    assert short[0] is TruncatedStreamError and short[1].startswith(f"block {row},{col}:")
+
+
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_guessed_runs_match_block_loop(k):
     # with strips of 64 blocks, a 261x256 plane of W-bit deltas is 16 strips of 64 blocks
     # and an edge-shaped strip of 32 blocks of 5x8 cells. The pass steps strip 0 and checks
-    # runs of strips 1, 2-3, 4-7 and 8-15, which ends at the edge strip, and then that
-    # strip. An odd block, repeated or of 1-bit deltas, at the first block of strip 8, a
+    # runs of strips 1, 2-3, 4-7 and 8-15, and then of the 32 blocks left, the edge strip's.
+    # An odd block, repeated or of 1-bit deltas, at the first block of strip 8, a
     # middle one of strip 11, the last of strip 15 or one of the edge strip is the first
     # wrong key of its run, and the pass goes past it. The pass must find the oracle's
     # starts; on streams cut inside the last block of a run, after its key, or with a bit of

@@ -153,10 +153,11 @@ class TestDecompress:
 
     @pytest.mark.parametrize("shape", [(8, 16384), (16384, 8)])
     def test_chase_windows_are_bounded(self, shape, monkeypatch):
-        # the header pass builds windows a chunk of two strips' reach at a time, whatever
-        # the plane's shape, even where one block row is a whole stream of four strips. Blocks
-        # of many delta widths are stepped over more than one chunk; uniform noise, whose
-        # strips after the first are guessed, needs a window for the first strip alone
+        # the header pass builds windows a chunk of two groups' reach at a time, a group being
+        # 8 * STRIP_BLOCKS blocks, whatever the plane's shape, even where one block row is a
+        # whole stream of four groups. Blocks of many delta widths are stepped over more than
+        # one chunk; uniform noise, whose blocks after the first group are guessed, needs a
+        # window for the first group alone
         w = core.index_table()[-1].bit_length()
         strip = 8 * bitstream.STRIP_BLOCKS  # blocks, each at most a full header and 64 deltas
         bound = 2 * ((strip * (2 * w + 1 + 64 * w) >> 3) + 2)
