@@ -32,10 +32,13 @@ for a block.
 A larger plane is coded in strips of consecutive blocks: the fewest
 whole block rows that hold at least n blocks, or, where one block row
 holds more, runs of n blocks along it, so a strip has fewer than 2 * n
-blocks whatever the plane's shape. The encoder, with n = 8 * STRIP_BLOCKS,
-gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
-a row's indices less the block's min, one big-endian 64-bit word, and numpy
-adds each field into the 64-bit word where it starts, the rest into the next.
+blocks whatever the plane's shape. The encoder, with n = 16 * STRIP_BLOCKS, or a
+quarter of the plane's blocks if fewer but at least 8 * STRIP_BLOCKS, gives each
+block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes a row's indices
+less the block's min, one big-endian 64-bit word, and numpy adds each field into
+the 64-bit word where it starts, the rest into the next. It packs the row words of
+at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of each block at a
+time, or 2 on a longer strip.
 The decoder first reads the headers of the whole plane in one pass (``_chase``):
 one Python step per block in stream order, from its repetition bit to the next
 block's, through a table of block lengths indexed by that bit and max_delta, the
@@ -52,8 +55,8 @@ its length and the guess goes on past it; else the steps go on from that block. 
 grammar does not resynchronise, so no guess is kept unchecked. numpy then reads and
 checks every header at once, and takes each block's delta width and row length
 once per plane; ``block_fields`` gives the same headers, so no plane is walked
-twice. Strips of two encoder strips, n = 16 * STRIP_BLOCKS, or of a quarter of
-the plane's blocks if fewer, decode a block row per 64-bit word: a row is at most
+twice. Strips of n = 16 * STRIP_BLOCKS blocks, or of a quarter of the plane's
+blocks if fewer, decode a block row per 64-bit word: a row is at most
 56 bits long, so the window at its first bit, joined from two aligned words,
 holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
 of ``_unpack``, with scalar operands where the strip's blocks have one delta
@@ -78,16 +81,16 @@ from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
-# Planes of at least this many blocks are coded with numpy in strips of eight times
-# as many blocks to encode and sixteen times as many to decode, or of a quarter of the
-# plane's to decode if fewer; smaller planes take the per-block loop, where a 1x1
-# plane takes 6 us against 220 as a strip. On a 2-core VM, strips of 512 blocks code
-# the photo_rgb benchmark faster than strips of 256 (encode 39%, decode 15%), and
-# decoding strips of 1,024 blocks decode it about 10% faster than strips of 512. An
-# encoding strip works in about 270 bytes per noise block, and compressing 256x256
-# noise peaks at 2.9 bytes per sample (the bound is 4). A decoding strip works in
-# about 4 bytes per cell (260 KB for 1,024 noise blocks): its stream bytes, then
-# three words per block row.
+# Planes of at least this many blocks are coded with numpy in strips of sixteen times
+# as many blocks, or of a quarter of the plane's if fewer, but to encode of at least
+# eight times as many; smaller planes take the per-block loop, where a 1x1 plane takes
+# 6 us against 220 as a strip. On a 2-core VM, strips of 512 blocks code the photo_rgb
+# benchmark faster than strips of 256 (encode 39%, decode 15%), and strips of 1,024
+# code it faster than strips of 512 (decode about 10%, encode about 20%), as an encoding
+# strip costs about 100 us plus 0.2 us a block. An encoding strip works in about 200
+# bytes per noise block, and compressing 256x256 noise peaks at 2.4 bytes per sample
+# (the bound is 4). A decoding strip works in about 4 bytes per cell (260 KB for 1,024
+# noise blocks): its stream bytes, then three words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -188,8 +191,17 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
     rows, cols = _grid(height, width)
     acc = nbits = 0  # pending bits that do not yet fill a byte, and how many
     if rows * cols >= STRIP_BLOCKS:
-        for strip in _strips(height, width, 8 * STRIP_BLOCKS):
-            acc, nbits = _encode_strip(_indices(samples[strip], table), w, out, acc, nbits)
+        strip_blocks = min(16 * STRIP_BLOCKS, max(8 * STRIP_BLOCKS, -(-rows * cols // 4)))
+        # numpy's ufuncs buffer a broadcast operand 8,192 elements at a time; at 1,024,
+        # which stay in cache, strips of more than 8 * STRIP_BLOCKS blocks encode about 6%
+        # faster, and smaller ones would lose the 4 us that the setting costs
+        buffers = np.setbufsize(1024) if strip_blocks > 8 * STRIP_BLOCKS else None
+        try:
+            for strip in _strips(height, width, strip_blocks):
+                acc, nbits = _encode_strip(samples[strip], table, w, out, acc, nbits)
+        finally:
+            if buffers:
+                np.setbufsize(buffers)
     else:
         plane = _indices(samples, table)
         for y in range(0, height, BLOCK_SIZE):
@@ -219,22 +231,27 @@ def _indices(samples: np.ndarray, table: bytes) -> np.ndarray:
 
 
 def _encode_strip(
-    strip: np.ndarray, w: int, out: bytearray, acc: int, nbits: int
+    samples: np.ndarray, table: bytes, w: int, out: bytearray, acc: int, nbits: int
 ) -> tuple[int, int]:
-    """Append the blocks of a strip to out, all at once; returns the new carry.
+    """Append the blocks of a strip of samples, translated by table, to out, all at once;
+    returns the new carry.
 
     Each block is 9 fields (see the module docstring); an edge block's row keeps
-    the fields of its c columns, and its rows past its last row are empty.
+    the fields of its c columns, and its rows past its last row are empty. Packing works
+    on at most the 8 row words of 8 * STRIP_BLOCKS blocks at a time.
     """
-    rows, width = strip.shape
+    rows, width = samples.shape
     grid_rows, grid_cols = grid = _grid(rows, width)
+    blocks = grid_rows * grid_cols
+    strip = _indices(samples, table)
     if rows % BLOCK_SIZE or width % BLOCK_SIZE:
         strip = np.pad(strip, ((0, -rows % BLOCK_SIZE), (0, -width % BLOCK_SIZE)), mode="edge")
     # fields[0] is each block's header and fields[1 + y] its row y, at first as 8 index bytes
-    fields = np.empty((1 + BLOCK_SIZE, grid_rows * grid_cols), dtype=np.uint64)
+    fields = np.empty((1 + BLOCK_SIZE, blocks), dtype=np.uint64)
     words = fields[1:]
     cells = words.view(np.uint8).reshape(BLOCK_SIZE, grid_rows, grid_cols, BLOCK_SIZE)
     cells[...] = strip.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).swapaxes(0, 1)
+    del strip  # the row words hold the indices now
     cells = cells.reshape(BLOCK_SIZE, -1, BLOCK_SIZE)
     # each block column's extreme over its rows, then over the columns: a reduce into
     # contiguous (blocks, 8) bytes, which the headers' words lend until they are written,
@@ -251,13 +268,20 @@ def _encode_strip(
     dw = _BIT_LENGTH[spread].reshape(grid)
     cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
     heights = np.minimum(rows - np.arange(0, rows, BLOCK_SIZE), BLOCK_SIZE)
-    # each row squeezed to its deltas; an edge block's rows past its last are empty
-    _pack_rows(words.reshape(BLOCK_SIZE, *grid), dw, cols)[heights[-1] :, -1] = 0
+    # each row squeezed to its deltas, all 8 rows at once but on a strip of more than
+    # 8 * STRIP_BLOCKS blocks, which has fewer than 32 * STRIP_BLOCKS, so 2 rows at least;
+    # an edge block's rows past its last are empty
+    step = BLOCK_SIZE * 8 * STRIP_BLOCKS // blocks
+    block_rows = words.reshape(BLOCK_SIZE, *grid)
+    for y in range(0, BLOCK_SIZE, step):
+        _pack_rows(block_rows[y : y + step], dw, cols)
+    block_rows[heights[-1] :, -1] = 0
     row_bits = (dw * cols).ravel()
     heads = np.where(spread, 2 * w + 1, w + 1)
     sizes = (row_bits.reshape(grid) * heights[:, None]).ravel() + heads
     starts = np.cumsum(sizes) - sizes + nbits
     total = int(starts[-1] + sizes[-1])
+    del sizes
     # every field at the top of its word: min, then max_delta or the repetition bit 1
     fields[0] = np.maximum(spread, 1) << (64 - heads).view(np.uint64)
     fields[0] |= lo.astype(np.uint64) << 64 - w
@@ -265,17 +289,21 @@ def _encode_strip(
     packed = np.zeros((total >> 6) + 8, dtype=np.uint64)  # 8 more for empty rows past the end
     packed[0] = acc << (64 - nbits)
     firsts = starts + heads  # row y starts at firsts + y * row_bits
-    for first in range(0, 1 + BLOCK_SIZE, 3):  # 3 fields of each block at a time
-        at = np.multiply(np.arange(first - 1, first + 2)[:, None], row_bits)
+    del heads  # before the placing makes its temporaries
+    # 3 fields of each block at a time, or 2 on a strip packed in parts, whose placing
+    # would otherwise hold the encoder's peak
+    step = 3 if step >= BLOCK_SIZE else 2
+    rows_of = np.arange(-1, BLOCK_SIZE)[:, None]  # field f is its block's row f - 1
+    for first in range(0, 1 + BLOCK_SIZE, step):
+        at = np.multiply(rows_of[first : first + step], row_bits)
         at += firsts
         if first == 0:
             at[0] = starts
-        at, values = at.ravel(), fields[first : first + 3].ravel()
+        at, values = at.ravel(), fields[first : first + step].ravel()
         bits = at & 63
         at >>= 6
-        tail = np.bitwise_xor(bits, 63).view(np.uint64)
-        np.left_shift(values, tail, out=tail)
-        tail <<= 1  # in two steps, as numpy shifts by 64 to 0
+        tail = np.subtract(64, bits).view(np.uint64)
+        np.left_shift(values, tail, out=tail)  # numpy shifts by 64 to 0: no tail at bit 0
         values >>= bits.view(np.uint64)
         np.add.at(packed, at, values)
         np.add.at(packed[1:], at, tail)

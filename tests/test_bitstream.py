@@ -761,13 +761,13 @@ def test_row_pack_matches_pack():
 
 
 @pytest.mark.parametrize(
-    "strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 8, 4), (4, 16, 8)]
+    "strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 4, 4), (4, 8, 8)]
 )
 def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
-    # both directions read STRIP_BLOCKS when they run, so setting it moves the encoder's
-    # strips of 8 * STRIP_BLOCKS blocks and the decoding strips of two of them, 16 *
-    # STRIP_BLOCKS blocks, save that decoding strips take a quarter of the plane's blocks
-    # where that is fewer; the header pass walks blocks in stream order, not strips
+    # both directions read STRIP_BLOCKS when they run, so setting it moves their strips
+    # of 16 * STRIP_BLOCKS blocks, or of a quarter of the plane's blocks where that is
+    # fewer, save that encoding strips take at least 8 * STRIP_BLOCKS blocks; the header
+    # pass walks blocks in stream order, not strips
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_indices(plane)
     real, strips = bitstream._strips, []
@@ -896,16 +896,41 @@ def strip_planes(k: int, rng: np.random.Generator) -> list[np.ndarray]:
 def test_strip_encoder_matches_oracle(k):
     # the row-word encoder writes the string encoder's bytes on every strip shape, on
     # photo-like planes and on 1024x1024 noise; block rows of 513 blocks split strips
-    # mid-row, and 16-block strips carry a partial byte across many strip ends
+    # mid-row, and 16-block strips carry a partial byte across many strip ends. Planes of
+    # 4,096 blocks or more encode in strips of 1,024 blocks, each packed in two parts:
+    # 1024x1024 noise in 16 of them, a 277x1020 plane of blocks of every delta width in 4
+    # and then a strip of 3 block rows, the last of them short, and a 33x8300 one along
+    # each block row in one of 1,024 and an edge strip of 14, down to the last block row
+    # of one pixel row, so the carry crosses long strips into short ones. The encoder
+    # gives numpy back its ufunc buffer size
     rng = np.random.default_rng(k)
+    buffers = np.getbufsize()
     for plane in strip_planes(k, rng):
         expected = bits_to_bytes(reference_plane_bits(plane, k))
         assert encode_indices(plane, k) == expected
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "STRIP_BLOCKS", 2)
             assert encode_indices(plane, k) == expected
-    noise = rng.integers(0, 255 // k + 1, (1024, 1024)).astype(np.uint8)
-    assert encode_indices(noise, k) == bits_to_bytes(reference_plane_bits(noise, k))
+    top = 255 // k
+    planes = [rng.integers(0, top + 1, (1024, 1024))]
+    for shape in [(277, 1020), (33, 8300)]:
+        spans = rng.integers(1, top + 2, _grid(*shape)).repeat(8, axis=0).repeat(8, axis=1)
+        planes.append(rng.integers(0, top + 1, shape) % spans[: shape[0], : shape[1]])
+    real, strips = bitstream._encode_strip, []
+
+    def counted(samples, *args):
+        rows, cols = _grid(*samples.shape)
+        strips.append(rows * cols)
+        return real(samples, *args)
+
+    for plane, blocks in zip(planes, [[1024] * 16, [1024] * 4 + [384], [1024, 14] * 5]):
+        plane = plane.astype(np.uint8)
+        strips.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "_encode_strip", counted)
+            stream = encode_indices(plane, k)
+        assert strips == blocks and np.getbufsize() == buffers
+        assert stream == bits_to_bytes(reference_plane_bits(plane, k))
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
@@ -1026,6 +1051,21 @@ def test_noise_plane_is_guessed():
     assert 1 <= len(chunks) <= 2
 
 
+def test_repeated_plane_is_guessed():
+    # every block of a constant 1024x1024 plane is repeated, w + 1 bits: the pass steps the
+    # first group of 8 * STRIP_BLOCKS blocks and guesses the rest in runs that double, but
+    # for the last two blocks, whose keys lie in the stream's last byte. The whole stream
+    # lies in one window, so only the passes show that the pass guessed
+    samples = np.full((1024, 1024), 128, dtype=np.uint8)
+    stream = bytearray()
+    bitstream.append_samples(stream, samples, 5)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bitstream, "_first_odd", passes(calls))
+        assert np.array_equal(decode_plane(stream, 1024, 1024, 5), core.quantize_plane(samples))
+    assert calls == [(n, n) for n in (512, 1024, 2048, 4096, 8190)]
+
+
 def test_noise_cut_past_guessed_strip_end():
     # a 1024x1024 noise stream cut inside block 2047, the last of the fourth group of 512
     # blocks and of the guessed run of blocks 1024 to 2047, past the first window, after that
@@ -1131,12 +1171,12 @@ def test_cells_before_counts_block_sizes(height, width):
     [(64, 5000, 16, [512, 1024, 2048, 904]), (40, 4100, 10, [512, 1024, 517])],
 )
 def test_guessed_runs_cross_strip_shapes(height, width, strips, runs):
-    # block rows of 625 and of 513 blocks are encoder strips of 512 and 113 blocks and of
-    # 512 and 1. Every block has W-bit deltas, so the pass steps the first 512 blocks and
-    # checks its guess over runs that double across the strips' changes of shape, in fewer
-    # passes than strips. It must find the spec's starts; on a stream cut inside the run
-    # of blocks 1024 to 2047, which crosses changes of shape, it gives up, and decode_plane
-    # gives the block loop's plane or error
+    # block rows of 625 and of 513 blocks cut strips of 8 * STRIP_BLOCKS blocks into 512
+    # and 113 blocks and into 512 and 1. Every block has W-bit deltas, so the pass steps the
+    # first 512 blocks and checks its guess over runs that double across those changes of
+    # shape, in fewer passes than such strips. It must find the spec's starts; on a stream
+    # cut inside the run of blocks 1024 to 2047, which crosses changes of shape, it gives
+    # up, and decode_plane gives the block loop's plane or error
     rng = np.random.default_rng(height + width)
     plane = uniform_plane(height, width, 5, rng)
     stream = encode_indices(plane, 5)

@@ -240,12 +240,17 @@ class TestDecompress:
             tracemalloc.stop()
         assert peak <= 1.25 * img.pixels.size
 
-    @pytest.mark.parametrize("shape", [(8, 512), (64, 64), (128, 128)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 512, 3), (64, 64, 3), (128, 128, 3), (16, 4088, 1)]
+    )
     def test_mid_plane_encode_memory_is_bounded(self, shape):
-        # planes of 64 to 256 blocks encode as one strip each, so a strip's working set
-        # falls on few samples; an image of three such noise planes must stay in bound
+        # planes of 64 to 1,022 blocks encode as one strip each, so a strip's working set
+        # falls on few samples; an image of three such noise planes must stay in bound, and
+        # so must one plane of 1,022 blocks, whose strip's translated samples are dropped
+        # before its rows are packed in two parts and placed 2 fields a step (3.3 bytes
+        # per sample; 4.92 with them held, the rows packed at once and 3 fields a step)
         rng = np.random.default_rng(shape[0] + 3)
-        img = RasterImage(rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
         tracemalloc.start()
         try:
             container.compress(img)
