@@ -38,7 +38,9 @@ block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes a row's indic
 less the block's min, one big-endian 64-bit word, and numpy adds each field into
 the 64-bit word where it starts, the rest into the next. It packs the row words of
 at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of each block at a
-time, or 2 on a longer strip.
+time, or 2 on a longer strip. Where a strip's blocks are all full and of one delta
+width, as on noise, that width and the row, header and block lengths are ints: the
+packing and the shifts take scalar operands and the blocks' starts are one arange.
 The decoder first reads the headers of the whole plane in one pass (``_chase``):
 one Python step per block in stream order, from its repetition bit to the next
 block's, through a table of block lengths indexed by that bit and max_delta, the
@@ -87,10 +89,12 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # 6 us against 220 as a strip. On a 2-core VM, strips of 512 blocks code the photo_rgb
 # benchmark faster than strips of 256 (encode 39%, decode 15%), and strips of 1,024
 # code it faster than strips of 512 (decode about 10%, encode about 20%), as an encoding
-# strip costs about 100 us plus 0.2 us a block. An encoding strip works in about 200
-# bytes per noise block, and compressing 256x256 noise peaks at 2.4 bytes per sample
-# (the bound is 4). A decoding strip works in about 4 bytes per cell (260 KB for 1,024
-# noise blocks): its stream bytes, then three words per block row.
+# strip costs about 100 us plus 0.2 us a block; a strip of full blocks of one delta
+# width, as on uniform noise, encodes with scalar operands in about a quarter less.
+# An encoding strip works in about 200 bytes per block, and compressing 256x256 noise
+# peaks at 2.2 bytes per sample (the bound is 4). A decoding strip works in about 4
+# bytes per cell (260 KB for 1,024 noise blocks): its stream bytes, then three words
+# per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -151,9 +155,9 @@ def _unpack_rows(fields: np.ndarray, widths: np.ndarray | np.integer) -> np.ndar
     return fields
 
 
-def _pack_rows(words: np.ndarray, widths: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """In place, _pack(l, c, dw) of the first c byte lanes l of each uint64, for widths' dw
-    and cols' c on its axes: _pack's steps on all 8 lanes, then the last 8 - c fields dropped."""
+def _pack_rows(words: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
+    """In place, _pack(l, 8, dw) of the 8 byte lanes l of each uint64, for widths' dw on its
+    axes, or for one dw where widths is an int, whose masks and shifts are then scalars."""
     odd = np.empty_like(words)
     shifts = np.subtract(BLOCK_SIZE, widths, dtype=np.uint64)
     for masks in _ROW_STEPS[5:0:-2].take(widths, axis=1):  # ~mask of steps 1, 2 and 3
@@ -161,8 +165,7 @@ def _pack_rows(words: np.ndarray, widths: np.ndarray, cols: np.ndarray) -> np.nd
         words ^= odd
         odd >>= shifts
         words |= odd
-        shifts <<= 1
-    words >>= ((BLOCK_SIZE - cols) * widths).astype(np.uint64)
+        shifts <<= np.uint64(1)  # numpy 1 makes a uint64 scalar shifted by an int a float
     return words
 
 
@@ -265,38 +268,50 @@ def _encode_strip(
     del columns, lanes  # before the packing makes its temporaries
     words[...] = words.view(">u8")  # each row's 8 bytes as one big-endian word, on any host
     words -= lo * np.uint64(_ONES[BLOCK_SIZE])
-    dw = _BIT_LENGTH[spread].reshape(grid)
-    cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
-    heights = np.minimum(rows - np.arange(0, rows, BLOCK_SIZE), BLOCK_SIZE)
+    dw = _BIT_LENGTH[spread]
+    # a strip of full blocks of one delta width, as on uniform noise, takes that width,
+    # and so its row, header and block lengths, as ints: scalar operands below
+    one = not (rows % BLOCK_SIZE or width % BLOCK_SIZE) and dw.min() == dw.max()
+    dw = int(dw[0]) if one else dw.reshape(grid)
     # each row squeezed to its deltas, all 8 rows at once but on a strip of more than
-    # 8 * STRIP_BLOCKS blocks, which has fewer than 32 * STRIP_BLOCKS, so 2 rows at least;
-    # an edge block's rows past its last are empty
+    # 8 * STRIP_BLOCKS blocks, which has fewer than 32 * STRIP_BLOCKS, so 2 rows at least
     step = BLOCK_SIZE * 8 * STRIP_BLOCKS // blocks
     block_rows = words.reshape(BLOCK_SIZE, *grid)
     for y in range(0, BLOCK_SIZE, step):
-        _pack_rows(block_rows[y : y + step], dw, cols)
-    block_rows[heights[-1] :, -1] = 0
-    row_bits = (dw * cols).ravel()
-    heads = np.where(spread, 2 * w + 1, w + 1)
-    sizes = (row_bits.reshape(grid) * heights[:, None]).ravel() + heads
-    starts = np.cumsum(sizes) - sizes + nbits
-    total = int(starts[-1] + sizes[-1])
-    del sizes
-    # every field at the top of its word: min, then max_delta or the repetition bit 1
-    fields[0] = np.maximum(spread, 1) << (64 - heads).view(np.uint64)
+        _pack_rows(block_rows[y : y + step], dw)
+    if one:  # each block starts one block length after the last
+        row_bits, heads = BLOCK_SIZE * dw, (2 * w + 1 if dw else w + 1)
+        size = heads + BLOCK_SIZE * row_bits
+        total = nbits + blocks * size
+        starts = np.arange(nbits, total, size)
+    else:
+        cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
+        heights = np.minimum(rows - np.arange(0, rows, BLOCK_SIZE), BLOCK_SIZE)
+        if width % BLOCK_SIZE:  # an edge block's row keeps the fields of its c columns
+            block_rows >>= ((BLOCK_SIZE - cols) * dw).astype(np.uint64)
+        block_rows[heights[-1] :, -1] = 0  # and its rows past its last are empty
+        row_bits = (dw * cols).ravel()
+        heads = np.where(spread, 2 * w + 1, w + 1)
+        sizes = (row_bits.reshape(grid) * heights[:, None]).ravel() + heads
+        starts = np.cumsum(sizes) - sizes + nbits
+        total = int(starts[-1] + sizes[-1])
+        del sizes
+    firsts = starts + heads  # row y starts at firsts + y * row_bits
+    # every field at the top of its word: min, then max_delta or the repetition bit 1,
+    # shifted in its uint64 word, as numpy 1 keeps a uint8 array shifted by a small scalar uint8
+    fields[0] = np.maximum(spread, 1)
+    fields[0] <<= np.uint64(64 - heads)
     fields[0] |= lo.astype(np.uint64) << 64 - w
-    words <<= (64 - row_bits).view(np.uint64)
+    words <<= np.uint64(64 - row_bits)  # numpy shifts by 64 to 0: rows of width 0 are empty
     packed = np.zeros((total >> 6) + 8, dtype=np.uint64)  # 8 more for empty rows past the end
     packed[0] = acc << (64 - nbits)
-    firsts = starts + heads  # row y starts at firsts + y * row_bits
     del heads  # before the placing makes its temporaries
     # 3 fields of each block at a time, or 2 on a strip packed in parts, whose placing
     # would otherwise hold the encoder's peak
     step = 3 if step >= BLOCK_SIZE else 2
     rows_of = np.arange(-1, BLOCK_SIZE)[:, None]  # field f is its block's row f - 1
     for first in range(0, 1 + BLOCK_SIZE, step):
-        at = np.multiply(rows_of[first : first + step], row_bits)
-        at += firsts
+        at = rows_of[first : first + step] * row_bits + firsts
         if first == 0:
             at[0] = starts
         at, values = at.ravel(), fields[first : first + step].ravel()

@@ -743,9 +743,10 @@ def test_row_unpack_matches_unpack():
 
 
 def test_row_pack_matches_pack():
-    # each uint64 holds 8 byte lanes of dw-bit values; the numpy row pack must squeeze its
-    # first c lanes as _pack does, for every width and column count, on random lanes and
-    # on lanes of all ones
+    # each uint64 holds 8 byte lanes of dw-bit values; the numpy row pack must squeeze them,
+    # and dropping the last 8 - c fields its first c lanes, as _pack does, for every width
+    # and column count, on random lanes and on lanes of all ones, with a width per word or
+    # one int width
     rng = np.random.default_rng(53)
     widths, cols = np.meshgrid(np.arange(8, dtype=np.uint8), np.arange(1, 9), indexing="ij")
     widths, cols = np.repeat(widths.ravel(), 4), np.repeat(cols.ravel(), 4)
@@ -757,7 +758,12 @@ def test_row_pack_matches_pack():
         bitstream._pack(int.from_bytes(bytes(row[:c]), "big"), c, dw)
         for row, c, dw in zip(lanes.tolist(), cols.tolist(), widths.tolist())
     ]
-    assert bitstream._pack_rows(words, widths, cols).tolist() == expected
+    drops = ((8 - cols) * widths).astype(np.uint64)
+    assert (bitstream._pack_rows(words.copy(), widths) >> drops).tolist() == expected
+    for dw in range(8):
+        same = widths == dw
+        packed = bitstream._pack_rows(words[same], dw) >> drops[same]
+        assert packed.tolist() == [expected[i] for i in np.flatnonzero(same)]
 
 
 @pytest.mark.parametrize(
@@ -1294,6 +1300,38 @@ def test_one_width_strips_match_block_loop(k):
     assert_same_outcome(got, walked)
     assert walked == (CorruptStreamError, f"block 9,17 decodes an index above limit {top} "
                       f"(bit {deltas - 2 * w - 1})")
+
+
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_one_width_strips_pack_with_scalars(k):
+    # with STRIP_BLOCKS at 8, a 64x256 plane of 8x32 blocks encodes in 4 strips of 64 full
+    # blocks: W-bit blocks, repeated blocks, of width 0, whose rows shift by 64 to nothing,
+    # blocks of mixed widths and W-bit blocks again. _pack_rows takes one int width on the
+    # one-width strips and a width per block on the mixed one, and so on both strips of a
+    # 20x250 plane of W-bit blocks, whose edge blocks have rows of 2 columns and the last
+    # strip's 4 rows. Every stream is the string encoder's
+    rng = np.random.default_rng(k + 113)
+    top = 255 // k
+    w = top.bit_length()
+    plane = uniform_plane(64, 256, k, rng)
+    plane[16:32] = np.arange(32).repeat(8) % (top + 1)  # strip 2's blocks, repeated
+    spans = rng.integers(1, top + 2, (2, 32)).repeat(8, axis=0).repeat(8, axis=1)
+    plane[32:48] = rng.integers(0, top + 1, (16, 256)) % spans  # strip 3's, of mixed widths
+    real, widths = bitstream._pack_rows, []
+
+    def spied(words, dw):
+        widths.append(dw if isinstance(dw, int) else None)  # None for a width per block
+        return real(words, dw)
+
+    cases = [(plane, [w, 0, None, w]), (uniform_plane(20, 250, k, rng), [None, None])]
+    for plane, expected in cases:
+        widths.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "STRIP_BLOCKS", 8)
+            patch.setattr(bitstream, "_pack_rows", spied)
+            stream = encode_indices(plane, k)
+        assert widths == expected
+        assert stream == bits_to_bytes(reference_plane_bits(plane, k))
 
 
 def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:
