@@ -62,8 +62,9 @@ blocks if fewer, decode a block row per 64-bit word: a row is at most
 56 bits long, so the window at its first bit, joined from two aligned words,
 holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
 of ``_unpack``, with scalar operands where the strip's blocks have one delta
-width. Lanes past an edge block's columns or rows hold whatever bits follow and
-are sliced away. This fast path
+width; such a strip without an edge column takes its rows' first bits from one outer
+sum of 8 row offsets and the blocks' starts. Lanes past an edge block's columns or
+rows hold whatever bits follow and are sliced away. This fast path
 raises nothing: if the pass runs past the stream, a check fails or an index
 decodes above the limit, it gives up and the per-block loop decodes the plane
 again and raises the error. Bytes past the last block are the one fault neither
@@ -210,12 +211,13 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
         for y in range(0, height, BLOCK_SIZE):
             for x in range(0, width, BLOCK_SIZE):
                 cells = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE].tobytes()
-                lo, hi = min(cells), max(cells)
-                if lo == hi:
-                    acc = (acc << (w + 1)) | (lo << 1) | 1
+                n = len(cells)
+                if cells.count(cells[0]) == n:  # a repeated block, found without min and max
+                    acc = (acc << (w + 1)) | (cells[0] << 1) | 1
                     nbits += w + 1
                 else:
-                    n, dw = len(cells), (hi - lo).bit_length()
+                    lo, hi = min(cells), max(cells)
+                    dw = (hi - lo).bit_length()
                     deltas = _pack(int.from_bytes(cells, "big") - lo * _ONES[n], n, dw)
                     header = lo << (w + 1) | (hi - lo)  # repetition bit 0 between them
                     acc = (acc << (2 * w + 1) | header) << n * dw | deltas
@@ -405,7 +407,15 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
         )
     chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
     plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
-    end = None if chased is None else _decode_strips(stream, chased, plane, k, top)
+    end = None
+    if chased is not None:
+        # numpy's ufuncs buffer a broadcast operand 1,024 elements at a time, as in
+        # append_samples, not 8,192: strips decode faster and add less to the decode's peak
+        buffers = np.setbufsize(1024)
+        try:
+            end = _decode_strips(stream, chased, plane, k, top)
+        finally:
+            np.setbufsize(buffers)
     if end is None:
         end = _decode_blocks(stream, plane, k, top)
     if len(stream) != (end + 7) // 8:
@@ -596,8 +606,17 @@ def _decode_strips(
             words.byteswap(inplace=True)
         # row y of a block starts at bit starts + 2 * w + 1 + y * row_bits; a repeated block's
         # header is w bits shorter, but its rows are 0 bits wide and read 0 wherever they start
-        at = np.arange(BLOCK_SIZE, dtype=np.int64)[:, None, None] * row_bits[blocks].reshape(grid)
-        at += (starts[blocks] + (2 * w + 1 - (origin << 3))).reshape(grid)
+        dw = widths[blocks]
+        one = dw.min() == dw.max()
+        firsts = starts[blocks] + (2 * w + 1 - (origin << 3))
+        rows_at = np.arange(BLOCK_SIZE, dtype=np.int64)
+        if one and not strip_width % BLOCK_SIZE:  # every row of the strip has one length
+            rows_at *= BLOCK_SIZE * int(dw[0])  # all 0 on a strip of repeated blocks
+            at = np.add.outer(rows_at, firsts).reshape(BLOCK_SIZE, *grid)
+        else:
+            at = rows_at[:, None, None] * row_bits[blocks].reshape(grid)
+            at += firsts.reshape(grid)
+        del firsts
         bits = at & 63
         at >>= 6
         fields = words.take(at)
@@ -606,8 +625,7 @@ def _decode_strips(
         tail >>= np.subtract(64, bits, out=bits).view(np.uint64)  # to 0 where bits is 64
         fields |= tail
         del tail, at, bits, words  # before the unpack makes its temporaries
-        dw = widths[blocks]
-        _unpack_rows(fields, dw[0] if dw.min() == dw.max() else dw.reshape(grid))
+        _unpack_rows(fields, dw[0] if one else dw.reshape(grid))
         fields += lows[blocks].reshape(grid).astype(np.uint64) * np.uint64(_ONES[BLOCK_SIZE])
         # the lanes as bytes, lane 0 first on any host, in the strip's pixel rows
         cells = np.empty((grid_rows, BLOCK_SIZE, grid_cols * BLOCK_SIZE), dtype=np.uint8)

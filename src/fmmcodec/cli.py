@@ -7,6 +7,7 @@ Exit codes are fixed so shell tests stay portable: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -101,8 +102,12 @@ def _cmd_compress(args) -> int:
     payload = len(blob) - container.HEADER_SIZE - 4 * image.channels
     cr = metrics.compression_ratio(raw, len(blob))
     if args.verbose:
+        # no sample moves further than this, so the PSNR of any image is at least the floor
+        bound = max(args.modulus // 2, 255 % args.modulus)
         print(f"modulus {args.modulus}, {image.width}x{image.height}, "
               f"{image.channels} channel(s)")
+        print(f"error bound {bound}, PSNR floor "
+              f"{20 * math.log10(metrics.PEAK_8BIT / bound):.2f} dB")
     print(f"{args.input}: {raw} -> {len(blob)} bytes (payload {payload}), CR {cr:.2f}")
     return EXIT_OK
 

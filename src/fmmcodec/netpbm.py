@@ -23,6 +23,10 @@ _MAX_DIGITS = 20
 # Whitespace, then a # comment to the end of its line or else the field. On
 # bytes, \s and bytes.isspace() are netpbm's six whitespace bytes.
 _FIELD = re.compile(rb"\s*(?:#[^\n]*|([^\s#]*))")
+# A whole header without comments, as write_netpbm writes it, to the whitespace byte
+# after the maxval: one match where the lexer takes four. Any other header, even one
+# that differs only by a comment, is left to the lexer, which reads it alike.
+_PLAIN = re.compile(rb"(P[56])\s+(\d{1,%d})\s+(\d{1,%d})\s+(\d{1,%d})\s" % ((_MAX_DIGITS,) * 3))
 
 
 def _token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
@@ -53,13 +57,20 @@ def read_netpbm(data: bytes) -> RasterImage:
     Exactly one whitespace byte separates the maxval from the payload, per
     the format; trailing bytes after the payload are ignored.
     """
-    magic, pos = _token(data, 0, "magic")
-    channels = _MAGIC_CHANNELS.get(magic)
-    if channels is None:
-        raise NetpbmError(f"unsupported magic {magic!r}, expected P5 or P6")
-    width, pos = _int_field(data, pos, "width")
-    height, pos = _int_field(data, pos, "height")
-    maxval, pos = _int_field(data, pos, "maxval")
+    plain = _PLAIN.match(data)
+    if plain:
+        magic, width, height, maxval = plain.groups()
+        channels = _MAGIC_CHANNELS[magic]
+        width, height, maxval = int(width), int(height), int(maxval)
+        pos = plain.end() - 1  # at the whitespace byte after the maxval
+    else:
+        magic, pos = _token(data, 0, "magic")
+        channels = _MAGIC_CHANNELS.get(magic)
+        if channels is None:
+            raise NetpbmError(f"unsupported magic {magic!r}, expected P5 or P6")
+        width, pos = _int_field(data, pos, "width")
+        height, pos = _int_field(data, pos, "height")
+        maxval, pos = _int_field(data, pos, "maxval")
     if width < 1 or height < 1:
         raise NetpbmError(f"dimensions must be positive, got {width}x{height}")
     if maxval != 255:

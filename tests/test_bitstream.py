@@ -766,6 +766,26 @@ def test_row_pack_matches_pack():
         assert packed.tolist() == [expected[i] for i in np.flatnonzero(same)]
 
 
+@pytest.mark.parametrize("k", [3, 5, 127])
+def test_block_loop_finds_repeated_blocks_by_count(k, monkeypatch):
+    # the per-block loop tells a repeated block by one count of its first index: the 12
+    # blocks of a constant 24x31 plane take neither min nor max, and those of noise, none
+    # of them repeated, each one call of both. Both streams are the string encoder's
+    calls = []
+    for name, real in (("min", min), ("max", max)):
+        def spy(cells, name=name, real=real):
+            calls.append(name)
+            return real(cells)
+        monkeypatch.setattr(bitstream, name, spy, raising=False)
+    top = 255 // k
+    noise = np.random.default_rng(k + 127).integers(0, top + 1, (24, 31))
+    for plane, blocks in ((np.full((24, 31), top // 2), 0), (noise, 12)):
+        calls.clear()
+        stream = encode_indices(plane, k)
+        assert calls == ["min", "max"] * blocks
+        assert stream == bits_to_bytes(reference_plane_bits(plane, k))
+
+
 @pytest.mark.parametrize(
     "strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 4, 4), (4, 8, 8)]
 )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fmmcodec import netpbm
 from fmmcodec.errors import NetpbmError
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import _MAGIC_CHANNELS, _MAX_DIGITS, read_netpbm, write_netpbm
@@ -196,6 +197,63 @@ def test_comment_run_memory_is_bounded():
     assert peak < 16_384
 
 
+def _lexer_calls(monkeypatch) -> list[str]:
+    """The fields that netpbm's lexer reads from here on, in order."""
+    calls, real = [], netpbm._token
+
+    def spied(data, pos, field):
+        calls.append(field)
+        return real(data, pos, field)
+
+    monkeypatch.setattr(netpbm, "_token", spied)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (31, 24, 3), (7, 1000, 1), (2, 70001, 1)])
+def test_canonical_header_is_one_match(shape, monkeypatch):
+    # write_netpbm's header is read by one match: the lexer is never reached
+    img = RasterImage(np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8))
+    data = write_netpbm(img)
+    calls = _lexer_calls(monkeypatch)
+    assert read_netpbm(data) == img
+    assert calls == []
+
+
+@pytest.mark.parametrize("space", [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+def test_plain_headers_are_one_match(space, monkeypatch):
+    # runs of each whitespace byte between the fields and fields of up to 20 digits, zero
+    # padded: no comment, so one match reads them, with the lexer's pixels
+    payload = bytes([3, 4, 5, 6, 7, 8])
+    headers = [
+        b"P5%s2%s3%s255%s" % (space, space * 3, space * 2, space),
+        b"P6%s%s%s%s%s%s%s" % (space * 5, b"2".zfill(20), space, b"1".zfill(20), space * 2,
+                                b"255".zfill(20), space),
+    ]
+    calls = _lexer_calls(monkeypatch)
+    for data in (header + payload for header in headers):
+        assert _outcome(read_netpbm, data) == _outcome(_reference_read, data)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5 # comment\n2 3 255 ",  # a comment
+        b"P5 2 3 255#\n",  # a # right after the maxval, not the whitespace byte
+        b"P5 " + b"2".zfill(21) + b" 3 255 ",  # a field of 21 digits
+        b"P5 2 3 " + b"255".zfill(21) + b"\n",
+        b"P6\n2 1\n#\n255\n",
+        b" P5 2 3 255 ",  # whitespace before the magic
+    ],
+)
+def test_other_headers_reach_the_lexer(header, monkeypatch):
+    # any header the match does not take is the lexer's, with its pixels or error
+    data = header + bytes(range(6))
+    calls = _lexer_calls(monkeypatch)
+    assert _outcome(read_netpbm, data) == _outcome(_reference_read, data)
+    assert calls[:1] == ["magic"]
+
+
 # The byte-at-a-time header lexer that the regular expression replaced, kept
 # verbatim as the oracle for test_header_lexer_matches_reference.
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -301,14 +359,21 @@ def _outcome(read, data: bytes):
         return type(exc), str(exc)
 
 
-def test_header_lexer_matches_reference():
+def test_header_lexer_matches_reference(monkeypatch):
     # on seeded random headers the regular-expression lexer gives the byte-at-a-time
-    # lexer's pixels, or its exception class and message
+    # lexer's pixels, or its exception class and message, and so does the one match that
+    # reads comment-free headers
     rng = np.random.default_rng(2024)
+    calls = _lexer_calls(monkeypatch)
     parsed = 0
+    paths = dict.fromkeys([(lexed, ok) for lexed in (False, True) for ok in (False, True)], 0)
     for _ in range(4000):
         data = _random_header(rng)
         expected = _outcome(_reference_read, data)
+        calls.clear()
         assert _outcome(read_netpbm, data) == expected, data
         parsed += isinstance(expected, list)
+        paths[bool(calls), isinstance(expected, list)] += 1
     assert 400 < parsed < 3600  # both outcomes are well represented
+    # and so is each on both paths; about 7% of these headers are comment-free
+    assert min(paths.values()) > 50, paths
