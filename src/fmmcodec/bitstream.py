@@ -44,13 +44,15 @@ packing and the shifts take scalar operands and the blocks' starts are one arang
 The decoder first reads the headers of the whole plane in one pass (``_chase``):
 one Python step per block in stream order, from its repetition bit to the next
 block's, through a table of block lengths indexed by that bit and max_delta, the
-block's key (2^(W+1) entries per cell count), on 16-bit ``_windows`` built two
-groups' reach at a time, a group being 8 * STRIP_BLOCKS blocks. A stepped group
-whose length is that of blocks whose keys all have one bit length, as on noise,
-where every block has W-bit deltas, makes the pass guess that the blocks after it
-are alike: numpy sums the guessed lengths into each block's repetition bit from the
-count of cells before each block, over a run of a group's blocks more than the guess
-has held for, and reads the keys there with two gathers. The run's first bit is
+block's key (2^(W+1) entries, built once per modulus and cell count), on 16-bit
+``_windows`` built two groups' reach at a time, a group being 8 * STRIP_BLOCKS
+blocks. The pass reads the count of cells before each block once per plane, and
+takes each stepped group's cell count from it. A stepped group whose length is that
+of blocks whose keys all have one bit length, as on noise, where every block has
+W-bit deltas, makes the pass guess that the blocks after it are alike: numpy sums
+the guessed lengths into each block's repetition bit from those counts, over a run
+of a group's blocks more than the guess has held for, and reads the keys there with
+two gathers. The run's first bit is
 known, so every guessed bit up to that of the first key of another bit length is
 proven. Where the guess has held for STRIP_BLOCKS blocks, that block's own key gives
 its length and the guess goes on past it; else the steps go on from that block. The
@@ -74,6 +76,7 @@ decoder returns. So every plane size raises the same errors and messages.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from contextlib import contextmanager
 from typing import Iterator
@@ -192,6 +195,11 @@ def _grid(height: int, width: int) -> tuple[int, int]:
     return -(-height // BLOCK_SIZE), -(-width // BLOCK_SIZE)
 
 
+def _sides(n: int) -> np.ndarray:
+    """Each block's extent along a side of n pixels: BLOCK_SIZE, but at most the pixels left."""
+    return np.minimum(n - np.arange(0, n, BLOCK_SIZE), BLOCK_SIZE)
+
+
 def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice]]:
     """Pixel rows and columns of each strip of about blocks blocks, in stream order."""
     rows = -(-blocks // _grid(1, width)[1]) * BLOCK_SIZE
@@ -297,8 +305,7 @@ def _encode_strip(
         total = nbits + blocks * size
         starts = np.arange(nbits, total, size)
     else:
-        cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE)
-        heights = np.minimum(rows - np.arange(0, rows, BLOCK_SIZE), BLOCK_SIZE)
+        cols, heights = _sides(width), _sides(rows)
         if width % BLOCK_SIZE:  # an edge block's row keeps the fields of its c columns
             block_rows >>= ((BLOCK_SIZE - cols) * dw).astype(np.uint64)
         block_rows[heights[-1] :, -1] = 0  # and its rows past its last are empty
@@ -342,30 +349,15 @@ def _encode_strip(
     return int(data[total >> 3]) >> (8 - (total & 7)), total & 7
 
 
-def _cells(rows: int, width: int) -> list[int]:
-    """Index count of each block of a rows x width region, in stream order."""
-    full, edge = divmod(width, BLOCK_SIZE)
-    cols = [BLOCK_SIZE] * full + [edge] * (edge > 0)
-    full, edge = divmod(rows, BLOCK_SIZE)
-    return [BLOCK_SIZE * n for n in cols] * full + [edge * n for n in cols] * (edge > 0)
-
-
-def _cells_before(block: int, height: int, width: int) -> int:
-    """Index count of a height x width plane's blocks before the one of flat index block, in
-    stream order: its whole block rows, then 8 columns a block of its own row."""
-    rows, cols = divmod(block, -(-width // BLOCK_SIZE))
-    top = min(BLOCK_SIZE * rows, height)  # the pixel rows above the block's row, or all
-    return width * top + BLOCK_SIZE * cols * min(height - top, BLOCK_SIZE)
-
-
 def _cells_before_each(height: int, width: int) -> np.ndarray:
-    """_cells_before of every block of a height x width plane and, last, the plane's cells."""
+    """Index count of a height x width plane's blocks before each block, in stream order,
+    and, last, the plane's: its whole block rows, then 8 columns a block of its own row."""
     rows, cols = _grid(height, width)
     before = np.empty(rows * cols + 1, dtype=np.int64)
     tops = np.arange(0, height, BLOCK_SIZE)  # the pixel rows above each block row
     grid = before[:-1].reshape(rows, cols)
     grid[...] = np.arange(0, width, BLOCK_SIZE)
-    grid *= np.minimum(height - tops, BLOCK_SIZE)[:, None]
+    grid *= _sides(height)[:, None]
     grid += tops[:, None] * width
     before[-1] = height * width
     return before
@@ -430,6 +422,7 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
     return plane, chased
 
 
+@functools.cache
 def _advance(w: int, cells: int) -> list[int]:
     """Bits from a block's repetition bit to the next block's, by that bit and max_delta."""
     return [2 * w + 1 + cells * s.bit_length() for s in range(1 << w)] + [w + 1] * (1 << w)
@@ -489,28 +482,29 @@ def _chase(
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
     data = np.frombuffer(stream, dtype=np.uint8)
-    full, edge = _cells(BLOCK_SIZE, width), _cells(height % BLOCK_SIZE, width)
-    tables = {n: _advance(w, n) for n in {*full, *edge}}
-    steps = [tables[n] for n in full] * (height // BLOCK_SIZE)  # each block's table
-    steps += [tables[n] for n in edge]  # in place, as a list's + would copy it
+    # the cells before each block, and the plane's, as a view whose items are Python ints
+    before = memoryview(_cells_before_each(height, width))
+    # each block's table, by the cells of a full block row's blocks, then of the edge row's,
+    # which are all 0 where the plane has none
+    full, edge = np.outer([BLOCK_SIZE, height % BLOCK_SIZE], _sides(width)).tolist()
+    steps = [_advance(w, n) for n in full] * (height // BLOCK_SIZE)
+    steps += [_advance(w, n) for n in edge if n]  # in place, as a list's + would copy it
     group = 8 * STRIP_BLOCKS
     reach = (group * (2 * w + 1 + _CELLS * w) >> 3) + 2  # the bytes a group's headers can span
     reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
     chunks = []  # (first entry of reps, first byte) of each chunk
     base, win, q = 0, b"", w
-    # one bit length of every key, if a group's advance says so, the block that runs prove
-    # it from, and the cells before each block, once the plane guesses
-    guess = since = cells = None
+    # one bit length of every key, if a group's advance says so, and the block that runs
+    # prove it from
+    guess = since = None
     while (b := len(reps) - 1) < len(steps):
         if guess is not None:
-            if cells is None:
-                cells = _cells_before_each(height, width)
             # from block b's repetition bit to each next block's: w + 1 bits a block if
             # every key has bit length w + 1, as a repeated block's, else 2 * w + 1 bits a
             # block and guess bits a cell; for a group's blocks more than runs have proven
             head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
             held = b - since
-            at = cells[b : min(len(steps), b + group + held) + 1] * each
+            at = np.multiply(before[b : min(len(steps), b + group + held) + 1], each)
             at += np.arange(0, head * len(at), head) + (q - int(at[0]))
             # the run's keys whose 2 bytes lie in the stream
             fits = min(len(at) - 1, int(at.searchsorted(8 * (len(data) - 1 - base))))
@@ -544,7 +538,7 @@ def _chase(
             return None
         # keys of one bit length g advance a group w + 1 bits a block if g is w + 1, as
         # repeated blocks, else 2 * w + 1 bits a block and g a cell
-        size = _cells_before(b + len(stepped), height, width) - _cells_before(b, height, width)
+        size = before[b + len(stepped)] - before[b]
         deltas, extra = divmod(q - first - len(stepped) * (2 * w + 1), size)
         guess = deltas if not extra and 0 <= deltas <= w else None
         if q - first == len(stepped) * (w + 1):
@@ -590,7 +584,7 @@ def _decode_strips(
     height, width = plane.shape
     # per block: the delta width and the bits of one of its rows
     widths = _BIT_LENGTH[spreads]
-    cols = np.minimum(width - np.arange(0, width, BLOCK_SIZE), BLOCK_SIZE).astype(np.uint8)
+    cols = _sides(width).astype(np.uint8)
     row_bits = (widths.reshape(-1, len(cols)) * cols).ravel()
     data = np.frombuffer(stream, dtype=np.uint8)
     first = 0

@@ -367,11 +367,14 @@ def spec_mutants(plane: np.ndarray, k: int, rng: np.random.Generator) -> list[by
 @example(shape=(8, 520), span=85, seed=1, strip_blocks=STRIP_BLOCKS)
 @example(shape=(520, 8), span=85, seed=2, strip_blocks=2)
 @example(shape=(17, 1030), span=85, seed=5, strip_blocks=2)
+@example(shape=(5, 1030), span=85, seed=3, strip_blocks=STRIP_BLOCKS)
+@example(shape=(1030, 5), span=85, seed=4, strip_blocks=2)
 @settings(max_examples=8, deadline=None)
 def test_decoders_follow_spec(k, shape, span, seed, strip_blocks):
     # decode_plane and block_fields against the spec on mutants of planes on both sides of
     # the STRIP_BLOCKS fork. With STRIP_BLOCKS at 2, a strip-coded plane's groups are 16
-    # blocks, so the header pass builds windows for many chunks and guesses over many runs
+    # blocks, so the header pass builds windows for many chunks and guesses over many runs.
+    # A 5x1030 plane is one edge block row and no full one, a 1030x5 plane one edge column
     plane = drawn_plane(shape, span, seed, k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
@@ -1187,9 +1190,20 @@ def test_cells_before_counts_block_sizes(height, width):
     ]
     before = [0, *np.cumsum(sizes).tolist()]
     assert bitstream._cells_before_each(height, width).tolist() == before
-    assert [bitstream._cells_before(b, height, width) for b in range(len(before))] == before
     stream = encode_indices(np.zeros((height, width), dtype=np.uint8))
     assert block_fields(stream, height, width)[2].tolist() == sizes
+
+
+def test_advance_tables_are_built_once_per_modulus():
+    # the header pass takes each cell count's table of block lengths from a cache, so a
+    # second plane of one modulus, edge blocks and all, builds no table
+    rng = np.random.default_rng(107)
+    misses = []
+    for _ in range(2):
+        plane = rng.integers(0, 52, (67, 75))
+        assert decode_indices(encode_indices(plane), 67, 75).tolist() == plane.tolist()
+        misses.append(bitstream._advance.cache_info().misses)
+    assert misses[1] == misses[0]
 
 
 @pytest.mark.parametrize(
