@@ -52,14 +52,14 @@ of blocks whose keys all have one bit length, as on noise, where every block has
 W-bit deltas, makes the pass guess that the blocks after it are alike: numpy sums
 the guessed lengths into each block's repetition bit from those counts, over a run
 of a group's blocks more than the guess has held for, and reads the keys there with
-two gathers. The run's first bit is
+``_bits_at``, which returns the bits at given offsets. The run's first bit is
 known, so every guessed bit up to that of the first key of another bit length is
 proven. Where the guess has held for STRIP_BLOCKS blocks, that block's own key gives
 its length and the guess goes on past it; else the steps go on from that block. The
-grammar does not resynchronise, so no guess is kept unchecked. numpy then reads and
-checks every header at once, and takes each block's delta width and row length
-once per plane; ``block_fields`` gives the same headers, so no plane is walked
-twice. Strips of n = 16 * STRIP_BLOCKS blocks, or of a quarter of the plane's
+grammar does not resynchronise, so no guess is kept unchecked. ``_bits_at`` then
+reads every header at once, numpy checks them and takes each block's delta width and
+row length once per plane; ``block_fields`` gives the same headers, so no plane is
+walked twice. Strips of n = 16 * STRIP_BLOCKS blocks, or of a quarter of the plane's
 blocks if fewer, decode a block row per 64-bit word: a row is at most
 56 bits long, so the window at its first bit, joined from two aligned words,
 holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
@@ -430,23 +430,32 @@ def _advance(w: int, cells: int) -> list[int]:
 
 def _windows(data: np.ndarray, start: int, stop: int) -> memoryview:
     """data[i] << 8 | data[i + 1] for i from start to stop - 1, the byte past data read as 0."""
-    windows = np.zeros(stop - start, dtype=np.uint16)
-    halves = windows.view(np.uint8).reshape(-1, 2)  # high bytes in column 1 on little-endian
-    halves[:, int(np.little_endian)] = data[start:stop]
-    halves[: len(data) - start - 1, int(not np.little_endian)] = data[start + 1 : stop + 1]
+    windows = np.left_shift(data[start:stop], 8, dtype=np.uint16)
+    windows[: len(data) - start - 1] |= data[start + 1 : stop + 1]
     return memoryview(windows)
+
+
+def _bits_at(data: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """The n <= 17 bits of data from each bit offset in at, as ints; bytes past data's end
+    read as its last. From any offset 9 bits lie in 2 bytes, read as uint16, and 17 in 3."""
+    size = 2 if n <= 9 else 3
+    byte = at >> 3
+    bits = data.take(byte, mode="clip").astype(np.uint16 if size == 2 else np.uint32)
+    for i in range(1, size):
+        bits <<= 8  # the next bytes, from data[i:], but its last byte where that is empty
+        bits |= data[min(i, len(data) - 1) :].take(byte, mode="clip")
+    offset = at.astype(np.uint8)
+    offset &= 7
+    bits >>= np.subtract(8 * size - n, offset, out=offset)
+    bits &= (1 << n) - 1
+    return bits
 
 
 def _first_odd(data: np.ndarray, at: np.ndarray, guess: int, w: int) -> int:
     """Index of the first key, of those whose first bits in data at gives, whose bit length
     is not guess, or len(at); a key is a block's repetition bit and max_delta, w + 1 bits."""
-    byte = at >> 3
-    keys = np.left_shift(data.take(byte), 8, dtype=np.uint16)
-    keys |= data[1:].take(byte)
-    bits = at.astype(np.uint8)
-    bits &= 7
-    keys <<= bits  # each key in the top w + 1 bits, as keys >> 15 - w; it has bit
-    keys >>= 14 - w + max(guess, 1)  # length g if key >> g - 1 is 1, or key is 0
+    keys = _bits_at(data, at, w + 1)
+    keys >>= max(guess, 1) - 1  # a key has bit length g if key >> g - 1 is 1, or key is 0
     wrong = keys != min(guess, 1)
     return int(wrong.argmax()) if wrong.any() else len(at)
 
@@ -465,19 +474,19 @@ def _chase(
     length, the blocks after it are guessed to be such, a run at a time: numpy sums
     the guessed advances into each block's repetition bit from the cells before each
     block, for a group's blocks more than runs have proven the guess on, so runs
-    double on noise, and _first_odd reads every key there and takes the first whose
-    bit length is not the guess. The run's first bit is known, so each bit up to that
-    block's is right. Where runs have proven the guess on STRIP_BLOCKS blocks since it
-    was made or since the pass last went past such a block, it takes that block's
-    advance from its own key and guesses again from the next, so a plane turning mixed
-    costs a numpy pass per STRIP_BLOCKS blocks at most; else the steps go on from that
-    block. Blocks whose keys would lie in the stream's last byte or past it are
-    stepped, and a run whose proven end lies past the stream's end gives None.
-    numpy then reads every header at once and makes _decode_blocks' header checks
-    on them. starts holds each block's first bit and, last, the plane's end; a
-    repeated block's max_delta reads 0. None means the pass ran past the stream or
-    a check failed: only _decode_blocks defines which error that is. Bytes past the
-    blocks are left to decode_plane.
+    double on noise, and _first_odd reads every key there by _bits_at and takes the
+    first whose bit length is not the guess. The run's first bit is known, so each bit
+    up to that block's is right. Where runs have proven the guess on STRIP_BLOCKS
+    blocks since it was made or since the pass last went past such a block, it takes
+    that block's advance from its own key and guesses again from the next, so a plane
+    turning mixed costs a numpy pass per STRIP_BLOCKS blocks at most; else the steps
+    go on from that block. Blocks whose keys would lie in the stream's last byte or
+    past it are stepped, and a run whose proven end lies past the stream's end gives
+    None. _bits_at then reads every header's 2 * W + 1 bits from its block's first
+    bit, and numpy makes _decode_blocks' header checks on them. starts holds each
+    block's first bit and, last, the plane's end; a repeated block's max_delta reads 0.
+    None means the pass ran past the stream or a check failed: only _decode_blocks
+    defines which error that is. Bytes past the blocks are left to decode_plane.
     """
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
@@ -550,24 +559,13 @@ def _chase(
     starts -= w
     for (first, offset), (last, _) in zip(chunks, chunks[1:] + [(len(reps), 0)]):
         starts[first:last] += offset << 3
-    # a header is at most 2 * 7 + 1 bits: from any bit offset it lies in 3 bytes; bytes
-    # past the end read as the last one, and only bits the end check rejects come from them
-    at = starts[:-1] >> 3
-    head = data[at].astype(np.int32)
-    for _ in range(2):
-        at += 1
-        head <<= 8
-        head |= data.take(at, mode="clip")
-    offset = starts[:-1].astype(np.uint8)
-    offset &= 7
-    head >>= np.subtract(23 - 2 * w, offset, out=offset)
+    # each header's min, repetition bit and max_delta; only bits the end check rejects
+    # come from past the stream's end
+    head = _bits_at(data, starts[:-1], 2 * w + 1)
     varied = (head & (1 << w)) == 0
-    spreads = head.astype(np.uint8)
-    spreads &= (1 << w) - 1
+    spreads = (head & (1 << w) - 1).astype(np.uint8)
     spreads *= varied
-    head >>= w + 1
-    lows = head.astype(np.uint8)
-    lows &= (1 << w) - 1
+    lows = (head >> w + 1).astype(np.uint8)
     if (varied & (spreads == 0)).any() or (lows + spreads > top).any():
         return None
     return starts, lows, spreads

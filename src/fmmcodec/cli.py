@@ -49,14 +49,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fmm", description="Block codec for 8-bit PGM/PPM images.")
     parser.add_argument("-v", "--verbose", action="store_true", help="print extra detail")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compress", help="encode a PGM/PPM file into a .fmm container")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument(
+    modulus = _Parser(add_help=False)  # the -k option of compress and bench
+    modulus.add_argument(
         "-k", "--modulus", type=_modulus_arg, default=DEFAULT_MODULUS,
         help="odd quantization step in [3, 127], default %(default)s",
     )
+
+    p = sub.add_parser("compress", parents=[modulus],
+                       help="encode a PGM/PPM file into a .fmm container")
+    p.add_argument("input")
+    p.add_argument("output")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="decode a .fmm container back to PGM/PPM")
@@ -73,12 +75,9 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("bench", help="compress every PGM/PPM in a directory, report PSNR and CR")
+    p = sub.add_parser("bench", parents=[modulus],
+                       help="compress every PGM/PPM in a directory, report PSNR and CR")
     p.add_argument("directory")
-    p.add_argument(
-        "-k", "--modulus", type=_modulus_arg, default=DEFAULT_MODULUS,
-        help="odd quantization step in [3, 127], default %(default)s",
-    )
     p.set_defaults(func=_cmd_bench)
 
     return parser

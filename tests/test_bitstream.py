@@ -532,6 +532,41 @@ def test_short_stream_rejected_before_any_block():
         decode_plane(bytes(3), 16, 16)
 
 
+@pytest.mark.parametrize("height, width", [(0, 8), (8, 0), (0, 0)])
+def test_empty_plane_dimensions_rejected(height, width):
+    message = f"dimensions must be at least 1x1, got {width}x{height}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decode_plane(bytes(8), height, width)
+
+
+def bit_string(data: np.ndarray) -> str:
+    return "".join(format(byte, "08b") for byte in data.tobytes())
+
+
+# the header pass reads keys of W + 1 bits and headers of 2 * W + 1 bits, for W from 2
+# (k = 127) to 7 (k = 3)
+@pytest.mark.parametrize("n", sorted({n for w in range(2, 8) for n in (w + 1, 2 * w + 1)}))
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_bits_at_reads_any_offset(n, size):
+    # every bit offset of the stream, then a byte's offsets past its end: bytes past the
+    # end read as the last byte
+    data = np.random.default_rng(8 * n + size).integers(0, 256, size, dtype=np.uint8)
+    bits = bit_string(data) + bit_string(data[-1:]) * 4
+    at = np.arange(8 * size + 8)
+    want = [int(bits[a : a + n], 2) for a in at.tolist()]
+    assert bitstream._bits_at(data, at, n).tolist() == want
+    assert bitstream._bits_at(data, at[::-3], n).tolist() == want[::-3]
+
+
+@pytest.mark.parametrize("start, stop", [(0, 6), (0, 5), (1, 6), (2, 4), (5, 6), (6, 6)])
+def test_windows_join_each_byte_and_the_next(start, stop):
+    # a window whose stop is the stream's end reads 0 past its last byte
+    data = np.random.default_rng(start * 7 + stop).integers(0, 256, 6, dtype=np.uint8)
+    bits = bit_string(data) + "0" * 8
+    want = [int(bits[8 * i : 8 * i + 16], 2) for i in range(start, stop)]
+    assert bitstream._windows(data, start, stop).tolist() == want
+
+
 # strip-coded planes: one block row or column of 65 blocks, edge blocks on both sides,
 # and 129 blocks to a block row with edge blocks
 STRIP_SHAPES = [(8, 520), (520, 8), (61, 77), (17, 1030), (20, 1030)]
