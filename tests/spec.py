@@ -1,12 +1,52 @@
-"""The README's block grammar read one field at a time from a string of '0' and '1'
-characters: the tests' reference decoder, which shares no code with fmmcodec. It makes
-decode_plane's checks in their order, so its first fault is the one decode_plane raises."""
+"""The README's block grammar in both directions, one field at a time on strings of '0' and
+'1' characters: the tests' reference encoder and decoder, which share no code with fmmcodec.
+The decoder makes decode_plane's checks in their order, so its first fault is the one
+decode_plane raises."""
 
 from typing import NamedTuple
 
 import numpy as np
 
 from fmmcodec.errors import CorruptStreamError, FmmError, TruncatedStreamError
+
+# every field of each delta width, in that many '0' and '1' characters
+FIELDS = [[format(value, f"0{dw}b") for value in range(1 << dw)] for dw in range(8)]
+
+
+def block_coding(indices: list[int], lo: int, spread: int, w: int) -> str:
+    """A block's bits with min_index lo and max_delta spread, repeated where spread is 0, and
+    each index less lo in bit_length(spread) bits: the encoder's coding where lo and spread
+    are the indices' min and spread, and another coding, valid or not, where they are not."""
+    if not spread:
+        return format(lo, f"0{w}b") + "1"
+    fields = FIELDS[spread.bit_length()]
+    return f"{lo:0{w}b}0{spread:0{w}b}" + "".join([fields[index - lo] for index in indices])
+
+
+def reference_block_bits(values: np.ndarray, k: int = 5) -> str:
+    """The bits of a block of indices at modulus k, as the encoder writes them."""
+    lo, hi = int(values.min()), int(values.max())
+    return block_coding(values.ravel().tolist(), lo, hi - lo, (255 // k).bit_length())
+
+
+def reference_plane_bits(plane: np.ndarray, k: int = 5) -> str:
+    """reference_block_bits over the row-major 8x8 grid, concatenated."""
+    height, width = plane.shape
+    return "".join(
+        reference_block_bits(plane[y : y + 8, x : x + 8], k)
+        for y in range(0, height, 8)
+        for x in range(0, width, 8)
+    )
+
+
+def bits_to_bytes(bits: str) -> bytes:
+    padded = bits + "0" * (-len(bits) % 8)
+    return int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
+
+
+def reference_stream(plane: np.ndarray, k: int = 5) -> bytes:
+    """The stream of an index plane at modulus k, as the encoder writes it."""
+    return bits_to_bytes(reference_plane_bits(plane, k))
 
 
 class Decoded(NamedTuple):
@@ -19,7 +59,7 @@ class Decoded(NamedTuple):
 class Fault(NamedTuple):
     error: type[FmmError]  # the class decode_plane raises
     block: tuple[int, int] | None  # (row, col), None for a fault of the whole stream
-    bit: int | None  # the block's first bit
+    bit: int | None  # the block's first bit, the end bit for trailing bytes, None for the size
     check: str  # size, header, min, max_delta, range, deltas, index or trailing
 
 
@@ -63,8 +103,8 @@ def reference_decode(stream: bytes, height: int, width: int, k: int) -> Decoded 
                 if end > len(bits):
                     return fault(TruncatedStreamError, "deltas")
                 fields = int(bits[pos:end], 2)  # the first field in the highest bits
-                shifts = range(end - pos - dw, -1, -dw)
-                indices = [lo + (fields >> shift & (1 << dw) - 1) for shift in shifts]
+                mask, shifts = (1 << dw) - 1, range(end - pos - dw, -1, -dw)
+                indices = [lo + (fields >> shift & mask) for shift in shifts]
                 pos = end
                 if max(indices) > top:
                     return fault(CorruptStreamError, "index")
@@ -73,5 +113,5 @@ def reference_decode(stream: bytes, height: int, width: int, k: int) -> Decoded 
             plane[8 * row : 8 * row + 8, 8 * col : 8 * col + 8].flat = indices  # row-major
     starts.append(pos)
     if len(stream) != (pos + 7) // 8:  # the padding's bits are not read
-        return Fault(CorruptStreamError, None, None, "trailing")
+        return Fault(CorruptStreamError, None, pos, "trailing")
     return Decoded(plane, starts, lows, spreads)

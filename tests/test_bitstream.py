@@ -1,3 +1,4 @@
+import math
 import re
 import time
 import traceback
@@ -14,45 +15,20 @@ from fmmcodec.errors import CorruptStreamError, FmmError, ModulusError, Truncate
 from fmmcodec.image import RasterImage
 
 from golden import BLOCK_BITS, INDEX_BLOCK
-from spec import Decoded, Fault, reference_decode
+from spec import (
+    Decoded,
+    Fault,
+    bits_to_bytes,
+    block_coding,
+    reference_block_bits,
+    reference_decode,
+    reference_plane_bits,
+    reference_stream,
+)
+from spies import spy
 from streams import decode_indices, encode_indices
 
 MODULI = range(3, 128, 2)
-
-
-# every field of each delta width, in that many '0' and '1' characters
-FIELDS = [[format(value, f"0{dw}b") for value in range(1 << dw)] for dw in range(8)]
-
-
-def block_coding(indices: list[int], lo: int, spread: int, w: int) -> str:
-    """A block's bits with min_index lo and max_delta spread, repeated where spread is 0, and
-    each index less lo in bit_length(spread) bits: the encoder's coding where lo and spread
-    are the indices' min and spread, and another coding, valid or not, where they are not."""
-    if not spread:
-        return format(lo, f"0{w}b") + "1"
-    fields = FIELDS[spread.bit_length()]
-    return f"{lo:0{w}b}0{spread:0{w}b}" + "".join([fields[index - lo] for index in indices])
-
-
-def reference_block_bits(values: np.ndarray, k: int = 5) -> str:
-    """Independent string-based encoder used to cross-check the packer."""
-    lo, hi = int(values.min()), int(values.max())
-    return block_coding(values.ravel().tolist(), lo, hi - lo, (255 // k).bit_length())
-
-
-def reference_plane_bits(plane: np.ndarray, k: int = 5) -> str:
-    """reference_block_bits over the row-major 8x8 grid, concatenated."""
-    height, width = plane.shape
-    return "".join(
-        reference_block_bits(plane[y : y + 8, x : x + 8], k)
-        for y in range(0, height, 8)
-        for x in range(0, width, 8)
-    )
-
-
-def bits_to_bytes(bits: str) -> bytes:
-    padded = bits + "0" * (-len(bits) % 8)
-    return int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
 
 
 def only_block(stream: bytes, rows: int, cols: int, k: int = 5) -> tuple[int, int, int, int]:
@@ -240,15 +216,8 @@ def drawn_plane(shape: tuple[int, int], span: int, seed: int, k: int) -> np.ndar
 def test_plane_bytes_match_reference(k, shape, span, seed):
     plane = drawn_plane(shape, span, seed, k)
     stream = encode_indices(plane, k)
-    assert stream == bits_to_bytes(reference_plane_bits(plane, k))
+    assert stream == reference_stream(plane, k)
     assert np.array_equal(decode_indices(stream, *shape, k), plane)
-
-
-def walked_plane(stream: bytes, height: int, width: int, k: int) -> np.ndarray:
-    """decode_plane on the per-block loop alone, whatever the plane's size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "STRIP_BLOCKS", -(-height // 8) * -(-width // 8) + 1)
-        return decode_plane(stream, height, width, k)
 
 
 def no_block_loop(*args):
@@ -296,15 +265,35 @@ def flipped(stream: bytes, count: int, rng: np.random.Generator) -> list[bytes]:
 
 
 def located(result):
-    """An outcome with its error's message cut to the spec's terms: the block, (row, col),
-    and the bit that it names, or None and None for a fault of the whole stream."""
+    """An outcome with a block error's message cut to the spec's terms: the block, (row, col),
+    and the bit that it names. The trailing-bytes message stays whole, and the size bound's
+    is cut to None and None."""
     if not isinstance(result, tuple):
         return result
     place = re.fullmatch(r"block (\d+),(\d+)\b.* \(bit (\d+)\)", result[1])
     if place is None:
-        return result[0], None, None
+        return result if result[1].startswith("stream is ") else (result[0], None, None)
     row, col, bit = map(int, place.groups())
     return result[0], (row, col), bit
+
+
+def spec_outcome(spec: Decoded | Fault, stream: bytes, k: int):
+    """The spec's outcome of stream in located's terms: its plane times k, or its fault's
+    class, block and first bit, or for trailing bytes the message its end bit gives."""
+    if isinstance(spec, Decoded):
+        return spec.plane * np.uint8(k)
+    if spec.check == "trailing":
+        return spec.error, f"stream is {len(stream)} bytes but its blocks need {spec.bit + 7 >> 3}"
+    return spec[:3]
+
+
+def decodes_like_spec(
+    spec: Decoded | Fault, stream: bytes, height: int, width: int, k: int
+) -> type:
+    """Check decode_plane against the spec's outcome of stream; the kind of outcome."""
+    got = located(outcome(decode_plane, stream, height, width, k))
+    assert_same_outcome(got, spec_outcome(spec, stream, k))
+    return spec.error if isinstance(spec, Fault) else np.ndarray
 
 
 def follows_spec(stream: bytes, height: int, width: int, k: int) -> type:
@@ -313,19 +302,18 @@ def follows_spec(stream: bytes, height: int, width: int, k: int) -> type:
     where the strip codec takes the plane, as the fast path gives up only on streams the
     loop rejects, so that a fault of the fast path cannot hide behind the fallback."""
     spec = chase_follows_spec(stream, height, width, k)
-    expected = spec[:3] if isinstance(spec, Fault) else spec.plane * np.uint8(k)
-    assert_same_outcome(located(outcome(decode_plane, stream, height, width, k)), expected)
+    kind = decodes_like_spec(spec, stream, height, width, k)
     fields = outcome(lambda *args: np.stack(block_fields(*args)[3:]), stream, height, width, k)
     if isinstance(spec, Fault):
-        assert_same_outcome(located(fields), expected)
-        return spec.error
+        assert_same_outcome(located(fields), spec_outcome(spec, stream, k))
+        return kind
     widths = [spread.bit_length() for spread in spec.spreads]
     assert_same_outcome(fields, np.array([spec.lows, spec.spreads, widths, np.diff(spec.starts)]))
     if len(spec.lows) >= bitstream.STRIP_BLOCKS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "_decode_blocks", no_block_loop)
-            assert np.array_equal(decode_plane(stream, height, width, k), expected)
-    return np.ndarray
+            assert np.array_equal(decode_plane(stream, height, width, k), spec.plane * np.uint8(k))
+    return kind
 
 
 def spec_mutants(plane: np.ndarray, k: int, rng: np.random.Generator) -> list[bytes]:
@@ -339,14 +327,14 @@ def spec_mutants(plane: np.ndarray, k: int, rng: np.random.Generator) -> list[by
     stream = bits_to_bytes(bits)
     mutants = [stream, stream + bytes(1), stream[: int(rng.integers(0, len(stream)))]]
     mutants += flipped(stream, 2, rng)
-    heads, end = plane_heads(plane, k)
-    starts = [deltas - (w + 1) - w * (spread > 0) for _, spread, _, deltas in heads] + [end]
-    i = int(rng.integers(0, len(heads)))
-    bit = int(rng.integers(starts[i], heads[i][3]))
+    heads = reference_decode(stream, *plane.shape, k)
+    starts = heads.starts
+    i = int(rng.integers(0, len(heads.lows)))
+    low, spread = heads.lows[i], heads.spreads[i]
+    bit = int(rng.integers(starts[i], starts[i] + w + 1 + w * (spread > 0)))
     mutants.append(bits_to_bytes(bits[:bit] + "10"[int(bits[bit])] + bits[bit + 1 :]))
     y, x = divmod(i, _grid(*plane.shape)[1])
     cells = plane[8 * y : 8 * y + 8, 8 * x : 8 * x + 8].ravel().tolist()
-    low, spread = heads[i][:2]
     lo = int(rng.integers(0, min(low, top - 1) + 1))  # below the limit, to leave max_delta room
     wider = int(rng.integers(max(low + spread - lo, 1), top - lo + 1))
     over = (top - 2 + rng.integers(0, 3, len(cells))).tolist()
@@ -382,11 +370,11 @@ def test_decoders_follow_spec(k, shape, span, seed, strip_blocks):
             follows_spec(data, *shape, k)
 
 
-def test_strip_decoder_agrees_with_block_walk():
+def test_strip_decoder_agrees_with_spec():
     # above STRIP_BLOCKS, decode_plane reads headers one by one but gathers
     # deltas a strip at a time; on valid, bit-flipped and truncated streams
-    # it must give the block walk's pixels or raise its exception class
-    # with the same message
+    # it must give the spec's pixels or raise the class of its first fault,
+    # naming its block and bit
     rng = np.random.default_rng(29)
     seen = set()
     for case in range(60):
@@ -403,23 +391,22 @@ def test_strip_decoder_agrees_with_block_walk():
         mutants = [stream, *flipped(stream, 30, rng)]
         mutants += [stream[: int(rng.integers(0, len(stream)))] for _ in range(5)]
         for data in mutants:
-            walked = outcome(walked_plane, data, height, width, k)
-            assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
-            seen.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
+            spec = reference_decode(data, height, width, k)
+            seen.add(decodes_like_spec(spec, data, height, width, k))
     assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
 
 def test_strip_decoder_raises_in_block_order():
     # block 0,0 decodes index 49 + 3 = 52 > 51, then block 0,1 promises
-    # 384 delta bits the stream does not hold; the walk meets block 0,0
+    # 384 delta bits the stream does not hold; the spec meets block 0,0
     # first, so the strip decoder must raise its error, not the truncation
     first = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63
     second = format(0, "06b") + "0" + format(51, "06b") + "0" * 300
     stream = bits_to_bytes(first + second)
     assert 8 * len(stream) >= 64 * 7  # passes the size bound of 64 blocks
-    for decode in (walked_plane, decode_plane):
-        with pytest.raises(CorruptStreamError, match="block 0,0"):
-            decode(stream, 8, 512, 5)
+    assert reference_decode(stream, 8, 512, 5)[:3] == (CorruptStreamError, (0, 0), 0)
+    with pytest.raises(CorruptStreamError, match="block 0,0"):
+        decode_plane(stream, 8, 512, 5)
 
 
 @pytest.mark.parametrize(
@@ -429,14 +416,14 @@ def test_strip_decoder_raises_in_block_order():
 def test_strip_decoder_names_the_block(height, width, bad, name):
     # every block is repeated except number bad in stream order, which
     # decodes index 49 + 3 = 52 > 51; strips start mid-row and mid-plane,
-    # and both decoders must name the block by its place in the plane
+    # and decode_plane must name the block by its place in the plane, as the spec does
     blocks = -(-height // 8) * -(-width // 8)
     repeated = format(0, "06b") + "1"
     over = format(49, "06b") + "0" + format(2, "06b") + "11" + "00" * 63
     stream = bits_to_bytes(repeated * bad + over + repeated * (blocks - bad - 1))
-    for decode in (walked_plane, decode_plane):
-        with pytest.raises(CorruptStreamError, match=name):
-            decode(stream, height, width, 5)
+    spec = reference_decode(stream, height, width, 5)
+    assert name == "block {},{}".format(*spec.block)
+    assert decodes_like_spec(spec, stream, height, width, 5) is CorruptStreamError
 
 
 def test_block_errors_name_their_first_bit():
@@ -480,11 +467,11 @@ def test_non_canonical_codings_decode_alike(stream, indices, bits):
     assert follows_spec(stream, height, width, 5) is np.ndarray
 
 
-def test_non_canonical_strip_plane_decodes_like_the_block_loop():
+def test_non_canonical_strip_plane_decodes_like_the_spec():
     # every block of a 64-block, strip-coded 8x512 plane is written with min_index one below
     # its smallest index, so with a max_delta one above its spread, constant blocks too.
-    # The strip path decodes it by itself, as the per-block loop and the spec do, and
-    # block_fields reports the min and max_delta that the stream carries
+    # The strip path decodes it by itself, as the spec does, and block_fields reports the
+    # min and max_delta that the stream carries
     rng = np.random.default_rng(65)
     plane = rng.integers(1, 52, (8, 512)).astype(np.uint8)
     plane[:, :128] = plane[0, 0]
@@ -492,7 +479,6 @@ def test_non_canonical_strip_plane_decodes_like_the_block_loop():
     heads = [(min(cells) - 1, max(cells) - min(cells) + 1) for cells in blocks]
     stream = bits_to_bytes("".join(block_coding(c, *head, 6) for c, head in zip(blocks, heads)))
     assert follows_spec(stream, 8, 512, 5) is np.ndarray
-    assert np.array_equal(walked_plane(stream, 8, 512, 5), plane * np.uint8(5))
     assert np.array_equal(decode_indices(stream, 8, 512, 5), plane)
     fields = block_fields(stream, 8, 512, 5)
     assert list(zip(fields[3].tolist(), fields[4].tolist())) == heads
@@ -572,22 +558,6 @@ def test_windows_join_each_byte_and_the_next(start, stop):
 STRIP_SHAPES = [(8, 520), (520, 8), (61, 77), (17, 1030), (20, 1030)]
 
 
-def plane_heads(plane: np.ndarray, k: int):
-    """(min, max_delta, delta width, deltas start bit) of every block, and the end bit of the
-    plane's stream, from the plane alone: no decoder is involved."""
-    w = (255 // k).bit_length()
-    heads, pos = [], 0
-    for y in range(0, plane.shape[0], 8):
-        for x in range(0, plane.shape[1], 8):
-            block = plane[y : y + 8, x : x + 8]
-            lo, spread = int(block.min()), int(block.max() - block.min())
-            dw = spread.bit_length()
-            start = pos + w + 1 + w * (spread > 0)
-            heads.append((lo, spread, dw, start))
-            pos = start + block.size * dw
-    return heads, pos
-
-
 def chase_follows_spec(stream: bytes, height: int, width: int, k: int) -> Decoded | Fault:
     """Check the header pass against the spec; the spec's outcome. The pass gives the spec's
     starts, mins and max deltas, or None where its first fault is a header's or a truncation;
@@ -605,8 +575,8 @@ def chase_follows_spec(stream: bytes, height: int, width: int, k: int) -> Decode
 def test_chase_matches_scan():
     # over all moduli, the fast pass must find exactly the spec's heads and end bit; a
     # repeated last block puts the last header in the final byte or two, where the pass
-    # reads a zero-padded window. On mutants, decode_plane must give the pixels, or the
-    # error class and message, of the per-block loop alone
+    # reads a zero-padded window. On mutants, decode_plane must give the spec's pixels, or
+    # the class, block and bit of its first fault
     rng = np.random.default_rng(31)
     tails, seen = set(), set()
     for k in MODULI:
@@ -626,9 +596,8 @@ def test_chase_matches_scan():
             mutants = [stream[: int(rng.integers(0, len(stream)))], stream + bytes(1)]
             mutants += flipped(stream, 3, rng)
             for data in mutants:
-                expected = outcome(walked_plane, data, height, width, k)
-                assert_same_outcome(outcome(decode_plane, data, height, width, k), expected)
-                seen.add(expected[0] if isinstance(expected, tuple) else np.ndarray)
+                spec = chase_follows_spec(data, height, width, k)
+                seen.add(decodes_like_spec(spec, data, height, width, k))
     assert tails == {1, 2}
     assert seen == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
@@ -810,18 +779,15 @@ def test_block_loop_finds_repeated_blocks_by_count(k, monkeypatch):
     # blocks of a constant 24x31 plane take neither min nor max, and those of noise, none
     # of them repeated, each one call of both. Both streams are the string encoder's
     calls = []
-    for name, real in (("min", min), ("max", max)):
-        def spy(cells, name=name, real=real):
-            calls.append(name)
-            return real(cells)
-        monkeypatch.setattr(bitstream, name, spy, raising=False)
+    for name in ("min", "max"):
+        spy(monkeypatch, bitstream, name, lambda *_, name=name: name, calls)
     top = 255 // k
     noise = np.random.default_rng(k + 127).integers(0, top + 1, (24, 31))
     for plane, blocks in ((np.full((24, 31), top // 2), 0), (noise, 12)):
         calls.clear()
         stream = encode_indices(plane, k)
         assert calls == ["min", "max"] * blocks
-        assert stream == bits_to_bytes(reference_plane_bits(plane, k))
+        assert stream == reference_stream(plane, k)
 
 
 @pytest.mark.parametrize(
@@ -834,15 +800,9 @@ def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
     # pass walks blocks in stream order, not strips
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_indices(plane)
-    real, strips = bitstream._strips, []
-
-    def counted(*args):
-        strips.append(list(real(*args)))
-        return strips[-1]
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
-        patch.setattr(bitstream, "_strips", counted)
+        strips = spy(patch, bitstream, "_strips", lambda _, *args: list(_strips(*args)))
         stream = encode_indices(plane)
         assert np.array_equal(decode_indices(stream, 64, 512), plane)
     assert stream == expected
@@ -866,15 +826,17 @@ def edge_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.
     return plane
 
 
-def junk_over_limit(stream: bytes, plane: np.ndarray, k: int) -> bool:
+def junk_over_limit(stream: bytes, heads: Decoded, k: int) -> bool:
     """Whether a lane the strip decoder reads past an edge block's columns or rows, from the
-    bits that follow the block's row, would decode above the index limit."""
-    heads, _ = plane_heads(plane, k)
+    bits that follow the block's row, would decode above the index limit; heads is the
+    spec's reading of stream."""
     bits = "".join(format(byte, "08b") for byte in stream) + "0" * 512
-    height, width = plane.shape
+    height, width = heads.plane.shape
     grid_cols = -(-width // 8)
-    for i, (lo, _, dw, start) in enumerate(heads):
+    w = (255 // k).bit_length()
+    for i, (lo, spread) in enumerate(zip(heads.lows, heads.spreads)):
         rows, cols = min(8, height - i // grid_cols * 8), min(8, width - i % grid_cols * 8)
+        dw, start = spread.bit_length(), heads.starts[i] + 2 * w + 1
         for y in range(8):
             for x in range(cols if y < rows else 0, 8):
                 at = start + (y * cols + x) * dw
@@ -890,22 +852,23 @@ def test_lane_decoder_agrees_with_block_walk(height, width, k):
     # the strip decoder reads each block row of 8 cells as one word, so lanes past an edge
     # block's columns or rows hold the bits that follow; built so those would decode above
     # the limit, valid streams must still decode, and on bit-flipped and truncated streams
-    # it must give the block walk's pixels or its error class and message. Block rows of
-    # 513 and 258 blocks make decoding strips start mid-row, and the 16x321 plane ends in a
-    # one-column block of 7-bit deltas whose rows read past the end of the stream
+    # it must give the spec's pixels or the class, block and bit of its first fault. Block
+    # rows of 513 and 258 blocks make decoding strips start mid-row, and the 16x321 plane
+    # ends in a one-column block of 7-bit deltas whose rows read past the end of the stream
     rng = np.random.default_rng(height * width)
     plane = edge_plane(height, width, k, rng)
     stream = encode_indices(plane, k)
-    assert junk_over_limit(stream, plane, k)
+    heads = reference_decode(reference_stream(plane, k), height, width, k)
+    assert junk_over_limit(stream, heads, k)
     if width % 8 == 1 and height % 8 == 0:
-        _, _, dw, start = plane_heads(plane, k)[0][-1]
+        # its deltas follow a header of 2 * 7 + 1 bits
+        dw, start = heads.spreads[-1].bit_length(), heads.starts[-2] + 15
         assert dw == 7 and start + 7 * dw + 8 * dw > 8 * len(stream)
     assert np.array_equal(decode_indices(stream, height, width, k), plane)
     mutants = [stream[: int(rng.integers(0, len(stream)))] for _ in range(4)]
     mutants += flipped(stream, 16, rng)
     for data in [stream, *mutants]:
-        walked = outcome(walked_plane, data, height, width, k)
-        assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
+        decodes_like_spec(reference_decode(data, height, width, k), data, height, width, k)
 
 
 def test_strip_words_reach_the_farthest_row():
@@ -923,11 +886,12 @@ def test_strip_words_reach_the_farthest_row():
         plane[8, ::8], plane[8, 7::8] = 0, 85
         plane[8, 256 - 8 * (repeated + 1) : -8] = 85
         stream = encode_indices(plane, 3)
-        heads, end = plane_heads(plane, 3)
-        _, spread, _, deltas = heads[48]  # the last strip's first block
-        origin = deltas - 8 - 7 * (spread > 0) >> 3
-        size = (end + 7 >> 3) - origin
-        row_7 = heads[-1][3] + 7 * 8 * heads[-1][2] - 8 * origin
+        heads = reference_decode(reference_stream(plane, 3), 9, 256, 3)
+        starts = heads.starts
+        origin = starts[48] >> 3  # the last strip's first block
+        size = (starts[-1] + 7 >> 3) - origin
+        # the last block's row 7: 7 rows of 8 deltas past its header of 2 * 7 + 1 bits
+        row_7 = starts[-2] + 15 + 7 * 8 * heads.spreads[-1].bit_length() - 8 * origin
         reaches.add((row_7 >> 6) - (size + 7 >> 3))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "_decode_blocks", no_block_loop)
@@ -956,6 +920,11 @@ def strip_planes(k: int, rng: np.random.Generator) -> list[np.ndarray]:
     return planes
 
 
+def blocks_of(_, samples, *args) -> int:
+    """The blocks of an _encode_strip call's strip."""
+    return math.prod(_grid(*samples.shape))
+
+
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_strip_encoder_matches_oracle(k):
     # the row-word encoder writes the string encoder's bytes on every strip shape, on
@@ -970,7 +939,7 @@ def test_strip_encoder_matches_oracle(k):
     rng = np.random.default_rng(k)
     buffers = np.getbufsize()
     for plane in strip_planes(k, rng):
-        expected = bits_to_bytes(reference_plane_bits(plane, k))
+        expected = reference_stream(plane, k)
         assert encode_indices(plane, k) == expected
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "STRIP_BLOCKS", 2)
@@ -980,21 +949,13 @@ def test_strip_encoder_matches_oracle(k):
     for shape in [(277, 1020), (33, 8300)]:
         spans = rng.integers(1, top + 2, _grid(*shape)).repeat(8, axis=0).repeat(8, axis=1)
         planes.append(rng.integers(0, top + 1, shape) % spans[: shape[0], : shape[1]])
-    real, strips = bitstream._encode_strip, []
-
-    def counted(samples, *args):
-        rows, cols = _grid(*samples.shape)
-        strips.append(rows * cols)
-        return real(samples, *args)
-
     for plane, blocks in zip(planes, [[1024] * 16, [1024] * 4 + [384], [1024, 14] * 5]):
         plane = plane.astype(np.uint8)
-        strips.clear()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bitstream, "_encode_strip", counted)
+            strips = spy(patch, bitstream, "_encode_strip", blocks_of)
             stream = encode_indices(plane, k)
         assert strips == blocks and np.getbufsize() == buffers
-        assert stream == bits_to_bytes(reference_plane_bits(plane, k))
+        assert stream == reference_stream(plane, k)
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
@@ -1024,9 +985,8 @@ def test_chase_chunks_match_oracle():
     spans = rng.integers(1, 52, (65, 1)).repeat(8, axis=0)  # block rows of many lengths
     plane = (rng.integers(0, 52, (520, 24)) % spans).astype(np.uint8)
     stream = encode_indices(plane)
-    chunks = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_windows", windows(chunks))
+        chunks = spy(patch, bitstream, "_windows", chunk_of)
         for strip_blocks in range(1, 9):
             patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
             chunks.clear()
@@ -1058,7 +1018,7 @@ def test_guessed_strips_match_oracle(k):
     # the stream as a strip follows, or last in the plane, repeated, so that its key's second
     # byte lies past the stream's end. The pass must find the spec's starts; on streams cut
     # inside a guessed strip or with a bit of a guessed block's max_delta flipped, the
-    # spec's starts or None, as decode_plane gives the block loop's plane or its error
+    # spec's starts or None, as decode_plane gives the spec's plane or its fault
     rng = np.random.default_rng(k + 89)
     top = 255 // k
     w = top.bit_length()
@@ -1080,23 +1040,21 @@ def test_guessed_strips_match_oracle(k):
         else:
             block[...] = top // 2
         stream = encode_indices(plane, k)
-        heads, end = plane_heads(plane, k)
-        starts = [deltas - (w + 1) - w * (spread > 0) for _, spread, _, deltas in heads] + [end]
+        heads = reference_decode(reference_stream(plane, k), height, width, k)
+        starts = heads.starts
         mutants = [stream]
         for strip in (1, 2):
             at = int(rng.integers(starts[firsts[strip]], starts[firsts[strip + 1]]))
             mutants.append(stream[: at >> 3])
             i = int(rng.integers(firsts[strip], firsts[strip + 1]))
-            if heads[i][1]:  # a flipped max_delta bit, the top one or any
+            if heads.spreads[i]:  # a flipped max_delta bit, the top one or any
                 bit = starts[i] + w + 1 + int(rng.integers(0, w)) * int(rng.integers(0, 2))
                 data = bytearray(stream)
                 data[bit >> 3] ^= 0x80 >> (bit & 7)
                 mutants.append(bytes(data))
         for data in mutants:
-            chase_follows_spec(data, height, width, k)
-            walked = outcome(walked_plane, data, height, width, k)
-            assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
-            outcomes.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
+            spec = chase_follows_spec(data, height, width, k)
+            outcomes.add(decodes_like_spec(spec, data, height, width, k))
         assert np.array_equal(decode_indices(stream, height, width, k), plane)
     assert outcomes == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
@@ -1108,9 +1066,8 @@ def test_noise_plane_is_guessed():
     samples = np.random.default_rng(97).integers(0, 256, (1024, 1024), dtype=np.uint8)
     stream = bytearray()
     bitstream.append_samples(stream, samples, 5)
-    chunks = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_windows", windows(chunks))
+        chunks = spy(patch, bitstream, "_windows", chunk_of)
         assert np.array_equal(decode_plane(stream, 1024, 1024, 5), core.quantize_plane(samples))
     assert 1 <= len(chunks) <= 2
 
@@ -1123,9 +1080,8 @@ def test_repeated_plane_is_guessed():
     samples = np.full((1024, 1024), 128, dtype=np.uint8)
     stream = bytearray()
     bitstream.append_samples(stream, samples, 5)
-    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_first_odd", passes(calls))
+        calls = spy(patch, bitstream, "_first_odd", run_of)
         assert np.array_equal(decode_plane(stream, 1024, 1024, 5), core.quantize_plane(samples))
     assert calls == [(n, n) for n in (512, 1024, 2048, 4096, 8190)]
 
@@ -1134,17 +1090,16 @@ def test_noise_cut_past_guessed_strip_end():
     # a 1024x1024 noise stream cut inside block 2047, the last of the fourth group of 512
     # blocks and of the guessed run of blocks 1024 to 2047, past the first window, after that
     # block's key bytes: the guess reads every key of the run, but its end lies past the
-    # stream's end, so the pass gives up and the block loop names the short block
+    # stream's end, so the pass gives up and decode_plane names the short block, as the spec
     samples = np.random.default_rng(97).integers(0, 256, (1024, 1024), dtype=np.uint8)
     stream = bytearray()
     bitstream.append_samples(stream, samples, 5)
     last = 397 * (4 * 8 * STRIP_BLOCKS - 1)  # groups of 512 blocks, each of 397 bits at k = 5
     for cut in ((last + 11 >> 3) + 2, (last + 397 >> 3) - 20, (last + 397 >> 3) - 1):
         data = bytes(stream[:cut])
-        assert chase_follows_spec(data, 1024, 1024, 5)[:2] == (TruncatedStreamError, (15, 127))
-        got = outcome(decode_plane, data, 1024, 1024, 5)
-        assert_same_outcome(got, outcome(walked_plane, data, 1024, 1024, 5))
-        assert got[0] is TruncatedStreamError
+        spec = chase_follows_spec(data, 1024, 1024, 5)
+        assert spec[:2] == (TruncatedStreamError, (15, 127))
+        assert decodes_like_spec(spec, data, 1024, 1024, 5) is TruncatedStreamError
 
 
 def test_odd_block_keeps_the_plane_guessed():
@@ -1159,34 +1114,21 @@ def test_odd_block_keeps_the_plane_guessed():
     odd[72:80, 296:304] = 7  # block 9,37
     for indices in (plane, odd):
         stream = encode_indices(indices, 5)
-        chunks = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bitstream, "_windows", windows(chunks))
+            chunks = spy(patch, bitstream, "_windows", chunk_of)
             assert np.array_equal(chase_follows_spec(stream, 1024, 1024, 5).plane, indices)
         assert [start for start, _ in chunks] == [0]
         assert np.array_equal(decode_indices(stream, 1024, 1024, 5), indices)
 
 
-def windows(chunks: list):
-    """A spy on _windows that records each chunk's (first byte, stop)."""
-    real = bitstream._windows
-
-    def spied(data, start, stop):
-        chunks.append((start, stop))
-        return real(data, start, stop)
-
-    return spied
+def chunk_of(_, data, start, stop) -> tuple[int, int]:
+    """A _windows call's chunk: its first byte and stop."""
+    return start, stop
 
 
-def passes(calls: list):
-    """A spy on _first_odd that records each pass's (keys read, index returned)."""
-    real = bitstream._first_odd
-
-    def spied(data, at, guess, w):
-        calls.append((len(at), real(data, at, guess, w)))
-        return calls[-1][1]
-
-    return spied
+def run_of(right, data, at, guess, w) -> tuple[int, int]:
+    """A _first_odd call's run: the keys it read and the index it returned."""
+    return len(at), right
 
 
 def test_plane_turning_mixed_stops_guessing():
@@ -1204,10 +1146,9 @@ def test_plane_turning_mixed_stops_guessing():
     mixed[::8, ::8], mixed[7::8, 7::8] = 0, np.where(ones[7::8, 7::8], 1, 3)
     plane[128:] = 10 + mixed
     stream = encode_indices(plane, 5)
-    calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", 8)
-        patch.setattr(bitstream, "_first_odd", passes(calls))
+        calls = spy(patch, bitstream, "_first_odd", run_of)
         assert isinstance(chase_follows_spec(stream, 256, 256, 5), Decoded)
     assert [right for _, right in calls] == [64, 128, 256, 0, 0] and calls[-1][0] == 64
 
@@ -1251,24 +1192,21 @@ def test_guessed_runs_cross_strip_shapes(height, width, strips, runs):
     # first 512 blocks and checks its guess over runs that double across those changes of
     # shape, in fewer passes than such strips. It must find the spec's starts; on a stream
     # cut inside the run of blocks 1024 to 2047, which crosses changes of shape, it gives
-    # up, and decode_plane gives the block loop's plane or error
+    # up, and decode_plane gives the spec's plane or fault
     rng = np.random.default_rng(height + width)
     plane = uniform_plane(height, width, 5, rng)
     stream = encode_indices(plane, 5)
     assert len(list(_strips(height, width, 8 * STRIP_BLOCKS))) == strips
-    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_first_odd", passes(calls))
+        calls = spy(patch, bitstream, "_first_odd", run_of)
         spec = chase_follows_spec(stream, height, width, 5)
     assert calls == [(n, n) for n in runs] and len(calls) < strips
     cut = stream[: (spec.starts[1600] >> 3) + 20]  # inside block 1600
-    assert chase_follows_spec(cut, height, width, 5).error is TruncatedStreamError
-    whole, short = [outcome(walked_plane, data, height, width, 5) for data in (stream, cut)]
-    assert_same_outcome(outcome(decode_plane, stream, height, width, 5), whole)
-    assert_same_outcome(outcome(decode_plane, cut, height, width, 5), short)
-    assert np.array_equal(whole, plane * np.uint8(5))
-    row, col = divmod(1600, _grid(height, width)[1])
-    assert short[0] is TruncatedStreamError and short[1].startswith(f"block {row},{col}:")
+    short = chase_follows_spec(cut, height, width, 5)
+    assert decodes_like_spec(spec, stream, height, width, 5) is np.ndarray
+    assert decodes_like_spec(short, cut, height, width, 5) is TruncatedStreamError
+    assert np.array_equal(spec.plane, plane)
+    assert short.block == divmod(1600, _grid(height, width)[1])
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
@@ -1281,7 +1219,7 @@ def test_guessed_runs_match_block_loop(k):
     # wrong key of its run, and the pass goes past it. The pass must find the spec's
     # starts; on streams cut inside the last block of a run, after its key, or with a bit of
     # a block's max_delta flipped, the spec's starts or None, as decode_plane gives the
-    # block loop's plane or its error
+    # spec's plane or its fault
     rng = np.random.default_rng(k + 107)
     top = 255 // k
     w = top.bit_length()
@@ -1299,12 +1237,11 @@ def test_guessed_runs_match_block_loop(k):
             else:
                 block[...] = top // 2
         stream = encode_indices(plane, k)
-        heads, end = plane_heads(plane, k)
-        starts = [deltas - (w + 1) - w * (spread > 0) for _, spread, _, deltas in heads] + [end]
-        calls = []
+        heads = reference_decode(reference_stream(plane, k), height, width, k)
+        starts = heads.starts
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "STRIP_BLOCKS", 8)
-            patch.setattr(bitstream, "_first_odd", passes(calls))
+            calls = spy(patch, bitstream, "_first_odd", run_of)
             assert np.array_equal(decode_indices(stream, height, width, k), plane)
         if odd is None:
             assert calls == clean
@@ -1312,10 +1249,10 @@ def test_guessed_runs_match_block_loop(k):
             first = next(i for i, (keys, right) in enumerate(calls) if right < keys)
             assert sum(keys for keys, _ in calls[:first]) + calls[first][1] == odd - 64
         mutants = [stream]
-        for last in (1023, len(heads) - 1):  # the last blocks of the run 8-15 and of the plane
+        for last in (1023, len(heads.lows) - 1):  # the last blocks of the run 8-15 and the plane
             mutants.append(stream[: (starts[last] + w + 1 + 7 >> 3) + 1])
-        for i in (odd or 512, int(rng.integers(64, len(heads)))):
-            if heads[i][1]:  # a flipped max_delta bit
+        for i in (odd or 512, int(rng.integers(64, len(heads.lows)))):
+            if heads.spreads[i]:  # a flipped max_delta bit
                 bit = starts[i] + w + 1 + int(rng.integers(0, w))
                 data = bytearray(stream)
                 data[bit >> 3] ^= 0x80 >> (bit & 7)
@@ -1323,10 +1260,8 @@ def test_guessed_runs_match_block_loop(k):
         for data in mutants:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(bitstream, "STRIP_BLOCKS", 8)
-                chase_follows_spec(data, height, width, k)
-                walked = outcome(walked_plane, data, height, width, k)
-                assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
-            outcomes.add(walked[0] if isinstance(walked, tuple) else np.ndarray)
+                spec = chase_follows_spec(data, height, width, k)
+                outcomes.add(decodes_like_spec(spec, data, height, width, k))
     assert outcomes == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
 
@@ -1336,7 +1271,7 @@ def test_one_width_strips_match_block_loop(k):
     # quarter of its blocks; every block of each strip has one delta width, W bits but for
     # the second strip, whose blocks are all repeated, of width 0, so each strip unpacks its
     # rows with scalar operands. A delta rewritten to all ones in the third strip decodes an
-    # index above 255 // k there: decode_plane must give the block loop's plane or error
+    # index above 255 // k there: decode_plane must raise the spec's fault, block 9,17
     rng = np.random.default_rng(k + 109)
     top = 255 // k
     w = top.bit_length()
@@ -1344,31 +1279,28 @@ def test_one_width_strips_match_block_loop(k):
     plane = uniform_plane(height, width, k, rng)
     plane[32:64] = np.arange(41).repeat(8)[:width] % (top + 1)  # strip 2's blocks, repeated
     stream = encode_indices(plane, k)
-    heads, _ = plane_heads(plane, k)
-    widths = []
-    real = bitstream._unpack_rows
+    heads = reference_decode(reference_stream(plane, k), height, width, k)
 
-    def spied(fields, dw):
-        widths.append(int(dw) if np.ndim(dw) == 0 else None)  # None for a width per block
-        return real(fields, dw)
+    def width_of(_, fields, dw):
+        return int(dw) if np.ndim(dw) == 0 else None  # None for a width per block
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_unpack_rows", spied)
+        widths = spy(patch, bitstream, "_unpack_rows", width_of)
         patch.setattr(bitstream, "_decode_blocks", no_block_loop)
         assert np.array_equal(decode_indices(stream, height, width, k), plane)
     assert widths == [w, 0, w, w]
-    lo, _, dw, deltas = heads[9 * 41 + 17]  # block 9,17
-    assert lo == 0 and dw == w
-    data = rewritten(stream, [(deltas + w * int(rng.integers(0, 64)), w, lambda _: 2**w - 1)])
-    widths.clear()
+    i = 9 * 41 + 17  # block 9,17
+    start = heads.starts[i]
+    assert heads.lows[i] == 0 and heads.spreads[i].bit_length() == w
+    at = start + 2 * w + 1 + w * int(rng.integers(0, 64))
+    data = rewritten(stream, [(at, w, lambda _: 2**w - 1)])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "_unpack_rows", spied)
+        widths = spy(patch, bitstream, "_unpack_rows", width_of)
         got = outcome(decode_plane, data, height, width, k)
     assert widths == [w, 0, w]  # the third strip gives up
-    walked = outcome(walked_plane, data, height, width, k)
-    assert_same_outcome(got, walked)
-    assert walked == (CorruptStreamError, f"block 9,17 decodes an index above limit {top} "
-                      f"(bit {deltas - 2 * w - 1})")
+    assert reference_decode(data, height, width, k)[:3] == (CorruptStreamError, (9, 17), start)
+    assert got == (CorruptStreamError, f"block 9,17 decodes an index above limit {top} "
+                   f"(bit {start})")
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
@@ -1386,21 +1318,18 @@ def test_one_width_strips_pack_with_scalars(k):
     plane[16:32] = np.arange(32).repeat(8) % (top + 1)  # strip 2's blocks, repeated
     spans = rng.integers(1, top + 2, (2, 32)).repeat(8, axis=0).repeat(8, axis=1)
     plane[32:48] = rng.integers(0, top + 1, (16, 256)) % spans  # strip 3's, of mixed widths
-    real, widths = bitstream._pack_rows, []
 
-    def spied(words, dw):
-        widths.append(dw if isinstance(dw, int) else None)  # None for a width per block
-        return real(words, dw)
+    def width_of(_, words, dw):
+        return dw if isinstance(dw, int) else None  # None for a width per block
 
     cases = [(plane, [w, 0, None, w]), (uniform_plane(20, 250, k, rng), [None, None])]
     for plane, expected in cases:
-        widths.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bitstream, "STRIP_BLOCKS", 8)
-            patch.setattr(bitstream, "_pack_rows", spied)
+            widths = spy(patch, bitstream, "_pack_rows", width_of)
             stream = encode_indices(plane, k)
         assert widths == expected
-        assert stream == bits_to_bytes(reference_plane_bits(plane, k))
+        assert stream == reference_stream(plane, k)
 
 
 def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:
@@ -1430,9 +1359,8 @@ def test_fast_path_seams_match_block_loop(height, width, strip_blocks):
     [(520, 24, 2), (8, 16384, STRIP_BLOCKS), (16384, 8, STRIP_BLOCKS)],
 )
 def test_fast_path_seams_sweep(height, width, strip_blocks, k):
-    # the long sweep of the test above, against the block loop and the spec: more seeds,
-    # every delta width of k = 3 and the 2-bit fields of k = 127, and a plane of one block
-    # column in strips of 512 blocks
+    # the long sweep of the test above: more seeds, every delta width of k = 3 and the
+    # 2-bit fields of k = 127, and a plane of one block column in strips of 512 blocks
     seen = set()
     for seed in range(32):
         seen |= fast_path_seams(height, width, strip_blocks, k, seed)
@@ -1445,10 +1373,10 @@ def fast_path_seams(height: int, width: int, strip_blocks: int, k: int, seed: in
     Mutants flip bits at and near the pass's chunk switches, the strips' first headers
     and the last block, cut the stream inside the last block, and recode a block there
     with min_index one lower or give it another max_delta, which the encoder never writes
-    but both decoders accept where every index stays in range. With STRIP_BLOCKS at
-    strip_blocks, decode_plane must give the per-block loop's pixels or its error class
-    and message, and follow the spec, which decodes an accepted mutant with the loop
-    patched out too, so that a wrong chunk rebase cannot hide behind the fallback.
+    but the decoders accept where every index stays in range. With STRIP_BLOCKS at
+    strip_blocks, decode_plane must follow the spec, and decode an accepted mutant with the
+    per-block loop patched out too, so that a wrong chunk rebase cannot hide behind the
+    fallback.
     """
     top = 255 // k
     w = top.bit_length()
@@ -1457,23 +1385,22 @@ def fast_path_seams(height: int, width: int, strip_blocks: int, k: int, seed: in
     spans = rng.integers(1, top + 2, grid).repeat(8, axis=0).repeat(8, axis=1)[:height, :width]
     plane = (rng.integers(0, top + 1, (height, width)) % spans).astype(np.uint8)  # some repeated
     stream = encode_indices(plane, k)
-    heads, end = plane_heads(plane, k)
-    starts = [deltas - (w + 1) - w * (spread > 0) for _, spread, _, deltas in heads] + [end]
-    chunks = []
+    heads = reference_decode(reference_stream(plane, k), height, width, k)
+    starts = heads.starts
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
-        patch.setattr(bitstream, "_windows", windows(chunks))
+        chunks = spy(patch, bitstream, "_windows", chunk_of)
         assert np.array_equal(decode_indices(stream, height, width, k), plane)
     assert len(chunks) > 1
     seams = [8 * start for start, _ in chunks[1:]]
-    for blocks in (8 * strip_blocks, min(8 * strip_blocks, -(-len(heads) // 4))):
+    for blocks in (8 * strip_blocks, min(8 * strip_blocks, -(-len(heads.lows) // 4))):
         first = 0
         for ys, xs in _strips(height, width, blocks):
             seams.append(starts[first])
             rows, cols = _grid(ys.stop - ys.start, xs.stop - xs.start)
             first += rows * cols
     seams += starts[-2:]
-    near = np.minimum(np.searchsorted(starts, seams, side="right") - 1, len(heads) - 1)
+    near = np.minimum(np.searchsorted(starts, seams, side="right") - 1, len(heads.lows) - 1)
     mutants = [stream]
     for _ in range(16):
         bit = int(rng.choice(seams)) + int(rng.integers(-16, 17))
@@ -1483,7 +1410,8 @@ def fast_path_seams(height: int, width: int, strip_blocks: int, k: int, seed: in
         mutants.append(bytes(data))
     mutants += [stream[: int(rng.integers(starts[-2] // 8, len(stream)))] for _ in range(2)]
     for i in rng.choice(near, 6).tolist():  # blocks that a seam falls in
-        lo, spread, dw, deltas = heads[i]
+        lo, spread = heads.lows[i], heads.spreads[i]
+        dw, deltas = spread.bit_length(), starts[i] + 2 * w + 1
         if not spread:
             fields = [(starts[i], w, lambda _: int(rng.integers(0, 1 << w)))]
         elif lo and (spread + 1).bit_length() == dw and rng.integers(0, 2):
@@ -1499,7 +1427,5 @@ def fast_path_seams(height: int, width: int, strip_blocks: int, k: int, seed: in
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bitstream, "STRIP_BLOCKS", strip_blocks)
         for data in mutants:
-            walked = outcome(walked_plane, data, height, width, k)
-            assert_same_outcome(outcome(decode_plane, data, height, width, k), walked)
             seen.add(follows_spec(data, height, width, k))
     return seen

@@ -11,7 +11,8 @@ from fmmcodec.errors import CorruptStreamError, FmmError, FormatError, Truncated
 from fmmcodec.image import RasterImage
 
 from golden import ORIGINAL_BLOCK
-from test_bitstream import plane_heads
+from spec import reference_decode, reference_stream
+from spies import spy
 
 UNIFORM_55 = RasterImage(np.full((8, 8), 55, dtype=np.uint8))
 
@@ -161,17 +162,11 @@ class TestDecompress:
         w = core.index_table()[-1].bit_length()
         strip = 8 * bitstream.STRIP_BLOCKS  # blocks, each at most a full header and 64 deltas
         bound = 2 * ((strip * (2 * w + 1 + 64 * w) >> 3) + 2)
-        real, chunks = bitstream._windows, []
-
-        def spied(data, start, stop):
-            chunks.append(stop - start)
-            return real(data, start, stop)
-
         rng = np.random.default_rng(shape[0])
         noise = rng.integers(0, 256, shape, dtype=np.uint8)
         grid = -(-shape[0] // 8), -(-shape[1] // 8)
         spans = rng.integers(1, 256, grid).repeat(8, axis=0).repeat(8, axis=1)  # per block
-        monkeypatch.setattr(bitstream, "_windows", spied)
+        chunks = spy(monkeypatch, bitstream, "_windows", lambda _, data, start, stop: stop - start)
         for pixels, stepped in [(noise % spans.astype(np.uint8), True), (noise, False)]:
             chunks.clear()
             blob = container.compress(RasterImage(pixels))
@@ -369,12 +364,12 @@ class TestBlockHeaders:
         blob = container.compress(RasterImage(pixels))
         expected = []
         for channel in range(3):
-            heads, _ = plane_heads(core.quantize_plane(pixels[:, :, channel]) // 5, 5)
-            start = 0
-            for i, (lo, spread, dw, deltas) in enumerate(heads):
-                end = deltas + 64 * dw
-                expected.append((channel, *divmod(i, 75), 64, lo, spread, dw, end - start))
-                start = end
+            indices = core.quantize_plane(pixels[:, :, channel]) // 5
+            spec = reference_decode(reference_stream(indices), 72, 600, 5)
+            fields = zip(spec.lows, spec.spreads, np.diff(spec.starts).tolist())
+            for i, (lo, spread, bits) in enumerate(fields):
+                row, col = divmod(i, 75)
+                expected.append((channel, row, col, 64, lo, spread, spread.bit_length(), bits))
         assert list(container.block_headers(blob)) == expected
 
     @pytest.mark.parametrize("height, width", [(96, 96), (24, 40)])
@@ -389,11 +384,7 @@ class TestBlockHeaders:
         rng = np.random.default_rng(47)
         pixels = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         blob = container.compress(RasterImage(pixels))
-        chase, strips, passes, kept = bitstream._chase, bitstream._decode_strips, [], []
-
-        def chased(*args):
-            passes.append(chase(*args))
-            return passes[-1]
+        strips, kept = bitstream._decode_strips, []
 
         def decoded(stream, heads, plane, *grammar):
             starts = heads[0].copy()
@@ -401,7 +392,7 @@ class TestBlockHeaders:
             kept.append(np.array_equal(heads[0], starts))
             return end
 
-        monkeypatch.setattr(bitstream, "_chase", chased)
+        passes = spy(monkeypatch, bitstream, "_chase", lambda heads, *_: heads)
         monkeypatch.setattr(bitstream, "_decode_strips", decoded)
         blocks = -(-height // 8) * -(-width // 8)
         assert len(list(container.block_headers(blob))) == 3 * blocks

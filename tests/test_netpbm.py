@@ -10,6 +10,8 @@ from fmmcodec.errors import NetpbmError
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import _MAGIC_CHANNELS, _MAX_DIGITS, read_netpbm, write_netpbm
 
+from spies import spy
+
 
 class TestRead:
     def test_p5_basic(self):
@@ -199,14 +201,7 @@ def test_comment_run_memory_is_bounded():
 
 def _lexer_calls(monkeypatch) -> list[str]:
     """The fields that netpbm's lexer reads from here on, in order."""
-    calls, real = [], netpbm._token
-
-    def spied(data, pos, field):
-        calls.append(field)
-        return real(data, pos, field)
-
-    monkeypatch.setattr(netpbm, "_token", spied)
-    return calls
+    return spy(monkeypatch, netpbm, "_token", lambda _, data, pos, field: field)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (31, 24, 3), (7, 1000, 1), (2, 70001, 1)])
