@@ -32,15 +32,15 @@ for a block.
 A larger plane is coded in strips of consecutive blocks: the fewest
 whole block rows that hold at least n blocks, or, where one block row
 holds more, runs of n blocks along it, so a strip has fewer than 2 * n
-blocks whatever the plane's shape. The encoder, with n = 16 * STRIP_BLOCKS, or a
-quarter of the plane's blocks if fewer but at least 8 * STRIP_BLOCKS, gives each
-block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes a row's indices
-less the block's min, one big-endian 64-bit word, and numpy adds each field into
-the 64-bit word where it starts, the rest into the next. It packs the row words of
-at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of each block at a
-time, or 2 on a longer strip. Where a strip's blocks are all full and of one delta
-width, as on noise, that width and the row, header and block lengths are ints: the
-packing and the shifts take scalar operands and the blocks' starts are one arange.
+blocks whatever the plane's shape. The encoder, with n = 16 * STRIP_BLOCKS on any
+plane, gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
+a row's indices less the block's min, one big-endian 64-bit word, and numpy adds
+each field into the 64-bit word where it starts, the rest into the next. It packs
+the row words of at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of
+each block at a time, or 2 on a longer strip. Where a strip's blocks are all full
+and of one delta width, as on noise, that width and the row, header and block
+lengths are ints: the packing and the shifts take scalar operands and the blocks'
+starts are one arange.
 The decoder first reads the headers of the whole plane in one pass (``_chase``):
 one Python step per block in stream order, from its repetition bit to the next
 block's, through a table of block lengths indexed by that bit and max_delta, the
@@ -54,14 +54,13 @@ the guessed lengths into each block's repetition bit from those counts, over a r
 of a group's blocks more than the guess has held for, and reads the keys there with
 ``_bits_at``, which returns the bits at given offsets. The run's first bit is
 known, so every guessed bit up to that of the first key of another bit length is
-proven. Where the guess has held for STRIP_BLOCKS blocks, that block's own key gives
-its length and the guess goes on past it; else the steps go on from that block. The
-grammar does not resynchronise, so no guess is kept unchecked. ``_bits_at`` then
-reads every header at once, numpy checks them and takes each block's delta width and
-row length once per plane; ``block_fields`` gives the same headers, so no plane is
-walked twice. Strips of n = 16 * STRIP_BLOCKS blocks, or of a quarter of the plane's
-blocks if fewer, decode a block row per 64-bit word: a row is at most
-56 bits long, so the window at its first bit, joined from two aligned words,
+proven, and the steps go on from that block, a group at a time, which may make a
+guess again. The grammar does not resynchronise, so no guess is kept unchecked.
+``_bits_at`` then reads every header at once, numpy checks them and takes each
+block's delta width and row length once per plane; ``block_fields`` gives the same
+headers, so no plane is walked twice. Strips of n = 16 * STRIP_BLOCKS blocks, or of
+a quarter of the plane's blocks if fewer, decode a block row per 64-bit word: a row
+is at most 56 bits long, so the window at its first bit, joined from two aligned words,
 holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
 of ``_unpack``, with scalar operands where the strip's blocks have one delta
 width; such a strip without an edge column takes its rows' first bits from one outer
@@ -89,17 +88,16 @@ from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 BLOCK_SIZE = 8
 _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # Planes of at least this many blocks are coded with numpy in strips of sixteen times
-# as many blocks, or of a quarter of the plane's if fewer, but to encode of at least
-# eight times as many; smaller planes take the per-block loop, where a 1x1 plane takes
-# 6 us against 220 as a strip. On a 2-core VM, strips of 512 blocks code the photo_rgb
-# benchmark faster than strips of 256 (encode 39%, decode 15%), and strips of 1,024
-# code it faster than strips of 512 (decode about 10%, encode about 20%), as an encoding
-# strip costs about 100 us plus 0.2 us a block; a strip of full blocks of one delta
-# width, as on uniform noise, encodes with scalar operands in about a quarter less.
-# An encoding strip works in about 200 bytes per block, and compressing 256x256 noise
-# peaks at 2.2 bytes per sample (the bound is 4). A decoding strip works in about 4
-# bytes per cell (260 KB for 1,024 noise blocks): its stream bytes, then three words
-# per block row.
+# as many blocks, or to decode of a quarter of the plane's if fewer; smaller planes take
+# the per-block loop, where a 1x1 plane takes 6 us against 220 as a strip. On a 2-core
+# VM, strips of 512 blocks code the photo_rgb benchmark faster than strips of 256
+# (encode 39%, decode 15%), and strips of 1,024 code it faster than strips of 512
+# (decode about 10%, encode about 20%), as an encoding strip costs about 100 us plus
+# 0.2 us a block; a strip of full blocks of one delta width, as on uniform noise,
+# encodes with scalar operands in about a quarter less. An encoding strip works in
+# about 200 bytes per block, and compressing 256x256 noise, one strip, peaks at 3.1
+# bytes per sample (the bound is 4). A decoding strip works in about 4 bytes per cell
+# (260 KB for 1,024 noise blocks): its stream bytes, then three words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -177,9 +175,10 @@ def _pack_rows(words: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
 @contextmanager
 def _strip_buffers(blocks: int) -> Iterator[None]:
     """Code a plane of blocks blocks under numpy's 1,024-element ufunc buffer, not its
-    default 8,192, if it has more than 32 * STRIP_BLOCKS blocks, so strips of more than
-    8 * STRIP_BLOCKS: their broadcast operands then stay in cache and add less to the peak
-    (encode about 6% faster); a smaller plane would lose the 2 to 4 us the setting costs."""
+    default 8,192, if it has more than 32 * STRIP_BLOCKS blocks, so decoding strips of more
+    than 8 * STRIP_BLOCKS: their broadcast operands then stay in cache and add less to the
+    peak (encode about 6% faster); a smaller plane would lose the 2 to 4 us the setting
+    costs, and a 256x256 one, encoded as one strip of 16 * STRIP_BLOCKS, gains nothing."""
     if blocks <= 32 * STRIP_BLOCKS:
         yield
         return
@@ -220,9 +219,8 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
     rows, cols = _grid(height, width)
     acc = nbits = 0  # pending bits that do not yet fill a byte, and how many
     if rows * cols >= STRIP_BLOCKS:
-        strip_blocks = min(16 * STRIP_BLOCKS, max(8 * STRIP_BLOCKS, -(-rows * cols // 4)))
         with _strip_buffers(rows * cols):
-            for strip in _strips(height, width, strip_blocks):
+            for strip in _strips(height, width, 16 * STRIP_BLOCKS):
                 acc, nbits = _encode_strip(samples[strip], table, w, out, acc, nbits)
     else:
         plane = _indices(samples, table)
@@ -466,27 +464,26 @@ def _chase(
     """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
 
     The pass reads the blocks in stream order. Each step goes from one block's
-    repetition bit to the next block's by a table indexed by that bit and max_delta
-    (one table per cell count), reading 16-bit _windows built for a chunk of two
-    groups' reach, or the rest of the stream, whenever the chunk left cannot hold the
-    next group of 8 * STRIP_BLOCKS blocks. When a stepped group's total advance is
-    what its blocks would take if every (repetition, max_delta) key had one bit
-    length, the blocks after it are guessed to be such, a run at a time: numpy sums
-    the guessed advances into each block's repetition bit from the cells before each
-    block, for a group's blocks more than runs have proven the guess on, so runs
-    double on noise, and _first_odd reads every key there by _bits_at and takes the
-    first whose bit length is not the guess. The run's first bit is known, so each bit
-    up to that block's is right. Where runs have proven the guess on STRIP_BLOCKS
-    blocks since it was made or since the pass last went past such a block, it takes
-    that block's advance from its own key and guesses again from the next, so a plane
-    turning mixed costs a numpy pass per STRIP_BLOCKS blocks at most; else the steps
-    go on from that block. Blocks whose keys would lie in the stream's last byte or
-    past it are stepped, and a run whose proven end lies past the stream's end gives
-    None. _bits_at then reads every header's 2 * W + 1 bits from its block's first
-    bit, and numpy makes _decode_blocks' header checks on them. starts holds each
-    block's first bit and, last, the plane's end; a repeated block's max_delta reads 0.
-    None means the pass ran past the stream or a check failed: only _decode_blocks
-    defines which error that is. Bytes past the blocks are left to decode_plane.
+    repetition bit to the next block's by a table indexed by that bit and max_delta (one
+    table per cell count), reading 16-bit _windows built for a chunk of two groups'
+    reach, or the rest of the stream, whenever the chunk left cannot hold the next group
+    of 8 * STRIP_BLOCKS blocks. When a stepped group's total advance is what its blocks
+    would take if every (repetition, max_delta) key had one bit length, the blocks after
+    it are guessed to be such, a run at a time: numpy sums the guessed advances into
+    each block's repetition bit from the cells before each block, for a group's blocks
+    more than runs have proven the guess on, so runs double on noise, and _first_odd
+    reads every key there by _bits_at and takes the first whose bit length is not the
+    guess. The run's first bit is known, so each bit up to that block's is right, and
+    the steps go on from that block, a group at a time, which may make a guess again:
+    beside the runs that double, a plane turning mixed costs at most one numpy pass per
+    stepped group. Blocks whose keys would lie in the stream's last byte or past it are
+    stepped. A run whose proven end lies past the stream's end gives None too: the next
+    step reads past the windows, or the end check fails. _bits_at then reads every
+    header's 2 * W + 1 bits from its block's first bit, and numpy makes _decode_blocks'
+    header checks on them. starts holds each block's first bit and, last, the plane's
+    end; a repeated block's max_delta reads 0. None means the pass ran past the stream
+    or a check failed: only _decode_blocks defines which error that is. Bytes past the
+    blocks are left to decode_plane.
     """
     w = top.bit_length()
     low, shift = (2 << w) - 1, 15 - w
@@ -521,18 +518,9 @@ def _chase(
                 right = _first_odd(data[base:], at[:fits], guess, w)
                 q = int(at[right])  # the first odd key's true bit, or the next block's
                 reps.frombytes(at[1 : right + 1].tobytes())
-                # past an odd block, by its own key, only where runs have proven the guess
-                # on STRIP_BLOCKS blocks since the last one, so a pass proves that many
-                if right == fits or held + right >= STRIP_BLOCKS:
-                    if right < fits:
-                        key = int.from_bytes(data[base + (q >> 3) :][:2], "big")
-                        q += steps[b + right][key >> (shift - (q & 7)) & low]
-                        reps.append(q)
-                        since = len(reps) - 1
+                if right == fits:
                     continue
-                b += right
-        if base + (q >> 3) > len(data):  # a guessed block's deltas run past the stream's end
-            return None
+                b += right  # the steps go on from the first odd block
         if (q >> 3) + reach > len(win) and base + len(win) < len(data):
             base += q >> 3
             q &= 7

@@ -791,13 +791,14 @@ def test_block_loop_finds_repeated_blocks_by_count(k, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "strip_blocks, encoding, decoding", [(64, 1, 4), (16, 4, 4), (8, 4, 4), (4, 8, 8)]
+    "strip_blocks, encoding, decoding", [(64, 1, 4), (16, 2, 4), (8, 4, 4), (4, 8, 8)]
 )
 def test_strip_sizes_follow_strip_blocks(strip_blocks, encoding, decoding):
-    # both directions read STRIP_BLOCKS when they run, so setting it moves their strips
-    # of 16 * STRIP_BLOCKS blocks, or of a quarter of the plane's blocks where that is
-    # fewer, save that encoding strips take at least 8 * STRIP_BLOCKS blocks; the header
-    # pass walks blocks in stream order, not strips
+    # both directions read STRIP_BLOCKS when they run, so setting it moves their strips:
+    # encoding strips of 16 * STRIP_BLOCKS blocks on any plane, here 1,024, 256, 128 and
+    # 64 blocks of whole block rows of 64, and decoding strips of as many or of a quarter
+    # of the plane's blocks where that is fewer; the header pass walks blocks in stream
+    # order, not strips
     plane = np.random.default_rng(3).integers(0, 52, (64, 512)).astype(np.uint8)  # 512 blocks
     expected = encode_indices(plane)
     with pytest.MonkeyPatch.context() as patch:
@@ -928,14 +929,15 @@ def blocks_of(_, samples, *args) -> int:
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_strip_encoder_matches_oracle(k):
     # the row-word encoder writes the string encoder's bytes on every strip shape, on
-    # photo-like planes and on 1024x1024 noise; block rows of 513 blocks split strips
-    # mid-row, and 16-block strips carry a partial byte across many strip ends. Planes of
-    # 4,096 blocks or more encode in strips of 1,024 blocks, each packed in two parts:
-    # 1024x1024 noise in 16 of them, a 277x1020 plane of blocks of every delta width in 4
-    # and then a strip of 3 block rows, the last of them short, and a 33x8300 one along
-    # each block row in one of 1,024 and an edge strip of 14, down to the last block row
-    # of one pixel row, so the carry crosses long strips into short ones. The encoder
-    # gives numpy back its ufunc buffer size
+    # photo-like planes and on 1024x1024 noise; with STRIP_BLOCKS at 2, block rows of 513
+    # blocks split strips of 32 mid-row and 32-block strips carry a partial byte across
+    # many strip ends. Every plane encodes in strips of 1,024 blocks, or as one strip if
+    # smaller, and a strip of more than 512 blocks packs its rows in two parts: 1024x1024
+    # noise in 16 strips, a 277x1020 plane of blocks of every delta width in 4 and then a
+    # strip of 3 block rows, the last of them short, a 33x8300 one along each block row in
+    # one of 1,024 and an edge strip of 14, down to the last block row of one pixel row, so
+    # the carry crosses long strips into short ones, and a 203x197 plane of 650 blocks,
+    # edge blocks and all, in one. The encoder gives numpy back its ufunc buffer size
     rng = np.random.default_rng(k)
     buffers = np.getbufsize()
     for plane in strip_planes(k, rng):
@@ -946,10 +948,11 @@ def test_strip_encoder_matches_oracle(k):
             assert encode_indices(plane, k) == expected
     top = 255 // k
     planes = [rng.integers(0, top + 1, (1024, 1024))]
-    for shape in [(277, 1020), (33, 8300)]:
+    for shape in [(277, 1020), (33, 8300), (203, 197)]:
         spans = rng.integers(1, top + 2, _grid(*shape)).repeat(8, axis=0).repeat(8, axis=1)
         planes.append(rng.integers(0, top + 1, shape) % spans[: shape[0], : shape[1]])
-    for plane, blocks in zip(planes, [[1024] * 16, [1024] * 4 + [384], [1024, 14] * 5]):
+    strip_sizes = [[1024] * 16, [1024] * 4 + [384], [1024, 14] * 5, [650]]
+    for plane, blocks in zip(planes, strip_sizes):
         plane = plane.astype(np.uint8)
         with pytest.MonkeyPatch.context() as patch:
             strips = spy(patch, bitstream, "_encode_strip", blocks_of)
@@ -1011,7 +1014,7 @@ def uniform_plane(height: int, width: int, k: int, rng: np.random.Generator) -> 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_guessed_strips_match_oracle(k):
-    # a 132x1001 plane is coded in strips of 630, 630, 630 and 252 blocks of 64, 8, 32 and 4
+    # a 132x1001 plane decodes in strips of 630, 630, 630 and 252 blocks of 64, 8, 32 and 4
     # cells. Its blocks spread over 0..255 // k, so the pass steps the first 512 blocks and
     # guesses the others, but for one odd block, repeated or of 1-bit deltas, at the first,
     # middle or last block of the second strip, at the first of the third, whose guess lies in
@@ -1087,37 +1090,53 @@ def test_repeated_plane_is_guessed():
 
 
 def test_noise_cut_past_guessed_strip_end():
-    # a 1024x1024 noise stream cut inside block 2047, the last of the fourth group of 512
-    # blocks and of the guessed run of blocks 1024 to 2047, past the first window, after that
-    # block's key bytes: the guess reads every key of the run, but its end lies past the
-    # stream's end, so the pass gives up and decode_plane names the short block, as the spec
+    # every block of 1024x1024 uniform noise has 6-bit deltas at k = 5, 397 bits: the pass
+    # steps blocks 0 to 511 and guesses blocks 512 to 1023, 1024 to 2047, 2048 to 4095,
+    # 4096 to 8191 and 8192 to 16383, a run each. The stream cut inside each run, in a
+    # block's header, in a block's deltas or in the run's last byte: the pass proves the
+    # keys that lie in the stream, but the run's end lies past the stream's end, so it
+    # gives up, and decode_plane names the short block and its first bit, as the spec
     samples = np.random.default_rng(97).integers(0, 256, (1024, 1024), dtype=np.uint8)
     stream = bytearray()
     bitstream.append_samples(stream, samples, 5)
-    last = 397 * (4 * 8 * STRIP_BLOCKS - 1)  # groups of 512 blocks, each of 397 bits at k = 5
-    for cut in ((last + 11 >> 3) + 2, (last + 397 >> 3) - 20, (last + 397 >> 3) - 1):
-        data = bytes(stream[:cut])
-        spec = chase_follows_spec(data, 1024, 1024, 5)
-        assert spec[:2] == (TruncatedStreamError, (15, 127))
-        assert decodes_like_spec(spec, data, 1024, 1024, 5) is TruncatedStreamError
+    for first, last in [(512, 1023), (1024, 2047), (2048, 4095), (4096, 8191), (8192, 16383)]:
+        cuts = {
+            first + 2: (397 * (first + 2) >> 3) + 1,  # inside its 13-bit header
+            first + 3: (397 * (first + 3) + 13 >> 3) + 20,  # inside its deltas
+            last: (397 * (last + 1) + 7 >> 3) - 1,  # the run's last byte gone
+        }
+        for block, cut in cuts.items():
+            data = bytes(stream[:cut])
+            spec = chase_follows_spec(data, 1024, 1024, 5)
+            assert spec[:3] == (TruncatedStreamError, divmod(block, 128), 397 * block)
+            assert decodes_like_spec(spec, data, 1024, 1024, 5) is TruncatedStreamError
 
 
-def test_odd_block_keeps_the_plane_guessed():
+def test_odd_block_ends_the_guessed_run():
     # every block of a 1024x1024 plane has W-bit deltas, so the pass steps its first group
-    # of 8 * STRIP_BLOCKS blocks over one window and guesses the rest. A repeated block at
-    # block row 9, block 1189 in the third group, stops a guessed run; its own key gives its
-    # length and the guess goes on past it, so the pass still builds only the window of its
-    # first group
+    # of 8 * STRIP_BLOCKS blocks over one window and guesses the rest in runs that double.
+    # A repeated block at block row 9, block 1189, ends the run of blocks 1024 to 2047
+    # after 165 keys. The steps go on from it: its group, which holds it, makes no guess,
+    # and the next, blocks 1701 to 2212, makes it again, so runs double from block 2213 to
+    # the plane's end. Block 1189 lies past the first chunk's reach, so the pass builds
+    # windows from its first byte
     rng = np.random.default_rng(101)
     plane = uniform_plane(1024, 1024, 5, rng)
     odd = plane.copy()
     odd[72:80, 296:304] = 7  # block 9,37
-    for indices in (plane, odd):
+    doubling = [(n, n) for n in (512, 1024, 2048, 4096)]
+    for indices, runs, rebased in (
+        (plane, doubling + [(8192, 8192)], []),
+        (odd, [(512, 512), (1024, 165)] + doubling + [(6491, 6491)], [1189]),
+    ):
         stream = encode_indices(indices, 5)
         with pytest.MonkeyPatch.context() as patch:
             chunks = spy(patch, bitstream, "_windows", chunk_of)
-            assert np.array_equal(chase_follows_spec(stream, 1024, 1024, 5).plane, indices)
-        assert [start for start, _ in chunks] == [0]
+            calls = spy(patch, bitstream, "_first_odd", run_of)
+            spec = chase_follows_spec(stream, 1024, 1024, 5)
+        assert np.array_equal(spec.plane, indices)
+        assert calls == runs
+        assert [start for start, _ in chunks] == [0] + [spec.starts[i] >> 3 for i in rebased]
         assert np.array_equal(decode_indices(stream, 1024, 1024, 5), indices)
 
 
@@ -1131,26 +1150,31 @@ def run_of(right, data, at, guess, w) -> tuple[int, int]:
     return len(at), right
 
 
-def test_plane_turning_mixed_stops_guessing():
+def test_plane_turning_mixed_steps_each_group():
     # with strips of 64 blocks, a 256x256 plane's first 8 strips have W-bit deltas and its
-    # other blocks alternate 1- and 2-bit deltas, so no strip of them earns a guess. Runs
-    # double from a strip, 1, 2 and then 4 strips, until one meets the first mixed block;
-    # as the guess held for more than STRIP_BLOCKS blocks, the pass goes past it, but the
-    # run of one strip after it stops at once, and the pass steps the rest of the plane:
-    # no numpy pass per block
-    rng = np.random.default_rng(103)
-    plane = uniform_plane(256, 256, 5, rng)
-    mixed = rng.integers(0, 4, (128, 256))
-    ones = (np.arange(16 * 32).reshape(16, 32) % 2).repeat(8, 0).repeat(8, 1) == 1
-    mixed[ones] %= 2
-    mixed[::8, ::8], mixed[7::8, 7::8] = 0, np.where(ones[7::8, 7::8], 1, 3)
-    plane[128:] = 10 + mixed
-    stream = encode_indices(plane, 5)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bitstream, "STRIP_BLOCKS", 8)
-        calls = spy(patch, bitstream, "_first_odd", run_of)
-        assert isinstance(chase_follows_spec(stream, 256, 256, 5), Decoded)
-    assert [right for _, right in calls] == [64, 128, 256, 0, 0] and calls[-1][0] == 64
+    # other blocks alternate 1-bit deltas with 2- or 3-bit ones. Runs double from a strip,
+    # 1, 2 and then 4 strips, until one meets the first mixed block, block 512, and the
+    # pass steps the rest of the plane, 8 groups. With 2-bit ones no group of them earns
+    # a guess; with 3-bit ones each does, as its blocks average 2 bits a cell, and its
+    # run stops at its first key: one numpy pass per stepped group but the last, not one
+    # per block
+    for wide, stops in ((2, 1), (3, 8)):
+        rng = np.random.default_rng(103)
+        plane = uniform_plane(256, 256, 5, rng)
+        mixed = rng.integers(0, 1 << wide, (128, 256))
+        ones = (np.arange(16 * 32).reshape(16, 32) % 2).repeat(8, 0).repeat(8, 1) == 1
+        mixed[ones] %= 2
+        mixed[::8, ::8] = 0
+        mixed[7::8, 7::8] = np.where(ones[7::8, 7::8], 1, (1 << wide) - 1)
+        plane[128:] = 10 + mixed
+        stream = encode_indices(plane, 5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bitstream, "STRIP_BLOCKS", 8)
+            calls = spy(patch, bitstream, "_first_odd", run_of)
+            assert isinstance(chase_follows_spec(stream, 256, 256, 5), Decoded)
+        assert calls[:3] == [(64, 64), (128, 128), (256, 256)]
+        assert [right for _, right in calls[3:]] == [0] * stops
+        assert [keys for keys, _ in calls[4:]] == [64] * (stops - 1)
 
 
 @pytest.mark.parametrize(
@@ -1216,7 +1240,7 @@ def test_guessed_runs_match_block_loop(k):
     # runs of strips 1, 2-3, 4-7 and 8-15, and then of the 32 blocks left, the edge strip's.
     # An odd block, repeated or of 1-bit deltas, at the first block of strip 8, a
     # middle one of strip 11, the last of strip 15 or one of the edge strip is the first
-    # wrong key of its run, and the pass goes past it. The pass must find the spec's
+    # wrong key of its run, and the pass steps on from it. The pass must find the spec's
     # starts; on streams cut inside the last block of a run, after its key, or with a bit of
     # a block's max_delta flipped, the spec's starts or None, as decode_plane gives the
     # spec's plane or its fault
@@ -1305,12 +1329,13 @@ def test_one_width_strips_match_block_loop(k):
 
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_one_width_strips_pack_with_scalars(k):
-    # with STRIP_BLOCKS at 8, a 64x256 plane of 8x32 blocks encodes in 4 strips of 64 full
+    # with STRIP_BLOCKS at 4, a 64x256 plane of 8x32 blocks encodes in 4 strips of 64 full
     # blocks: W-bit blocks, repeated blocks, of width 0, whose rows shift by 64 to nothing,
-    # blocks of mixed widths and W-bit blocks again. _pack_rows takes one int width on the
-    # one-width strips and a width per block on the mixed one, and so on both strips of a
-    # 20x250 plane of W-bit blocks, whose edge blocks have rows of 2 columns and the last
-    # strip's 4 rows. Every stream is the string encoder's
+    # blocks of mixed widths and W-bit blocks again. Each strip packs its rows in two
+    # parts, as it has more than 8 * STRIP_BLOCKS blocks. _pack_rows takes one int width on
+    # the one-width strips and a width per block on the mixed one, and so on both strips of
+    # a 20x250 plane of W-bit blocks, 64 blocks and then 32, whose edge blocks have rows of
+    # 2 columns and the last strip's 4 rows. Every stream is the string encoder's
     rng = np.random.default_rng(k + 113)
     top = 255 // k
     w = top.bit_length()
@@ -1322,10 +1347,13 @@ def test_one_width_strips_pack_with_scalars(k):
     def width_of(_, words, dw):
         return dw if isinstance(dw, int) else None  # None for a width per block
 
-    cases = [(plane, [w, 0, None, w]), (uniform_plane(20, 250, k, rng), [None, None])]
+    cases = [
+        (plane, [w, w, 0, 0, None, None, w, w]),
+        (uniform_plane(20, 250, k, rng), [None, None, None]),
+    ]
     for plane, expected in cases:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bitstream, "STRIP_BLOCKS", 8)
+            patch.setattr(bitstream, "STRIP_BLOCKS", 4)
             widths = spy(patch, bitstream, "_pack_rows", width_of)
             stream = encode_indices(plane, k)
         assert widths == expected

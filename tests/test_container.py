@@ -236,14 +236,25 @@ class TestDecompress:
         assert peak <= 1.25 * img.pixels.size
 
     @pytest.mark.parametrize(
-        "shape", [(8, 512, 3), (64, 64, 3), (128, 128, 3), (16, 4088, 1)]
+        "shape",
+        [
+            (8, 512, 3),
+            (64, 64, 3),
+            (128, 128, 3),
+            (16, 4088, 1),
+            (200, 200, 1),
+            (24, 2720, 1),
+            (8, 8192, 1),
+        ],
     )
     def test_mid_plane_encode_memory_is_bounded(self, shape):
-        # planes of 64 to 1,022 blocks encode as one strip each, so a strip's working set
+        # planes of 64 to 1,024 blocks encode as one strip each, so a strip's working set
         # falls on few samples; an image of three such noise planes must stay in bound, and
-        # so must one plane of 1,022 blocks, whose strip's translated samples are dropped
-        # before its rows are packed in two parts and placed 2 fields a step (3.3 bytes
-        # per sample; 4.92 with them held, the rows packed at once and 3 fields a step)
+        # so must one plane of 513 to 1,024 blocks, whose strip's translated samples are
+        # dropped before its rows are packed in two parts and placed 2 fields a step: 625
+        # blocks in 25 block rows, and 1,020, 1,022 and 1,024 in three, two and one (3.1 to
+        # 3.2 bytes per sample; 4.92 with them held, the rows packed at once and 3 fields a
+        # step)
         rng = np.random.default_rng(shape[0] + 3)
         img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
         tracemalloc.start()
