@@ -451,10 +451,9 @@ def _bits_at(data: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
 
 def _first_odd(data: np.ndarray, at: np.ndarray, guess: int, w: int) -> int:
     """Index of the first key, of those whose first bits in data at gives, whose bit length
-    is not guess, or len(at); a key is a block's repetition bit and max_delta, w + 1 bits."""
-    keys = _bits_at(data, at, w + 1)
-    keys >>= max(guess, 1) - 1  # a key has bit length g if key >> g - 1 is 1, or key is 0
-    wrong = keys != min(guess, 1)
+    is not guess (1 to w + 1), or len(at); a key is a block's repetition bit and max_delta,
+    w + 1 bits, and has bit length g if its top w + 2 - g bits read 1."""
+    wrong = _bits_at(data, at, w + 2 - guess) != 1
     return int(wrong.argmax()) if wrong.any() else len(at)
 
 
@@ -534,10 +533,11 @@ def _chase(
         except IndexError:  # a window past the stream's last byte
             return None
         # keys of one bit length g advance a group w + 1 bits a block if g is w + 1, as
-        # repeated blocks, else 2 * w + 1 bits a block and g a cell
+        # repeated blocks, else 2 * w + 1 bits a block and g a cell; g is never 0, as no
+        # valid block has the key 0 (repetition 0, max_delta 0)
         size = before[b + len(stepped)] - before[b]
         deltas, extra = divmod(q - first - len(stepped) * (2 * w + 1), size)
-        guess = deltas if not extra and 0 <= deltas <= w else None
+        guess = deltas if not extra and 0 < deltas <= w else None
         if q - first == len(stepped) * (w + 1):
             guess = w + 1
         since = len(reps) - 1

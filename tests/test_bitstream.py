@@ -849,7 +849,7 @@ def junk_over_limit(stream: bytes, heads: Decoded, k: int) -> bool:
 @pytest.mark.parametrize(
     "height, width, k", [(9, 4100, 5), (3, 2060, 3), (16, 321, 3), (18, 523, 9)]
 )
-def test_lane_decoder_agrees_with_block_walk(height, width, k):
+def test_lane_decoder_agrees_with_spec(height, width, k):
     # the strip decoder reads each block row of 8 cells as one word, so lanes past an edge
     # block's columns or rows hold the bits that follow; built so those would decode above
     # the limit, valid streams must still decode, and on bit-flipped and truncated streams
@@ -900,12 +900,12 @@ def test_strip_words_reach_the_farthest_row():
     assert max(reaches) == 5
 
 
-def photo_plane(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Index plane of a 512x512 smooth image whose noise grows from none at its left edge,
-    so repeated blocks sit next to mixed ones of every delta width."""
-    y, x = np.mgrid[0:512, 0:512]
+def photo_plane(k: int, rng: np.random.Generator, size: int = 512) -> np.ndarray:
+    """Index plane of a size x size smooth image whose noise grows from none at its left
+    edge, so repeated blocks sit next to mixed ones of every delta width."""
+    y, x = np.mgrid[0:size, 0:size]
     smooth = 128 + 90 * np.sin(x / 41 + rng.uniform(0, 6)) * np.cos(y / 57)
-    noisy = smooth + rng.normal(0, 1, smooth.shape) * np.linspace(0, 40, 512)
+    noisy = smooth + rng.normal(0, 1, smooth.shape) * np.linspace(0, 40, size)
     samples = core.quantize_plane(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), k)
     return samples // k
 
@@ -1001,6 +1001,21 @@ def test_chase_chunks_match_oracle():
                 assert chase_follows_spec(stream[:cut], 520, 24, 5).error is TruncatedStreamError
 
 
+def test_one_window_chunk_ends_at_the_stream_end():
+    # the blocks of a photo-like plane have mixed lengths, so the pass steps every group,
+    # building windows a chunk of two groups' reach at a time; once a chunk holds the
+    # stream's last byte it builds none, where each further chunk would end there too
+    for size in (512, 1024):
+        plane = photo_plane(5, np.random.default_rng(size), size)
+        stream = encode_indices(plane)
+        with pytest.MonkeyPatch.context() as patch:
+            chunks = spy(patch, bitstream, "_windows", chunk_of)
+            calls = spy(patch, bitstream, "_first_odd", run_of)
+            assert np.array_equal(decode_indices(stream, size, size), plane)
+        ends = [stop for _, stop in chunks].count(len(stream))
+        assert calls == [] and len(chunks) > 1 and ends <= 1
+
+
 def uniform_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Random indices, each block's first cell 0 and last 255 // k, so that every block's
     (repetition, max_delta) key has bit length W and the blocks of a cell count one length."""
@@ -1087,6 +1102,21 @@ def test_repeated_plane_is_guessed():
         calls = spy(patch, bitstream, "_first_odd", run_of)
         assert np.array_equal(decode_plane(stream, 1024, 1024, 5), core.quantize_plane(samples))
     assert calls == [(n, n) for n in (512, 1024, 2048, 4096, 8190)]
+
+
+@pytest.mark.parametrize("height, width", [(256, 256), (8, 8192)])
+def test_zero_width_group_makes_no_guess(height, width):
+    # 1,024 headers of min_index 0, repetition 0 and max_delta 0: every stepped block
+    # advances 2 * W + 1 bits, as a block of 0-bit deltas would, but no valid block has that
+    # key, so the pass guesses no run of them and decode_plane raises the spec's fault
+    stream = bits_to_bytes("0" * 13 * 1024)  # 6 + 1 + 6 bits a header
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy(patch, bitstream, "_first_odd", run_of)
+        got = outcome(decode_plane, stream, height, width, 5)
+    assert calls == []
+    assert reference_decode(stream, height, width, 5)[:3] == (CorruptStreamError, (0, 0), 0)
+    message = "block 0,0: non-repeated block with zero max_delta is not canonical (bit 0)"
+    assert got == (CorruptStreamError, message)
 
 
 def test_noise_cut_past_guessed_strip_end():
@@ -1234,7 +1264,7 @@ def test_guessed_runs_cross_strip_shapes(height, width, strips, runs):
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
-def test_guessed_runs_match_block_loop(k):
+def test_guessed_runs_match_spec(k):
     # with strips of 64 blocks, a 261x256 plane of W-bit deltas is 16 strips of 64 blocks
     # and an edge-shaped strip of 32 blocks of 5x8 cells. The pass steps strip 0 and checks
     # runs of strips 1, 2-3, 4-7 and 8-15, and then of the 32 blocks left, the edge strip's.
@@ -1290,7 +1320,7 @@ def test_guessed_runs_match_block_loop(k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 127])
-def test_one_width_strips_match_block_loop(k):
+def test_one_width_strips_match_spec(k):
     # a 99x325 plane of 13x41 blocks, with edge rows and columns, decodes in 4 strips of a
     # quarter of its blocks; every block of each strip has one delta width, W bits but for
     # the second strip, whose blocks are all repeated, of width 0, so each strip unpacks its
@@ -1360,6 +1390,24 @@ def test_one_width_strips_pack_with_scalars(k):
         assert stream == reference_stream(plane, k)
 
 
+def test_buffer_is_set_only_past_32_strips_of_blocks():
+    # numpy's ufunc buffer is set to 1,024 elements, and back, around coding a plane of
+    # more than 32 * STRIP_BLOCKS blocks, in both directions: 264x512 is 2,112 blocks, and
+    # 256x512, 2,048 blocks, codes under the default, which a setting would cost 2 to 4 us
+    rng = np.random.default_rng(127)
+    default = np.getbufsize()
+    for height, sizes in ((256, []), (264, [1024, default])):
+        samples = rng.integers(0, 256, (height, 512), dtype=np.uint8)
+        stream = bytearray()
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy(patch, np, "setbufsize", lambda _, size: size)
+            bitstream.append_samples(stream, samples, 5)
+            encoding = calls.copy()
+            decoded = decode_plane(stream, height, 512, 5)
+        assert encoding == sizes and calls == sizes + sizes
+        assert np.array_equal(decoded, core.quantize_plane(samples))
+
+
 def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]) -> bytes:
     """The stream with each (bit, size, change) field, size bits from that bit, replaced by
     change of its value."""
@@ -1372,7 +1420,7 @@ def rewritten(stream: bytes, fields: list[tuple[int, int, Callable[[int], int]]]
 
 
 @pytest.mark.parametrize("height, width, strip_blocks", [(520, 24, 2), (8, 16384, STRIP_BLOCKS)])
-def test_fast_path_seams_match_block_loop(height, width, strip_blocks):
+def test_fast_path_seams_match_spec(height, width, strip_blocks):
     # multi-chunk planes of both strip orientations: 520x24 in strips of whole block rows
     # (16-block strips, as STRIP_BLOCKS is 2 here) and one block row of 2,048 blocks in
     # runs of 512 along it

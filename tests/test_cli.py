@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fmmcodec import cli, container, core
+from fmmcodec import bitstream, cli, container, core
 from fmmcodec.errors import CorruptStreamError
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import read_netpbm, write_netpbm
 
 from golden import ORIGINAL_BLOCK
+from spies import spy
 
 
 @pytest.fixture
@@ -59,6 +60,11 @@ class TestCompress:
         bad.write_bytes(b"not an image")
         code = cli.main(["compress", str(bad), str(tmp_path / "o.fmm")])
         assert code == cli.EXIT_FORMAT
+
+    def test_empty_image(self, tmp_path, capsys):
+        bad = tmp_path / "empty.pgm"
+        bad.write_bytes(b"P5 0 3 255\n")  # 0x3: a netpbm image has at least one sample
+        assert cli.main(["compress", str(bad), str(tmp_path / "o.fmm")]) == cli.EXIT_FORMAT
 
     def test_overlong_header_field(self, tmp_path, capsys):
         bad = tmp_path / "long.pgm"
@@ -197,6 +203,66 @@ class TestInspect:
         empty = tmp_path / "empty.fmm"
         empty.write_bytes(b"")
         assert cli.main(["inspect", str(empty)]) == cli.EXIT_FORMAT
+
+    def test_short_file_prints_no_block(self, tmp_path, capsys):
+        pixels = np.frombuffer(bytes(range(240)) * 4, dtype=np.uint8).reshape(24, 40)
+        path = tmp_path / "cut.fmm"
+        path.write_bytes(container.compress(RasterImage(pixels))[:-1])
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_FORMAT
+        assert "ch=" not in capsys.readouterr().out
+
+    def test_line_per_block_of_a_strip_coded_image(self, tmp_path, capsys):
+        # 96x96 is 144 blocks a channel, so each channel is strip-coded
+        pixels = np.random.default_rng(1).integers(0, 256, (96, 96, 3), dtype=np.uint8)
+        src, blob_path, back = tmp_path / "rgb.ppm", tmp_path / "rgb.fmm", tmp_path / "out.ppm"
+        src.write_bytes(write_netpbm(RasterImage(pixels)))
+        assert cli.main(["compress", str(src), str(blob_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["inspect", str(blob_path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 144
+        assert cli.main(["decompress", str(blob_path), str(back)]) == 0
+        assert read_netpbm(back.read_bytes()) == RasterImage(core.quantize_plane(pixels))
+
+    @pytest.mark.parametrize(
+        "width, height, runs, row, col, bit",
+        [
+            (1024, 64, [512], 5, 60, 277900),
+            (1024, 256, [512, 1024, 2048], 21, 100, 1106836),
+            (5000, 64, [512, 1024, 2048, 904], 3, 550, 962725),
+        ],
+        ids=["1024x64", "1024x256", "5000x64"],
+    )
+    def test_guessed_block_over_limit(
+        self, width, height, runs, row, col, bit, tmp_path, capsys, monkeypatch
+    ):
+        # uniform noise at k = 5 gives every block 6-bit deltas, so 6 + 1 + 6 + 64 * 6 = 397
+        # bits, and block i starts at bit 397 * i; the header pass steps the first 512 blocks
+        # and guesses the rest. 1024x64 is 1,024 blocks, guessed over blocks 512-1023.
+        # 1024x256 is 4,096 blocks, guessed over runs of blocks 512-1023, 1024-2047 and
+        # 2048-4095. 5000x64 is 8 block rows of 625 blocks, encoded in strips of two block
+        # rows, 1,250 blocks each packed in three parts, and guessed over runs of 512, 1,024,
+        # 2,048 and 904 blocks, which start and end mid-row; its block 2425 lies in the
+        # second strip. The bad block's min_index is set to 63, above the limit 51
+        pixels = np.random.default_rng(width + height).integers(0, 256, (height, width), np.uint8)
+        blob = container.compress(RasterImage(pixels))
+        blocks = width * height // 64
+        assert len(blob) == container.HEADER_SIZE + 4 + blocks * 397 // 8
+        keys = spy(monkeypatch, bitstream, "_first_odd", lambda right, data, at, *_: len(at))
+        assert container.decompress(bytes(blob)) == RasterImage(core.quantize_plane(pixels))
+        assert keys == runs
+        assert 397 * (row * (width // 8) + col) == bit
+        at = 8 * (container.HEADER_SIZE + 4) + bit
+        for i in range(at, at + 6):
+            blob[i >> 3] |= 0x80 >> (i & 7)
+        path = tmp_path / "bad.fmm"
+        path.write_bytes(blob)
+        assert cli.main(["decompress", str(path), str(tmp_path / "bad.pgm")]) == cli.EXIT_FORMAT
+        err = capsys.readouterr().err
+        message = f"block {row},{col}: block minimum 63 exceeds index limit 51 (bit {bit})"
+        assert err == f"error: channel 0: {message}\n"
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_FORMAT
+        out, inspected = capsys.readouterr()
+        assert inspected == err and "ch=" not in out
 
     def test_index_over_limit_fails_like_decompress(self, tmp_path, capsys):
         # 2x1 plane, k = 5: min 49, max_delta 2, deltas 0 and 3, so index 52 > 51
