@@ -141,9 +141,10 @@ def _cmd_compare(args) -> int:
 def _cmd_inspect(args) -> int:
     blob = Path(args.input).read_bytes()
     header = container.read_header(blob)
+    blocks = container.block_headers(blob)  # raises for a rejected file before any output
     print(f"modulus {header.modulus}, {header.width}x{header.height}, "
           f"{header.channels} channel(s)")
-    for channel, row, col, cells, lo, spread, dw, bits in container.block_headers(blob):
+    for channel, row, col, cells, lo, spread, dw, bits in blocks:
         line = f"ch={channel} block={row},{col} min={lo} rep={int(not spread)}"
         if spread:
             line += f" max={spread} width={dw}"

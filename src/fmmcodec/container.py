@@ -129,13 +129,15 @@ def decompress(data: bytes) -> RasterImage:
 def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:
     """(channel, row, col, cells, min, max_delta, delta width, bits) of every block.
 
-    Every channel is decoded first, with decompress's checks in its order but no pixel
-    array, so a file that decompress rejects raises its error before any block is yielded.
-    max_delta and the delta width are 0 for a repeated block; bits is the block's length.
+    Every channel is decoded in the call, with decompress's checks in its order but no
+    pixel array, so a file that decompress rejects raises its error before an iterator is
+    returned. max_delta and the delta width are 0 for a repeated block; bits is the block's
+    length.
     """
     header = read_header(data)
     streams = enumerate(_channel_streams(data, header))
     channels = [_decode_channel(block_fields, c, stream, header) for c, stream in streams]
-    del streams  # enumerate holds its last (channel, view), which pins a caller's bytearray
-    for channel, fields in enumerate(channels):
-        yield from zip(itertools.repeat(channel), *(column.tolist() for column in fields))
+    return itertools.chain.from_iterable(
+        zip(itertools.repeat(channel), *(column.tolist() for column in fields))
+        for channel, fields in enumerate(channels)
+    )

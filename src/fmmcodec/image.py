@@ -57,8 +57,6 @@ class RasterImage:
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and np.array_equal(
-            self.pixels, other.pixels
-        )
+        return np.array_equal(self.pixels, other.pixels)
 
     __hash__ = None

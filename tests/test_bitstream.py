@@ -2,7 +2,6 @@ import math
 import re
 import time
 import traceback
-import tracemalloc
 from collections.abc import Callable
 
 import numpy as np
@@ -25,6 +24,7 @@ from spec import (
     reference_plane_bits,
     reference_stream,
 )
+from peaks import Peak
 from spies import spy
 from streams import decode_indices, encode_indices
 
@@ -707,14 +707,10 @@ def test_large_corrupt_plane_rejected_in_bounded_time_and_memory():
     with pytest.raises(TruncatedStreamError, match="block 127,127: "):
         decode_plane(data, 1024, 1024, 5)
     assert time.perf_counter() - started < 1.0
-    tracemalloc.start()  # timed apart, as tracing slows the loop several times over
-    try:
+    with Peak() as peak:  # timed apart, as tracing slows the loop several times over
         with pytest.raises(TruncatedStreamError):
             decode_plane(data, 1024, 1024, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * plane.size
+    assert peak.bytes <= 1.5 * plane.size
 
 
 def test_pack_matches_reference():

@@ -1,6 +1,5 @@
 import collections
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from fmmcodec.errors import CorruptStreamError, FmmError, FormatError, Truncated
 from fmmcodec.image import RasterImage
 
 from golden import ORIGINAL_BLOCK
+from peaks import Peak
 from spec import reference_decode, reference_stream
 from spies import spy
 
@@ -35,6 +35,17 @@ def frame(streams: list[bytes], width: int, height: int, k: int = 5) -> bytes:
     for stream in streams:
         out += len(stream).to_bytes(4, "big") + stream
     return out
+
+
+def _noise_cases(mid: list, seed=lambda height, width, channels: height + channels) -> list:
+    """(shape, seed) of a memory bound's noise images: four plane shapes at 1 and 3 channels,
+    seeded height + channels, then the mid-plane shapes, seeded seed(*shape). The ids keep
+    the form they had when the mid-plane shapes were a test of their own."""
+    wide = [(256, 256), (37, 61), (8, 16384), (16384, 8)]
+    cases = [
+        pytest.param((*s, c), s[0] + c, id=f"{c}-shape{i}") for c in (1, 3) for i, s in enumerate(wide)
+    ]
+    return cases + [pytest.param(s, seed(*s), id=f"shape{i}") for i, s in enumerate(mid)]
 
 
 class TestCompress:
@@ -109,48 +120,23 @@ class TestDecompress:
         for ch in range(3):
             assert np.array_equal(out.plane(ch), core.quantize_plane(pixels[:, :, ch]))
 
-    @pytest.mark.parametrize("shape", [(256, 256), (37, 61), (8, 16384), (16384, 8)])
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_decode_memory_is_bounded(self, shape, channels):
-        # uniform noise spends the most stream bits per sample; decoding it
-        # must stay within a few bytes per decoded sample
-        rng = np.random.default_rng(shape[0] + channels)
-        img = RasterImage(rng.integers(0, 256, (*shape, channels), dtype=np.uint8))
-        blob = container.compress(img)
-        tracemalloc.start()
-        try:
-            container.decompress(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * img.pixels.size
-
     @pytest.mark.parametrize(
-        "shape",
-        [
-            (8, 512, 3),
-            (64, 64, 3),
-            (128, 128, 3),
-            (8, 512, 1),
-            (64, 64, 1),
-            (80, 80, 1),
-            (128, 128, 1),
-        ],
+        "shape, seed",
+        _noise_cases(
+            [(8, 512, 3), (64, 64, 3), (128, 128, 3), (8, 512, 1), (64, 64, 1), (80, 80, 1), (128, 128, 1)]
+        ),
     )
-    def test_mid_plane_decode_memory_is_bounded(self, shape):
-        # planes of 64 to 256 blocks decode as four strips each, so a strip's working set
-        # falls on few samples; an image of such noise planes must stay in bound, even of
-        # one plane, which is itself the pixel array
-        rng = np.random.default_rng(shape[0] + shape[2])
+    def test_decode_memory_is_bounded(self, shape, seed):
+        # uniform noise spends the most stream bits per sample; decoding it must stay within
+        # a few bytes per decoded sample. Planes of 64 to 256 blocks decode as four strips
+        # each, so a strip's working set falls on few samples; an image of such noise planes
+        # must stay in bound, even of one plane, which is itself the pixel array
+        rng = np.random.default_rng(seed)
         img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
         blob = container.compress(img)
-        tracemalloc.start()
-        try:
+        with Peak() as peak:
             container.decompress(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * img.pixels.size
+        assert peak.bytes <= 5 * img.pixels.size
 
     @pytest.mark.parametrize("shape", [(8, 16384), (16384, 8)])
     def test_chase_windows_are_bounded(self, shape, monkeypatch):
@@ -181,44 +167,42 @@ class TestDecompress:
         rng = np.random.default_rng(17)
         img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
         blob = container.compress(img)
-        tracemalloc.start()
-        try:
+        with Peak() as peak:
             out = container.decompress(blob)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * img.pixels.size
+        assert peak.bytes <= 1.5 * img.pixels.size
         assert out == RasterImage(core.quantize_plane(img.pixels))
 
-    @pytest.mark.parametrize("shape", [(256, 256), (37, 61), (8, 16384), (16384, 8)])
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_encode_memory_is_bounded(self, shape, channels):
-        # the per-block loop measures 1.6 to 3.2 bytes per sample and the
-        # strip codec 1.6 to 3.4; a temporary with a byte per bit of a whole
-        # plane's fields, or of a whole block row's on the 8-row plane
-        # (8+ bytes per sample), must not pass
-        rng = np.random.default_rng(shape[0] + channels)
-        img = RasterImage(rng.integers(0, 256, (*shape, channels), dtype=np.uint8))
-        tracemalloc.start()
-        try:
+    @pytest.mark.parametrize(
+        "shape, seed",
+        _noise_cases(
+            [(8, 512, 3), (64, 64, 3), (128, 128, 3), (16, 4088, 1), (200, 200, 1), (24, 2720, 1), (8, 8192, 1)],
+            lambda height, width, channels: height + 3,
+        ),
+    )
+    def test_encode_memory_is_bounded(self, shape, seed):
+        # the per-block loop measures 1.6 to 3.2 bytes per sample and the strip codec 1.6 to
+        # 3.4; a temporary with a byte per bit of a whole plane's fields, or of a whole block
+        # row's on the 8-row plane (8+ bytes per sample), must not pass. Planes of 64 to
+        # 1,024 blocks encode as one strip each, so a strip's working set falls on few
+        # samples; an image of three such noise planes must stay in bound, and so must one
+        # plane of 513 to 1,024 blocks, whose strip's translated samples are dropped before
+        # its rows are packed in two parts and placed 2 fields a step: 625 blocks in 25
+        # block rows, and 1,020, 1,022 and 1,024 in three, two and one (3.1 to 3.2 bytes per
+        # sample; 4.92 with them held, the rows packed at once and 3 fields a step)
+        rng = np.random.default_rng(seed)
+        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
+        with Peak() as peak:
             container.compress(img)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * img.pixels.size
+        assert peak.bytes <= 4 * img.pixels.size
 
     def test_one_channel_encodes_near_its_indices(self):
         # a uint16 copy of the plane beside the channel's indices and the strips' working
         # set (3.0 B/sample) must not pass
         rng = np.random.default_rng(29)
         img = RasterImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
-        tracemalloc.start()
-        try:
+        with Peak() as peak:
             container.compress(img)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.75 * img.pixels.size
+        assert peak.bytes <= 2.75 * img.pixels.size
 
     @pytest.mark.parametrize("shape", [(1024, 1024, 1), (512, 512, 3)])
     def test_holds_no_index_plane_or_second_stream(self, shape):
@@ -227,43 +211,9 @@ class TestDecompress:
         # a stream beside them must not pass
         rng = np.random.default_rng(shape[2])
         img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
-        tracemalloc.start()
-        try:
+        with Peak() as peak:
             container.compress(img)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * img.pixels.size
-
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            (8, 512, 3),
-            (64, 64, 3),
-            (128, 128, 3),
-            (16, 4088, 1),
-            (200, 200, 1),
-            (24, 2720, 1),
-            (8, 8192, 1),
-        ],
-    )
-    def test_mid_plane_encode_memory_is_bounded(self, shape):
-        # planes of 64 to 1,024 blocks encode as one strip each, so a strip's working set
-        # falls on few samples; an image of three such noise planes must stay in bound, and
-        # so must one plane of 513 to 1,024 blocks, whose strip's translated samples are
-        # dropped before its rows are packed in two parts and placed 2 fields a step: 625
-        # blocks in 25 block rows, and 1,020, 1,022 and 1,024 in three, two and one (3.1 to
-        # 3.2 bytes per sample; 4.92 with them held, the rows packed at once and 3 fields a
-        # step)
-        rng = np.random.default_rng(shape[0] + 3)
-        img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
-        tracemalloc.start()
-        try:
-            container.compress(img)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * img.pixels.size
+        assert peak.bytes <= 1.25 * img.pixels.size
 
 
 class TestHeaderErrors:
@@ -430,13 +380,9 @@ class TestBlockHeaders:
         rng = np.random.default_rng(31)
         img = RasterImage(rng.integers(0, 256, (256, 256, 3), dtype=np.uint8))
         blob = container.compress(img)
-        tracemalloc.start()
-        try:
+        with Peak() as peak:
             collections.deque(container.block_headers(blob), maxlen=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * img.pixels.size
+        assert peak.bytes <= 1.3 * img.pixels.size
 
 
 @given(

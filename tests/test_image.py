@@ -35,3 +35,9 @@ def test_equality_with_a_non_image_is_false():
     image = RasterImage(np.zeros((2, 2), dtype=np.uint8))
     assert image.__eq__(image.pixels) is NotImplemented
     assert (image == "image") is False and image != image.pixels.tolist()
+
+
+def test_images_of_different_shapes_are_unequal():
+    for shapes in [((2, 2, 1), (2, 2, 3)), ((2, 3), (3, 2))]:
+        a, b = (RasterImage(np.zeros(shape, dtype=np.uint8)) for shape in shapes)
+        assert a != b and not a == b

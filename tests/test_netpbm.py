@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from fmmcodec.errors import NetpbmError
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import _MAGIC_CHANNELS, _MAX_DIGITS, read_netpbm, write_netpbm
 
+from peaks import Peak
 from spies import spy
 
 
@@ -42,13 +42,9 @@ class TestRead:
         # no second payload (1 byte per sample)
         rng = np.random.default_rng(5)
         data = b"P6\n512 512\n255\n" + rng.integers(0, 256, 512 * 512 * 3, dtype=np.uint8).tobytes()
-        tracemalloc.start()
-        try:
+        with Peak() as peak:
             image = read_netpbm(data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.05 * image.pixels.size
+        assert peak.bytes < 0.05 * image.pixels.size
         assert image.pixels.tobytes() == data[15:]
 
     def test_mutable_input_is_copied(self):
@@ -189,14 +185,10 @@ def test_comment_run_memory_is_bounded():
     # 128 KB of comments: the lexer keeps no state per comment it passes, as a
     # pattern that repeats a group over comments would (about 15 MB here)
     data = b"P5" + b"#\n" * 2**16 + b"2 1 255 " + bytes([3, 4])
-    tracemalloc.start()
-    try:
+    with Peak() as peak:
         image = read_netpbm(data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert image.plane().tolist() == [[3, 4]]
-    assert peak < 16_384
+    assert peak.bytes < 16_384
 
 
 def _lexer_calls(monkeypatch) -> list[str]:
