@@ -15,9 +15,11 @@ with max_delta = 0 is not canonical and the decoder rejects it. Blocks
 are written back to back with no byte alignment between them, and the
 stream is zero-padded to a whole byte.
 
-Samples go in and come out: ``append_samples`` translates them to indices by
-``core.index_table`` a strip at a time (a plane of under STRIP_BLOCKS blocks
-whole), and each decoder writes an index, once checked, as that index times k.
+Samples go in and come out: ``append_samples`` gathers each strip's
+samples into its row words and quantizes them there by
+``core.to_indices`` (a plane of under STRIP_BLOCKS blocks is translated
+whole by ``core.index_table``), and each decoder writes an index, once
+checked, as that index times k.
 
 A plane of fewer than STRIP_BLOCKS blocks is coded one block at a time,
 and each block's deltas are packed as one Python integer: a block's
@@ -82,7 +84,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_MODULUS, index_table
+from .core import DEFAULT_MODULUS, index_table, to_indices
 from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
@@ -210,7 +212,9 @@ def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice
 
 def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS) -> None:
     """Append the block stream of a nonempty 2D uint8 sample plane's indices to out,
-    quantizing each strip by index_table(k) just before it is encoded."""
+    quantizing each strip in its row words by to_indices, or a plane of under STRIP_BLOCKS
+    blocks whole by bytes.translate of index_table(k), where the arithmetic's fixed cost
+    would outweigh its samples."""
     if samples.dtype != np.uint8 or samples.ndim != 2 or samples.size == 0:
         raise ValueError(f"expected a nonempty 2D uint8 plane, got {samples.dtype} {samples.shape}")
     table = index_table(k)
@@ -221,9 +225,9 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
     if rows * cols >= STRIP_BLOCKS:
         with _strip_buffers(rows * cols):
             for strip in _strips(height, width, 16 * STRIP_BLOCKS):
-                acc, nbits = _encode_strip(samples[strip], table, w, out, acc, nbits)
+                acc, nbits = _encode_strip(samples[strip], k, w, out, acc, nbits)
     else:
-        plane = _indices(samples, table)
+        plane = np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(height, width)
         for y in range(0, height, BLOCK_SIZE):
             for x in range(0, width, BLOCK_SIZE):
                 cells = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE].tobytes()
@@ -246,33 +250,31 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
         out.append(acc << (8 - nbits))
 
 
-def _indices(samples: np.ndarray, table: bytes) -> np.ndarray:
-    """A read-only, C-contiguous uint8 array of table's byte for each of samples'."""
-    return np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(samples.shape)
-
-
 def _encode_strip(
-    samples: np.ndarray, table: bytes, w: int, out: bytearray, acc: int, nbits: int
+    samples: np.ndarray, k: int, w: int, out: bytearray, acc: int, nbits: int
 ) -> tuple[int, int]:
-    """Append the blocks of a strip of samples, translated by table, to out, all at once;
+    """Append the blocks of a strip of samples, quantized by modulus k, to out, all at once;
     returns the new carry.
 
-    Each block is 9 fields (see the module docstring); an edge block's row keeps
-    the fields of its c columns, and its rows past its last row are empty. Packing works
-    on at most the 8 row words of 8 * STRIP_BLOCKS blocks at a time.
+    The samples, contiguous or a channel view of interleaved pixels, are gathered straight
+    into the row words and quantized there by to_indices; only an edge strip is copied, to
+    pad it. Each block is 9 fields (see the module docstring); an edge block's row keeps the
+    fields of its c columns, and its rows past its last row are empty. Packing works on at
+    most the 8 row words of 8 * STRIP_BLOCKS blocks at a time.
     """
     rows, width = samples.shape
     grid_rows, grid_cols = grid = _grid(rows, width)
     blocks = grid_rows * grid_cols
-    strip = _indices(samples, table)
     if rows % BLOCK_SIZE or width % BLOCK_SIZE:
-        strip = np.pad(strip, ((0, -rows % BLOCK_SIZE), (0, -width % BLOCK_SIZE)), mode="edge")
+        # padding samples pads their indices, as quantizing works per sample
+        samples = np.pad(samples, ((0, -rows % BLOCK_SIZE), (0, -width % BLOCK_SIZE)), mode="edge")
     # fields[0] is each block's header and fields[1 + y] its row y, at first as 8 index bytes
     fields = np.empty((1 + BLOCK_SIZE, blocks), dtype=np.uint64)
     words = fields[1:]
     cells = words.view(np.uint8).reshape(BLOCK_SIZE, grid_rows, grid_cols, BLOCK_SIZE)
-    cells[...] = strip.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).swapaxes(0, 1)
-    del strip  # the row words hold the indices now
+    cells[...] = samples.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).swapaxes(0, 1)
+    del samples  # an edge strip's padded copy
+    to_indices(words.view(np.uint8), k)
     cells = cells.reshape(BLOCK_SIZE, -1, BLOCK_SIZE)
     # each block column's extreme over its rows, then over the columns: a reduce into
     # contiguous (blocks, 8) bytes, which the headers' words lend until they are written,

@@ -49,18 +49,39 @@ def checked_array(values) -> np.ndarray:
     return arr
 
 
+def to_indices(cells: np.ndarray, k: int) -> np.ndarray:
+    """Rewrite a writable uint8 array in place into its samples' indices, and return it.
+
+    Index v is min((v + k // 2) // k, 255 // k), the index of the nearest in-range multiple
+    of k, for an odd k already validated; the encoder quantizes strips in their row words
+    with it. Four passes, each SIMD in numpy: an add that wraps below k // 2 exactly where
+    v + k // 2 passes 255, a compare that finds those cells, an or that sets them to 255,
+    whose index 255 // k is theirs, and a divide by the invariant k.
+    """
+    k = operator.index(k)  # a Python int, which numpy casts to uint8 where a numpy int64 fails
+    half = k // 2
+    np.add(cells, half, out=cells)
+    # no clamp by np.minimum, np.clip or np.fmin against a scalar, whose uint8 loops are not
+    # SIMD: 35 to 65 us per 65,536 samples, against 3.3 to 3.5 with an array operand
+    # (numpy 2.4, 2-core x86 VM)
+    wrapped = np.less(cells, half).view(np.uint8)
+    cells |= np.negative(wrapped, out=wrapped)
+    np.floor_divide(cells, k, out=cells)
+    return cells
+
+
 def index_table(k: int = DEFAULT_MODULUS) -> bytes:
     """The quantize rule as a 256-byte map from sample to index, built on a modulus's first use.
 
-    Byte v is min((v + k // 2) // k, 255 // k), the index of the nearest in-range multiple
-    of k, so bytes.translate(index_table(k)) quantizes uint8 samples; the last byte is 255 // k.
+    Byte v is to_indices' index of v, so bytes.translate(index_table(k)) quantizes uint8
+    samples, as the encoder does on planes of under 64 blocks; the last byte is 255 // k.
     """
     return _index_table(validate_modulus(k))
 
 
 @functools.cache
 def _index_table(k: int) -> bytes:
-    return bytes(min((v + k // 2) // k, 255 // k) for v in range(256))
+    return to_indices(np.arange(256, dtype=np.uint8), k).tobytes()
 
 
 def quantize_plane(plane, k: int = DEFAULT_MODULUS) -> np.ndarray:

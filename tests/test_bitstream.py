@@ -957,6 +957,27 @@ def test_strip_encoder_matches_oracle(k):
         assert stream == reference_stream(plane, k)
 
 
+@pytest.mark.parametrize("k", [3, 5, 13, 33, 101, 127])
+def test_strip_quantizer_matches_spec_on_channel_views(k):
+    # the strip encoder quantizes samples in its row words: each channel of a 16x512x3 image
+    # is a strided view of 2x64 blocks, one strip, and holds every byte value, the top k // 2
+    # of which wrap in to_indices' add and must still take index 255 // k (13, 33 and 101
+    # have 255 % k > k // 2). Channel 0 rises along each row, so its blocks at 248 to 255
+    # are the wrap range alone; channel 1 is shuffled and channel 2 falls along each row
+    rng = np.random.default_rng(k)
+    rising = np.tile(np.arange(256, dtype=np.uint8), 32).reshape(16, 512)
+    pixels = np.stack([rising, rng.permutation(rising.ravel()).reshape(16, 512), 255 - rising], 2)
+    for channel in range(3):
+        plane = RasterImage(pixels).plane(channel)
+        assert plane.strides[1] == 3
+        out = bytearray()
+        with pytest.MonkeyPatch.context() as patch:
+            strips = spy(patch, bitstream, "_encode_strip", blocks_of)
+            bitstream.append_samples(out, plane, k)
+        assert strips == [128]
+        assert out == reference_stream(core.quantize_plane(plane, k) // k, k)
+
+
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_decoder_matches_oracle(k):
     # decode_plane, block_fields and the header pass follow the spec on spec_mutants of

@@ -185,10 +185,11 @@ class TestDecompress:
         # row's on the 8-row plane (8+ bytes per sample), must not pass. Planes of 64 to
         # 1,024 blocks encode as one strip each, so a strip's working set falls on few
         # samples; an image of three such noise planes must stay in bound, and so must one
-        # plane of 513 to 1,024 blocks, whose strip's translated samples are dropped before
-        # its rows are packed in two parts and placed 2 fields a step: 625 blocks in 25
-        # block rows, and 1,020, 1,022 and 1,024 in three, two and one (3.1 to 3.2 bytes per
-        # sample; 4.92 with them held, the rows packed at once and 3 fields a step)
+        # plane of 513 to 1,024 blocks, whose strip is quantized in its row words, with no
+        # copy of its samples, and whose rows are packed in two parts and placed 2 fields a
+        # step: 625 blocks in 25 block rows, and 1,020, 1,022 and 1,024 in three, two and one
+        # (3.1 to 3.2 bytes per sample; 4.92 with a translated copy of the strip held, the
+        # rows packed at once and 3 fields a step)
         rng = np.random.default_rng(seed)
         img = RasterImage(rng.integers(0, 256, shape, dtype=np.uint8))
         with Peak() as peak:

@@ -127,6 +127,26 @@ class TestQuantize:
         assert np.array_equal(core.quantize_plane(zeros), zeros)
 
 
+def test_to_indices_is_the_index_rule():
+    # the strip encoder's quantizer, in place: for every modulus and sample it gives the
+    # nearest in-range multiple's index, those whose add wraps past 255 included, and on a
+    # slice of a buffer, contiguous or a channel of interleaved pixels, it writes only there
+    samples = np.arange(256, dtype=np.uint8)
+    for k in range(3, 128, 2):
+        expected = [nearest_multiple(v, k) // k for v in range(256)]
+        cells = samples.copy()
+        assert core.to_indices(cells, k) is cells
+        assert cells.tolist() == expected
+        buffer = np.tile(samples, 3)
+        core.to_indices(buffer[256:512], k)
+        assert buffer[256:512].tolist() == expected
+        assert np.array_equal(buffer[:256], samples) and np.array_equal(buffer[512:], samples)
+        pixels = samples.repeat(3).reshape(256, 3)
+        core.to_indices(pixels[:, 1], k)
+        assert pixels[:, 1].tolist() == expected
+        assert np.array_equal(pixels[:, 0], samples) and np.array_equal(pixels[:, 2], samples)
+
+
 class TestIndices:
     """The divide stage: index_table(k) maps each sample straight to its quantized value / k."""
 
