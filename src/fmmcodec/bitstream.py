@@ -35,14 +35,16 @@ A larger plane is coded in strips of consecutive blocks: the fewest
 whole block rows that hold at least n blocks, or, where one block row
 holds more, runs of n blocks along it, so a strip has fewer than 2 * n
 blocks whatever the plane's shape. The encoder, with n = 16 * STRIP_BLOCKS on any
-plane, gives each block 9 fields, its header and its 8 rows: ``_pack_rows`` squeezes
-a row's indices less the block's min, one big-endian 64-bit word, and numpy adds
-each field into the 64-bit word where it starts, the rest into the next. It packs
-the row words of at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of
-each block at a time, or 2 on a longer strip. Where a strip's blocks are all full
-and of one delta width, as on noise, that width and the row, header and block
-lengths are ints: the packing and the shifts take scalar operands and the blocks'
-starts are one arange.
+plane, gives each block its header and its 8 rows, each at the bottom of a 64-bit word:
+``_pack_rows`` squeezes a row's indices less the block's min, one big-endian word, by
+masks that serve every delta width. Where a header and a whole row fit one word,
+2W + 1 + 8W <= 64 bits (W <= 6, every modulus but 3), the header joins row 0, so a block
+is 8 fields, not 9. numpy adds each field by the bit where it ends: its low bits to the
+top of that bit's word, the rest to the bottom of the word before. It packs the row
+words of at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of each block
+at a time, or 2 on a longer strip. Where a strip's blocks are all full and of one delta
+width, as on noise, that width and the row, header and block lengths are ints: the
+packing and the shifts take scalar operands and the blocks' starts are one arange.
 The decoder first reads the headers of the whole plane in one pass (``_chase``):
 one Python step per block in stream order, from its repetition bit to the next
 block's, through a table of block lengths indexed by that bit and max_delta, the
@@ -97,9 +99,10 @@ _CELLS = BLOCK_SIZE * BLOCK_SIZE
 # (decode about 10%, encode about 20%), as an encoding strip costs about 100 us plus
 # 0.2 us a block; a strip of full blocks of one delta width, as on uniform noise,
 # encodes with scalar operands in about a quarter less. An encoding strip works in
-# about 200 bytes per block, and compressing 256x256 noise, one strip, peaks at 3.1
-# bytes per sample (the bound is 4). A decoding strip works in about 4 bytes per cell
-# (260 KB for 1,024 noise blocks): its stream bytes, then three words per block row.
+# about 140 bytes per block beside the stream it appends, and compressing 256x256
+# noise, one strip, peaks at 2.9 bytes per sample (the bound is 4). A decoding strip
+# works in about 4 bytes per cell (260 KB for 1,024 noise blocks): its stream bytes,
+# then three words per block row.
 STRIP_BLOCKS = 64
 _BIT_LENGTH = np.array([v.bit_length() for v in range(256)], dtype=np.uint8)
 # _ONES[n] has the value 1 in each of its n low byte lanes.
@@ -118,9 +121,9 @@ def _lane_mask(lane_bits: int, field_bits: int) -> int:
 # _FIELD_LANES[width][j] keeps, per merged lane, the low field of step j + 1:
 # the whole even lane, as only its low width << j bits can be set.
 _FIELD_LANES = [[_lane_mask(16 << j, width << j) for j in range(6)] for width in range(8)]
-# _ROW_STEPS[:, width]: the shift that brings 8 fields down from the top of a 64-bit word,
-# then ~mask and 2^shift - 1 for each step of _unpack on 8 cells, since that step's
-# (f ^ low) << shift | low, with low = f & mask, is f + (f & ~mask) * (2^shift - 1)
+# _ROW_STEPS[:, width], for _unpack_rows: the shift that brings 8 fields down from the top
+# of a 64-bit word, then ~mask and 2^shift - 1 for each step of _unpack on 8 cells, since
+# that step's (f ^ low) << shift | low, with low = f & mask, is f + (f & ~mask) * (2^shift - 1)
 _ROW_STEPS = np.array(
     [
         [64 - 8 * w] + [v for j in (2, 1, 0) for v in (~m[j] % 2**64, (1 << ((8 - w) << j)) - 1)]
@@ -128,6 +131,9 @@ _ROW_STEPS = np.array(
     ],
     dtype=np.uint64,
 ).T
+# The odd lanes of steps 1, 2 and 3 of _pack_rows, for any width: the whole upper lane of
+# each pair, as a merged lane's bits above its fields are 0
+_ODD_LANES = [np.uint64(~_lane_mask(16 << j, 8 << j) % 2**64) for j in range(3)]
 
 
 def _pack(lanes: int, cells: int, width: int) -> int:
@@ -162,11 +168,12 @@ def _unpack_rows(fields: np.ndarray, widths: np.ndarray | np.integer) -> np.ndar
 
 def _pack_rows(words: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
     """In place, _pack(l, 8, dw) of the 8 byte lanes l of each uint64, for widths' dw on its
-    axes, or for one dw where widths is an int, whose masks and shifts are then scalars."""
+    axes, or for one dw where widths is an int, whose shifts are then scalars; each lane
+    holds a dw-bit value, so the masks are those of any width."""
     odd = np.empty_like(words)
     shifts = np.subtract(BLOCK_SIZE, widths, dtype=np.uint64)
-    for masks in _ROW_STEPS[5:0:-2].take(widths, axis=1):  # ~mask of steps 1, 2 and 3
-        np.bitwise_and(words, masks, out=odd)
+    for mask in _ODD_LANES:
+        np.bitwise_and(words, mask, out=odd)
         words ^= odd
         odd >>= shifts
         words |= odd
@@ -258,8 +265,8 @@ def _encode_strip(
 
     The samples, contiguous or a channel view of interleaved pixels, are gathered straight
     into the row words and quantized there by to_indices; only an edge strip is copied, to
-    pad it. Each block is 9 fields (see the module docstring); an edge block's row keeps the
-    fields of its c columns, and its rows past its last row are empty. Packing works on at
+    pad it. Each block is 8 or 9 fields (see the module docstring); an edge block's row keeps
+    the fields of its c columns, and its rows past its last row are empty. Packing works on at
     most the 8 row words of 8 * STRIP_BLOCKS blocks at a time.
     """
     rows, width = samples.shape
@@ -315,38 +322,45 @@ def _encode_strip(
         starts = np.cumsum(sizes) - sizes + nbits
         total = int(starts[-1] + sizes[-1])
         del sizes
-    firsts = starts + heads  # row y starts at firsts + y * row_bits
-    # every field at the top of its word: min, then max_delta or the repetition bit 1,
-    # shifted in its uint64 word, as numpy 1 keeps a uint8 array shifted by a small scalar uint8
-    fields[0] = np.maximum(spread, 1)
-    fields[0] <<= np.uint64(64 - heads)
-    fields[0] |= lo.astype(np.uint64) << 64 - w
-    words <<= np.uint64(64 - row_bits)  # numpy shifts by 64 to 0: rows of width 0 are empty
-    packed = np.zeros((total >> 6) + 8, dtype=np.uint64)  # 8 more for empty rows past the end
-    packed[0] = acc << (64 - nbits)
-    del heads  # before the placing makes its temporaries
+    firsts = starts + heads  # each header's end
+    # every field at the bottom of its word: the header is min, then max_delta or the
+    # repetition bit 1, and joins row 0 where they fit one word (see the module docstring)
+    fields[0] = lo
+    fields[0] <<= np.uint64(heads - w)
+    fields[0] |= np.maximum(spread, 1)
+    joined = 2 * w + 1 + BLOCK_SIZE * w <= 64
+    if joined:
+        fields[1] |= fields[0] << np.uint64(row_bits)
+    # packed[i] is stream word i - 1, up to the last word that the 7 empty rows of a
+    # one-pixel-row edge block, of at most 8 * w bits each, reach past the strip's end
+    packed = np.zeros((total + 7 * BLOCK_SIZE * w >> 6) + 2, dtype=np.uint64)
+    packed[1] = acc << (64 - nbits)
+    del starts, heads  # before the placing makes its temporaries
     # 3 fields of each block at a time, or 2 on a strip packed in parts, whose placing
     # would otherwise hold the encoder's peak
     step = 3 if step >= BLOCK_SIZE else 2
-    rows_of = np.arange(-1, BLOCK_SIZE)[:, None]  # field f is its block's row f - 1
-    for first in range(0, 1 + BLOCK_SIZE, step):
-        at = rows_of[first : first + step] * row_bits + firsts
-        if first == 0:
-            at[0] = starts
-        at, values = at.ravel(), fields[first : first + step].ravel()
-        bits = at & 63
-        at >>= 6
-        tail = np.subtract(64, bits).view(np.uint64)
-        np.left_shift(values, tail, out=tail)  # numpy shifts by 64 to 0: no tail at bit 0
-        values >>= bits.view(np.uint64)
-        np.add.at(packed, at, values)
-        np.add.at(packed[1:], at, tail)
-        del at, bits, tail  # before the next part makes its own
+    past = np.arange(1 + BLOCK_SIZE)[:, None]  # field f ends f rows past its block's header
+    for f in range(joined, 1 + BLOCK_SIZE, step):
+        _place(packed, past[f : f + step] * row_bits + firsts, fields[f : f + step])
     if np.little_endian:
         packed.byteswap(inplace=True)
-    data = packed.view(np.uint8)
+    data = packed[1:].view(np.uint8)
     out += data[: total >> 3].data
     return int(data[total >> 3]) >> (8 - (total & 7)), total & 7
+
+
+def _place(packed: np.ndarray, ends: np.ndarray, fields: np.ndarray) -> None:
+    """Add each field, at the bottom of its uint64 in fields, to the stream words in packed by
+    the int64 bit in ends where it ends: its low bits to the top of that bit's word, the rest
+    to the bottom of the word before; packed[i] is word i - 1. Consumes ends and fields."""
+    at, values = ends.ravel(), fields.ravel()
+    bits = at & 63
+    at >>= 6
+    low = np.subtract(64, bits).view(np.uint64)
+    np.left_shift(values, low, out=low)  # numpy shifts by 64 to 0: none at bit 0
+    values >>= bits.view(np.uint64)
+    np.add.at(packed, at, values)
+    np.add.at(packed[1:], at, low)
 
 
 def _cells_before_each(height: int, width: int) -> np.ndarray:

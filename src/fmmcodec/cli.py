@@ -162,7 +162,7 @@ def _cmd_bench(args) -> int:
         if p.suffix.lower() in (".pgm", ".ppm")
     )
     done = 0
-    psnr_sum = 0.0
+    psnrs = []  # of the lossy images: a lossless one's inf would hide the others
     cr_sum = 0.0
     for path in paths:
         try:
@@ -177,12 +177,14 @@ def _cmd_bench(args) -> int:
         cr = metrics.compression_ratio(raw, len(blob))
         print(f"{path.name}\t{_fmt(quality)}\t{cr:.4f}")
         done += 1
-        psnr_sum += quality
+        if quality != metrics.LOSSLESS:
+            psnrs.append(quality)
         cr_sum += cr
     if done == 0:
         print(f"error: no readable PGM/PPM images in {args.directory}", file=sys.stderr)
         return EXIT_IO
-    print(f"mean\t{_fmt(psnr_sum / done)}\t{cr_sum / done:.4f}")
+    mean = sum(psnrs) / len(psnrs) if psnrs else metrics.LOSSLESS
+    print(f"mean\t{_fmt(mean)}\t{cr_sum / done:.4f}")
     return EXIT_OK
 
 

@@ -957,6 +957,23 @@ def test_strip_encoder_matches_oracle(k):
         assert stream == reference_stream(plane, k)
 
 
+@pytest.mark.parametrize("k", [3, 5, 9, 127])
+def test_strip_encoder_joins_each_header_to_row_0_where_they_fit(k):
+    # a header and a whole row take 2W + 1 + 8W bits: where that is at most 64, at every
+    # modulus but 3 (W = 7), they are placed as one field, so a block places 8 fields, not
+    # 9. A 256x256 photo-like plane is one strip of 1,024 blocks, whose blocks place 2
+    # fields a part, and a 128x256 noise plane one of 512, whose blocks place 3
+    rng = np.random.default_rng(k)
+    planes = [photo_plane(k, rng, 256), rng.integers(0, 255 // k + 1, (128, 256))]
+    parts = [[2, 2, 2, 2, 1], [3, 3, 3]] if k == 3 else [[2, 2, 2, 2], [3, 3, 2]]
+    for plane, fields in zip(planes, parts):
+        with pytest.MonkeyPatch.context() as patch:
+            placed = spy(patch, bitstream, "_place", lambda _, packed, ends, f: f.shape)
+            stream = encode_indices(plane, k)
+        assert placed == [(n, plane.size // 64) for n in fields]
+        assert stream == reference_stream(plane, k)
+
+
 @pytest.mark.parametrize("k", [3, 5, 13, 33, 101, 127])
 def test_strip_quantizer_matches_spec_on_channel_views(k):
     # the strip encoder quantizes samples in its row words: each channel of a 16x512x3 image

@@ -333,6 +333,23 @@ class TestBench:
             assert float(cr_text) > 1.0
         assert "broken.pgm" in captured.err
 
+    def test_mean_psnr_leaves_out_lossless_images(self, tmp_path, capsys):
+        # a flat image of a multiple of k decodes exactly, and its inf would make the mean
+        # inf; the mean is of the lossy rows, and inf only when every image is lossless
+        rng = np.random.default_rng(31)
+        noisy = RasterImage(rng.integers(0, 256, (16, 16), dtype=np.uint8))
+        flat = RasterImage(np.full((16, 16), 100, dtype=np.uint8))
+        for name, img in (("a.pgm", noisy), ("b.pgm", flat), ("c.pgm", flat)):
+            (tmp_path / name).write_bytes(write_netpbm(img))
+        assert cli.main(["bench", str(tmp_path)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        lossy = rows[0][1]
+        assert [row[:2] for row in rows[1:]] == [["b.pgm", "inf"], ["c.pgm", "inf"], ["mean", lossy]]
+        assert float(lossy) < 60
+        (tmp_path / "a.pgm").unlink()
+        assert cli.main(["bench", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split("\t")[:2] == ["mean", "inf"]
+
     def test_empty_directory(self, tmp_path, capsys):
         assert cli.main(["bench", str(tmp_path)]) == cli.EXIT_IO
 
