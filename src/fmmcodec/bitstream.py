@@ -86,7 +86,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_MODULUS, index_table, to_indices
+from .core import DEFAULT_MODULUS, U8, index_table, to_indices
 from .errors import CorruptStreamError, FmmError, TruncatedStreamError
 
 BLOCK_SIZE = 8
@@ -222,7 +222,7 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
     quantizing each strip in its row words by to_indices, or a plane of under STRIP_BLOCKS
     blocks whole by bytes.translate of index_table(k), where the arithmetic's fixed cost
     would outweigh its samples."""
-    if samples.dtype != np.uint8 or samples.ndim != 2 or samples.size == 0:
+    if samples.dtype != U8 or samples.ndim != 2 or samples.size == 0:
         raise ValueError(f"expected a nonempty 2D uint8 plane, got {samples.dtype} {samples.shape}")
     table = index_table(k)
     w = table[-1].bit_length()  # the last byte is the largest index, 255 // k
@@ -234,7 +234,7 @@ def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS
             for strip in _strips(height, width, 16 * STRIP_BLOCKS):
                 acc, nbits = _encode_strip(samples[strip], k, w, out, acc, nbits)
     else:
-        plane = np.frombuffer(samples.tobytes().translate(table), np.uint8).reshape(height, width)
+        plane = np.ndarray((height, width), U8, samples.tobytes().translate(table))
         for y in range(0, height, BLOCK_SIZE):
             for x in range(0, width, BLOCK_SIZE):
                 cells = plane[y : y + BLOCK_SIZE, x : x + BLOCK_SIZE].tobytes()
@@ -422,7 +422,7 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
             f"the stream has {8 * len(stream)}"
         )
     chased = _chase(stream, height, width, top) if blocks >= STRIP_BLOCKS else None
-    plane = np.empty((height, width), dtype=np.uint8)  # after the chase's temporaries are gone
+    plane = np.empty((height, width), U8)  # after the chase's temporaries are gone
     end = None
     if chased is not None:
         with _strip_buffers(blocks):
@@ -695,6 +695,6 @@ def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, k: int, top: int
                     f"block {row},{col} decodes an index above limit {top} (bit {pos})"
                 )
             cells = ((deltas + lo * _ONES[n]) * k).to_bytes(n, "big")
-            block[...] = np.frombuffer(cells, dtype=np.uint8).reshape(block.shape)
+            block[...] = np.ndarray(block.shape, U8, cells)
             pos = end
     return pos

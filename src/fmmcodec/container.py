@@ -55,7 +55,7 @@ def compress(image: RasterImage, modulus: int = core.DEFAULT_MODULUS) -> bytearr
     for channel in range(image.channels):
         at = len(out)
         out += bytes(_STREAM_LEN.size)  # the length, filled in once the stream is appended
-        append_samples(out, image.plane(channel), k)
+        append_samples(out, image.pixels[:, :, channel], k)
         _STREAM_LEN.pack_into(out, at, len(out) - at - _STREAM_LEN.size)
     return out
 
@@ -118,12 +118,12 @@ def decompress(data: bytes) -> RasterImage:
         plane = _decode_channel(decode_plane, channel, stream, header)
         # one plane is the pixel array; three get one once the first passed the size bound
         if header.channels == 1:
-            return RasterImage(plane)
+            return RasterImage._own(plane[:, :, np.newaxis])
         if channel == 0:
-            pixels = np.empty((header.height, header.width, header.channels), dtype=np.uint8)
+            pixels = np.empty((header.height, header.width, header.channels), core.U8)
         pixels[:, :, channel] = plane
         del plane  # freed before the next channel is decoded
-    return RasterImage(pixels)
+    return RasterImage._own(pixels)
 
 
 def block_headers(data: bytes) -> Iterator[tuple[int, int, int, int, int, int, int, int]]:

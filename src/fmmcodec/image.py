@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import checked_array
+from . import core
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +26,7 @@ class RasterImage:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
             raise ValueError(f"expected a 2D or 3D pixel array, got {arr.ndim}D")
-        arr = checked_array(arr)
+        arr = core.checked_array(arr)
         height, width, channels = arr.shape
         if height < 1 or width < 1:
             raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
@@ -35,6 +35,16 @@ class RasterImage:
         arr = np.ascontiguousarray(arr, dtype=np.uint8).view()  # the caller's array keeps its flags
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)
+
+    @classmethod
+    def _own(cls, pixels: np.ndarray) -> RasterImage:
+        """The image of a C-contiguous (height, width, 1 or 3) uint8 array of at least 1x1 that
+        the codec has just made and that no caller holds, which it makes read-only: equal to
+        RasterImage(pixels), without the checks that such an array passes."""
+        pixels.flags.writeable = False
+        image = object.__new__(cls)
+        object.__setattr__(image, "pixels", pixels)
+        return image
 
     @property
     def height(self) -> int:

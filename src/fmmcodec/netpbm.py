@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 
+from .core import U8
 from .errors import NetpbmError
 from .image import RasterImage
 
@@ -82,8 +83,7 @@ def read_netpbm(data: bytes) -> RasterImage:
     if len(data) - pos < expected:
         raise NetpbmError(f"payload too short: need {expected} bytes, found {len(data) - pos}")
     # a view of bytes, or of a copy of a mutable buffer, so the image cannot change
-    samples = np.frombuffer(bytes(data), np.uint8, expected, pos).reshape(height, width, channels)
-    return RasterImage(samples)
+    return RasterImage._own(np.ndarray((height, width, channels), U8, bytes(data), pos))
 
 
 def netpbm_header(image: RasterImage) -> bytes:
