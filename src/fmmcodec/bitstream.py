@@ -47,17 +47,22 @@ width, as on noise, that width and the row, header and block lengths are ints: t
 packing and the shifts take scalar operands and the blocks' starts are one arange.
 The decoder first reads the headers of the whole plane in one pass (``_chase``):
 one Python step per block in stream order, from its repetition bit to the next
-block's, through a table of block lengths indexed by that bit and max_delta, the
-block's key (2^(W+1) entries, built once per modulus and cell count), on 16-bit
-``_windows`` built two groups' reach at a time, a group being 8 * STRIP_BLOCKS
-blocks. The pass reads the count of cells before each block once per plane, and
-takes each stepped group's cell count from it. A stepped group whose length is that
-of blocks whose keys all have one bit length, as on noise, where every block has
-W-bit deltas, makes the pass guess that the blocks after it are alike: numpy sums
-the guessed lengths into each block's repetition bit from those counts, over a run
-of a group's blocks more than the guess has held for, and reads the keys there with
-``_bits_at``, which returns the bits at given offsets. The run's first bit is
-known, so every guessed bit up to that of the first key of another bit length is
+block's, of two lookups whatever the modulus, as W <= 7. ``_KEYS[p][v]`` is the 8 bits
+that start p bits into the 16-bit window v, so ``_KEYS[q & 7]`` gives the 8 bits from
+bit q out of the window of q's byte and the next, from 16-bit ``_windows`` built two
+groups' reach at a time, a group being 8 * STRIP_BLOCKS blocks. A table of block lengths
+(``_advance``, one per W and cell count) has 256 entries indexed by those 8 bits, whose
+top W + 1 are the block's key, its repetition bit and max_delta. ``_KEYS``, 8 bytes
+objects of 65,536 (512 KiB), and the full-block table of each W, about 2 KiB, are built
+at import, where no decode's memory bound counts them; an edge block's table, also about
+2 KiB, is built on its cell count's first use. The pass reads the count of cells before
+each block once per plane, and takes each stepped group's cell count from it. A stepped
+group whose length is that of blocks whose keys all have one bit length, as on noise,
+where every block has W-bit deltas, makes the pass guess that the blocks after it are
+alike: numpy sums the guessed lengths into each block's repetition bit from those
+counts, over a run of a group's blocks more than the guess has held for, and reads the
+keys there with ``_bits_at``, which returns the bits at given offsets. The run's first
+bit is known, so every guessed bit up to that of the first key of another bit length is
 proven, and the steps go on from that block, a group at a time, which may make a
 guess again. The grammar does not resynchronise, so no guess is kept unchecked.
 ``_bits_at`` then reads every header at once, numpy checks them and takes each
@@ -264,25 +269,32 @@ def _encode_strip(
     returns the new carry.
 
     The samples, contiguous or a channel view of interleaved pixels, are gathered straight
-    into the row words and quantized there by to_indices; only an edge strip is copied, to
-    pad it. Each block is 8 or 9 fields (see the module docstring); an edge block's row keeps
+    into the row words and quantized there by to_indices, with no copy, an edge strip's too.
+    Each block is 8 or 9 fields (see the module docstring); an edge block's row keeps
     the fields of its c columns, and its rows past its last row are empty. Packing works on at
     most the 8 row words of 8 * STRIP_BLOCKS blocks at a time.
     """
     rows, width = samples.shape
     grid_rows, grid_cols = grid = _grid(rows, width)
     blocks = grid_rows * grid_cols
-    if rows % BLOCK_SIZE or width % BLOCK_SIZE:
-        # padding samples pads their indices, as quantizing works per sample
-        samples = np.pad(samples, ((0, -rows % BLOCK_SIZE), (0, -width % BLOCK_SIZE)), mode="edge")
     # fields[0] is each block's header and fields[1 + y] its row y, at first as 8 index bytes
     fields = np.empty((1 + BLOCK_SIZE, blocks), dtype=np.uint64)
     words = fields[1:]
-    cells = words.view(np.uint8).reshape(BLOCK_SIZE, grid_rows, grid_cols, BLOCK_SIZE)
-    cells[...] = samples.reshape(grid_rows, BLOCK_SIZE, grid_cols, BLOCK_SIZE).swapaxes(0, 1)
-    del samples  # an edge strip's padded copy
+    # the row words' bytes as the strip's pixel rows: by block row, row in the block, column
+    cells = words.view(np.uint8).reshape(BLOCK_SIZE, grid_rows, -1).swapaxes(0, 1)
+    full, left = divmod(rows, BLOCK_SIZE)
+    cells[:full, :, :width] = samples[: full * BLOCK_SIZE].reshape(full, BLOCK_SIZE, width)
+    # an edge block's lanes past its rows repeat its last row, and past its columns its last
+    # column, so they leave its min and max as they are; so do their indices, as quantizing
+    # works per sample
+    if left:
+        cells[full, :left, :width] = samples[full * BLOCK_SIZE :]
+        cells[full, left:, :width] = samples[-1]
+    if width % BLOCK_SIZE:
+        cells[:, :, width:] = cells[:, :, width - 1 : width]
+    del samples  # the strip's view, which the caller no longer holds
     to_indices(words.view(np.uint8), k)
-    cells = cells.reshape(BLOCK_SIZE, -1, BLOCK_SIZE)
+    cells = words.view(np.uint8).reshape(BLOCK_SIZE, -1, BLOCK_SIZE)
     # each block column's extreme over its rows, then over the columns: a reduce into
     # contiguous (blocks, 8) bytes, which the headers' words lend until they are written,
     # and a transposed copy take a third of the time of one reduce into the transpose
@@ -436,10 +448,29 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
     return plane, chased
 
 
+# _KEYS[p][v], for the header pass: the 8 bits that start p bits into the 16-bit window v,
+# (v >> 8 - p) & 255, whose top W + 1 bits are a block's key; 8 bytes objects of 65,536,
+# 512 KiB, built in about 0.1 ms
+_KEYS = [
+    (np.arange(1 << 16, dtype=np.uint16) >> 8 - p).astype(np.uint8).tobytes() for p in range(8)
+]
+
+
 @functools.cache
 def _advance(w: int, cells: int) -> list[int]:
-    """Bits from a block's repetition bit to the next block's, by that bit and max_delta."""
-    return [2 * w + 1 + cells * s.bit_length() for s in range(1 << w)] + [w + 1] * (1 << w)
+    """Bits from a block's repetition bit to the next block's, by v, the 8 stream bits from
+    that bit, whose top w + 1, v >> 7 - w, are the block's key: its repetition bit and
+    max_delta. Each length is one int object, which its entries share."""
+    lengths = [2 * w + 1 + cells * n for n in range(w + 1)]  # by delta width
+    keys = [lengths[s.bit_length()] for s in range(1 << w)] + [w + 1] * (1 << w)
+    return [n for n in keys for _ in range(1 << 7 - w)]
+
+
+# every W a modulus has, bit_length(255 // k): 2 at k = 127 to 7 at k = 3; the full-block
+# tables are built here, where no decode's memory bound counts them
+for _w in range(2, 8):
+    _advance(_w, _CELLS)
+del _w
 
 
 def _windows(data: np.ndarray, start: int, stop: int) -> memoryview:
@@ -479,10 +510,14 @@ def _chase(
     """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
 
     The pass reads the blocks in stream order. Each step goes from one block's
-    repetition bit to the next block's by a table indexed by that bit and max_delta (one
-    table per cell count), reading 16-bit _windows built for a chunk of two groups'
-    reach, or the rest of the stream, whenever the chunk left cannot hold the next group
-    of 8 * STRIP_BLOCKS blocks. When a stepped group's total advance is what its blocks
+    repetition bit q to the next block's in two lookups, table[_KEYS[q & 7][win[q >> 3]]]:
+    _KEYS[q & 7] takes the 8 bits from q out of the 16-bit window of q's byte and the
+    next, and the block's _advance table, one per cell count, of 256 entries, gives the
+    length by the top W + 1 of them, its repetition bit and max_delta. _KEYS (512 KiB) and
+    the full blocks' tables (about 2 KiB each) are built at import, an edge block's
+    (about 2 KiB) on first use. The windows are built for a chunk of two groups' reach,
+    or the rest of the stream, whenever the chunk left cannot hold the next group of
+    8 * STRIP_BLOCKS blocks. When a stepped group's total advance is what its blocks
     would take if every (repetition, max_delta) key had one bit length, the blocks after
     it are guessed to be such, a run at a time: numpy sums the guessed advances into
     each block's repetition bit from the cells before each block, for a group's blocks
@@ -501,7 +536,6 @@ def _chase(
     blocks are left to decode_plane.
     """
     w = top.bit_length()
-    low, shift = (2 << w) - 1, 15 - w
     data = np.frombuffer(stream, dtype=np.uint8)
     # the cells before each block, and the plane's, as a view whose items are Python ints
     before = memoryview(_cells_before_each(height, width))
@@ -543,9 +577,7 @@ def _chase(
             chunks.append((len(reps), base))
         first, stepped = q, steps[b : b + group]
         try:
-            reps.fromlist(
-                [q := q + table[win[q >> 3] >> (shift - (q & 7)) & low] for table in stepped]
-            )
+            reps.fromlist([q := q + table[_KEYS[q & 7][win[q >> 3]]] for table in stepped])
         except IndexError:  # a window past the stream's last byte
             return None
         # keys of one bit length g advance a group w + 1 bits a block if g is w + 1, as

@@ -697,6 +697,7 @@ def test_only_block_loop_raises_stream_errors():
     assert seen == {CorruptStreamError, TruncatedStreamError}
 
 
+@pytest.mark.peak
 def test_large_corrupt_plane_rejected_in_bounded_time_and_memory():
     # a truncated stream of a 1024x1024 noise plane fails the header pass, and the
     # per-block loop then finds the truncation in its last block
@@ -1268,6 +1269,37 @@ def test_advance_tables_are_built_once_per_modulus():
         assert decode_indices(encode_indices(plane), 67, 75).tolist() == plane.tolist()
         misses.append(bitstream._advance.cache_info().misses)
     assert misses[1] == misses[0]
+
+
+def test_keys_are_the_byte_at_each_offset_of_a_window():
+    # the header pass reads a block's key from _KEYS[p][v], the 8 bits that start p bits
+    # into the 16-bit window v, for every offset and window
+    assert [list(keys) for keys in bitstream._KEYS] == [
+        [(v >> (8 - p)) & 255 for v in range(1 << 16)] for p in range(8)
+    ]
+
+
+@pytest.mark.parametrize("w", range(2, 8))
+@pytest.mark.parametrize("cells", [1, 7, 8, 56, 64])
+def test_advance_reads_the_key_from_8_bits(w, cells):
+    # entry v is the length by the key, the top w + 1 of its 8 bits: w + 1 bits from a
+    # repetition bit of 1, else the rest of the header and cells fields of max_delta's bit
+    # length; by_key is that table indexed by the key alone
+    by_key = [2 * w + 1 + cells * s.bit_length() for s in range(1 << w)] + [w + 1] * (1 << w)
+    assert bitstream._advance(w, cells) == [by_key[v >> (7 - w)] for v in range(256)]
+
+
+def test_full_block_tables_are_built_at_import(monkeypatch):
+    # a plane of full blocks takes its tables from those built at import for every modulus,
+    # so no decode, and no memory bound on it, pays for one
+    rng = np.random.default_rng(109)
+    misses = bitstream._advance.cache_info().misses
+    chased = spy(monkeypatch, bitstream, "_chase", lambda result, *_: result is not None)
+    for k in MODULI:
+        plane = rng.integers(0, 255 // k + 1, (64, 64))
+        assert decode_indices(encode_indices(plane, k), 64, 64, k).tolist() == plane.tolist()
+    assert chased == [True] * len(MODULI)
+    assert bitstream._advance.cache_info().misses == misses
 
 
 @pytest.mark.parametrize(

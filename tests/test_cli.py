@@ -102,6 +102,7 @@ class TestDecompress:
         cli.main(["decompress", str(blob_path), str(back_path)])
         assert back_path.read_bytes().startswith(b"P6\n")
 
+    @pytest.mark.peak
     def test_writes_pixels_without_a_joined_copy(self, tmp_path, capsys):
         # the file is write_netpbm's bytes, written as the header and then the pixel buffer;
         # joining them first would hold the pixels twice, 2 bytes per sample at the write

@@ -126,6 +126,7 @@ class TestDecompress:
             [(8, 512, 3), (64, 64, 3), (128, 128, 3), (8, 512, 1), (64, 64, 1), (80, 80, 1), (128, 128, 1)]
         ),
     )
+    @pytest.mark.peak
     def test_decode_memory_is_bounded(self, shape, seed):
         # uniform noise spends the most stream bits per sample; decoding it must stay within
         # a few bytes per decoded sample. Planes of 64 to 256 blocks decode as four strips
@@ -159,6 +160,7 @@ class TestDecompress:
             assert container.decompress(blob) == RasterImage(core.quantize_plane(pixels))
             assert (len(chunks) > 1) == stepped and max(chunks) <= bound
 
+    @pytest.mark.peak
     def test_one_channel_decodes_in_place(self):
         # a one-channel image is its decoded plane, so decompress holds the plane and
         # the header pass's per-block arrays, not a second pixel array. It peaks at 1.437
@@ -179,6 +181,7 @@ class TestDecompress:
             lambda height, width, channels: height + 3,
         ),
     )
+    @pytest.mark.peak
     def test_encode_memory_is_bounded(self, shape, seed):
         # the per-block loop measures 1.6 to 3.2 bytes per sample and the strip codec 1.6 to
         # 3.4; a temporary with a byte per bit of a whole plane's fields, or of a whole block
@@ -196,6 +199,7 @@ class TestDecompress:
             container.compress(img)
         assert peak.bytes <= 4 * img.pixels.size
 
+    @pytest.mark.peak
     def test_one_channel_encodes_near_its_indices(self):
         # a uint16 copy of the plane beside the channel's indices and the strips' working
         # set (3.0 B/sample) must not pass
@@ -206,6 +210,7 @@ class TestDecompress:
         assert peak.bytes <= 2.75 * img.pixels.size
 
     @pytest.mark.parametrize("shape", [(1024, 1024, 1), (512, 512, 3)])
+    @pytest.mark.peak
     def test_holds_no_index_plane_or_second_stream(self, shape):
         # compress holds its one output buffer (0.78 B/sample of noise) and one strip's
         # working set; a channel's index plane (1 B per channel sample) or a second copy of
@@ -375,6 +380,7 @@ class TestBlockHeaders:
         blob += b"x"
         assert len(list(headers)) == 3 * 2 - 1
 
+    @pytest.mark.peak
     def test_memory_is_one_plane_not_the_image(self):
         # every channel is decoded and dropped before any block is yielded, so no pixel
         # array of the whole image (1 B/sample more) is alive

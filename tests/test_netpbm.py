@@ -37,6 +37,7 @@ class TestRead:
         with pytest.raises(NetpbmError, match="payload"):
             read_netpbm(b"P5 4 4 255 " + bytes(8))
 
+    @pytest.mark.peak
     def test_payload_is_viewed_not_copied(self):
         # the image is a view of the input bytes: reading a 512x512 RGB image allocates
         # no second payload (1 byte per sample)
@@ -181,6 +182,7 @@ def test_long_filler_is_fast():
     assert time.perf_counter() - started < 0.1
 
 
+@pytest.mark.peak
 def test_comment_run_memory_is_bounded():
     # 128 KB of comments: the lexer keeps no state per comment it passes, as a
     # pattern that repeats a group over comments would (about 15 MB here)
