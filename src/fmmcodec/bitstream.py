@@ -15,71 +15,23 @@ with max_delta = 0 is not canonical and the decoder rejects it. Blocks
 are written back to back with no byte alignment between them, and the
 stream is zero-padded to a whole byte.
 
-Samples go in and come out: ``append_samples`` gathers each strip's
-samples into its row words and quantizes them there by
-``core.to_indices`` (a plane of under STRIP_BLOCKS blocks is translated
-whole by ``core.index_table``), and each decoder writes an index, once
-checked, as that index times k.
+Samples go in and come out: the encoders quantize the samples they read
+into indices, and the decoders write each index, once checked, as that
+index times k, so the index domain stays inside this module.
 
-A plane of fewer than STRIP_BLOCKS blocks is coded one block at a time,
-and each block's deltas are packed as one Python integer: a block's
-indices, one byte each and read as a big-endian integer, hold every
-value in its own 8-bit lane; ``_pack`` squeezes the lanes to the delta
-width in log2(cells) mask-and-shift steps and ``_unpack`` undoes them.
-This per-block loop (``_decode_blocks``) checks each block's header, then
-its decoded indices, before it reads the next header, so the first fault in
-stream order is the one raised; it is the only code that raises an error
-for a block.
+Only ``_decode_blocks`` raises an error for a block: it checks each
+header, then the block's indices, before it reads the next header, so
+the first fault in stream order is the one raised. ``_chase`` and
+``_decode_strips`` raise nothing; on a fault they give up and
+``_decode_blocks`` decodes the plane again. ``decode_plane`` alone
+rejects bytes past the last block, from the end bit either decoder
+returns, so every plane size raises the same errors and messages.
 
-A larger plane is coded in strips of consecutive blocks: the fewest
-whole block rows that hold at least n blocks, or, where one block row
-holds more, runs of n blocks along it, so a strip has fewer than 2 * n
-blocks whatever the plane's shape. The encoder, with n = 16 * STRIP_BLOCKS on any
-plane, gives each block its header and its 8 rows, each at the bottom of a 64-bit word:
-``_pack_rows`` squeezes a row's indices less the block's min, one big-endian word, by
-masks that serve every delta width. Where a header and a whole row fit one word,
-2W + 1 + 8W <= 64 bits (W <= 6, every modulus but 3), the header joins row 0, so a block
-is 8 fields, not 9. numpy adds each field by the bit where it ends: its low bits to the
-top of that bit's word, the rest to the bottom of the word before. It packs the row
-words of at most 8 * STRIP_BLOCKS blocks at a time, and places 3 fields of each block
-at a time, or 2 on a longer strip. Where a strip's blocks are all full and of one delta
-width, as on noise, that width and the row, header and block lengths are ints: the
-packing and the shifts take scalar operands and the blocks' starts are one arange.
-The decoder first reads the headers of the whole plane in one pass (``_chase``):
-one Python step per block in stream order, from its repetition bit to the next
-block's, of two lookups whatever the modulus, as W <= 7. ``_KEYS[p][v]`` is the 8 bits
-that start p bits into the 16-bit window v, so ``_KEYS[q & 7]`` gives the 8 bits from
-bit q out of the window of q's byte and the next, from 16-bit ``_windows`` built two
-groups' reach at a time, a group being 8 * STRIP_BLOCKS blocks. A table of block lengths
-(``_advance``, one per W and cell count) has 256 entries indexed by those 8 bits, whose
-top W + 1 are the block's key, its repetition bit and max_delta. ``_KEYS``, 8 bytes
-objects of 65,536 (512 KiB), and the full-block table of each W, about 2 KiB, are built
-at import, where no decode's memory bound counts them; an edge block's table, also about
-2 KiB, is built on its cell count's first use. The pass reads the count of cells before
-each block once per plane, and takes each stepped group's cell count from it. A stepped
-group whose length is that of blocks whose keys all have one bit length, as on noise,
-where every block has W-bit deltas, makes the pass guess that the blocks after it are
-alike: numpy sums the guessed lengths into each block's repetition bit from those
-counts, over a run of a group's blocks more than the guess has held for, and reads the
-keys there with ``_bits_at``, which returns the bits at given offsets. The run's first
-bit is known, so every guessed bit up to that of the first key of another bit length is
-proven, and the steps go on from that block, a group at a time, which may make a
-guess again. The grammar does not resynchronise, so no guess is kept unchecked.
-``_bits_at`` then reads every header at once, numpy checks them and takes each
-block's delta width and row length once per plane; ``block_fields`` gives the same
-headers, so no plane is walked twice. Strips of n = 16 * STRIP_BLOCKS blocks, or of
-a quarter of the plane's blocks if fewer, decode a block row per 64-bit word: a row
-is at most 56 bits long, so the window at its first bit, joined from two aligned words,
-holds it, and ``_unpack_rows`` spreads 8 fields into 8 byte lanes in the steps
-of ``_unpack``, with scalar operands where the strip's blocks have one delta
-width; such a strip without an edge column takes its rows' first bits from one outer
-sum of 8 row offsets and the blocks' starts. Lanes past an edge block's columns or
-rows hold whatever bits follow and are sliced away. This fast path
-raises nothing: if the pass runs past the stream, a check fails or an index
-decodes above the limit, it gives up and the per-block loop decodes the plane
-again and raises the error. Bytes past the last block are the one fault neither
-decoder looks for: ``decode_plane`` rejects them from the end bit that either
-decoder returns. So every plane size raises the same errors and messages.
+Which function does what: ``append_samples`` encodes a plane block by
+block, or a strip (``_strips``) at a time by ``_encode_strip``;
+``decode_plane`` decodes one by ``_decode_blocks``, or reads every
+header by ``_chase`` and then the strips by ``_decode_strips``;
+``block_fields`` returns each block's header fields.
 """
 
 from __future__ import annotations
@@ -142,7 +94,8 @@ _ODD_LANES = [np.uint64(~_lane_mask(16 << j, 8 << j) % 2**64) for j in range(3)]
 
 
 def _pack(lanes: int, cells: int, width: int) -> int:
-    """Squeeze cells byte lanes holding width-bit values into cells * width bits."""
+    """Squeeze cells byte lanes holding width-bit values, as a block's deltas read as one
+    big-endian int of a byte each, into cells * width bits."""
     masks = _FIELD_LANES[width]
     for j in range((cells - 1).bit_length()):
         even = lanes & masks[j]
@@ -214,7 +167,9 @@ def _sides(n: int) -> np.ndarray:
 
 
 def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice]]:
-    """Pixel rows and columns of each strip of about blocks blocks, in stream order."""
+    """Pixel rows and columns of each strip, in stream order: the fewest whole block rows
+    that hold at least blocks blocks, or, where one block row holds more, runs of blocks
+    blocks along it, so a strip has fewer than 2 * blocks blocks whatever the plane's shape."""
     rows = -(-blocks // _grid(1, width)[1]) * BLOCK_SIZE
     cols = blocks * BLOCK_SIZE
     for y in range(0, height, rows):
@@ -223,10 +178,9 @@ def _strips(height: int, width: int, blocks: int) -> Iterator[tuple[slice, slice
 
 
 def append_samples(out: bytearray, samples: np.ndarray, k: int = DEFAULT_MODULUS) -> None:
-    """Append the block stream of a nonempty 2D uint8 sample plane's indices to out,
-    quantizing each strip in its row words by to_indices, or a plane of under STRIP_BLOCKS
-    blocks whole by bytes.translate of index_table(k), where the arithmetic's fixed cost
-    would outweigh its samples."""
+    """Append the block stream of a nonempty 2D uint8 sample plane's indices to out. A plane
+    of under STRIP_BLOCKS blocks is quantized whole by bytes.translate of index_table(k), as
+    to_indices' fixed cost would outweigh its samples, and coded a block at a time."""
     if samples.dtype != U8 or samples.ndim != 2 or samples.size == 0:
         raise ValueError(f"expected a nonempty 2D uint8 plane, got {samples.dtype} {samples.shape}")
     table = index_table(k)
@@ -266,14 +220,9 @@ def _encode_strip(
     samples: np.ndarray, k: int, w: int, out: bytearray, acc: int, nbits: int
 ) -> tuple[int, int]:
     """Append the blocks of a strip of samples, quantized by modulus k, to out, all at once;
-    returns the new carry.
-
-    The samples, contiguous or a channel view of interleaved pixels, are gathered straight
-    into the row words and quantized there by to_indices, with no copy, an edge strip's too.
-    Each block is 8 or 9 fields (see the module docstring); an edge block's row keeps
-    the fields of its c columns, and its rows past its last row are empty. Packing works on at
-    most the 8 row words of 8 * STRIP_BLOCKS blocks at a time.
-    """
+    returns the new carry. The samples, contiguous or a channel view of interleaved pixels,
+    are gathered straight into the row words and quantized there by to_indices, with no copy,
+    an edge strip's too."""
     rows, width = samples.shape
     grid_rows, grid_cols = grid = _grid(rows, width)
     blocks = grid_rows * grid_cols
@@ -336,7 +285,8 @@ def _encode_strip(
         del sizes
     firsts = starts + heads  # each header's end
     # every field at the bottom of its word: the header is min, then max_delta or the
-    # repetition bit 1, and joins row 0 where they fit one word (see the module docstring)
+    # repetition bit 1, and joins row 0 where both fit one word, 2W + 1 + 8W <= 64 bits
+    # (W <= 6, every modulus but 3), so that a block is 8 fields, not 9
     fields[0] = lo
     fields[0] <<= np.uint64(heads - w)
     fields[0] |= np.maximum(spread, 1)
@@ -397,12 +347,9 @@ def decode_plane(
 
     The stream must hold exactly the blocks of a height x width plane; one too short
     for a header per block is rejected before any block is read or the plane is
-    allocated. A plane of STRIP_BLOCKS or more blocks is tried by the strip decoder
-    first, which gives up before writing a strip that fails a check; then, or if the
-    plane is smaller, the per-block loop decodes it and raises the first fault in stream
-    order, naming its block and its first bit (``block R,C: ... (bit N)``):
-    CorruptStreamError for a corrupt field, an index above 255 // k or bytes past the
-    last block, TruncatedStreamError for a short stream.
+    allocated. Raises CorruptStreamError for a corrupt field, an index above 255 // k
+    or bytes past the last block, TruncatedStreamError for a short stream, naming the
+    block and its first bit (``block R,C: ... (bit N)``).
     """
     return _decode(stream, height, width, k)[0]
 
@@ -449,8 +396,8 @@ def _decode(stream: bytes | memoryview, height: int, width: int, k: int) -> tupl
 
 
 # _KEYS[p][v], for the header pass: the 8 bits that start p bits into the 16-bit window v,
-# (v >> 8 - p) & 255, whose top W + 1 bits are a block's key; 8 bytes objects of 65,536,
-# 512 KiB, built in about 0.1 ms
+# (v >> 8 - p) & 255, whose top W + 1 bits, from a block's repetition bit, are its key:
+# that bit and max_delta; 8 bytes objects of 65,536, 512 KiB, built in about 0.1 ms
 _KEYS = [
     (np.arange(1 << 16, dtype=np.uint16) >> 8 - p).astype(np.uint8).tobytes() for p in range(8)
 ]
@@ -459,15 +406,16 @@ _KEYS = [
 @functools.cache
 def _advance(w: int, cells: int) -> list[int]:
     """Bits from a block's repetition bit to the next block's, by v, the 8 stream bits from
-    that bit, whose top w + 1, v >> 7 - w, are the block's key: its repetition bit and
-    max_delta. Each length is one int object, which its entries share."""
+    that bit, whose top w + 1, v >> 7 - w, are the block's key. Each length is one int
+    object, which its entries share: a table is about 2 KiB."""
     lengths = [2 * w + 1 + cells * n for n in range(w + 1)]  # by delta width
     keys = [lengths[s.bit_length()] for s in range(1 << w)] + [w + 1] * (1 << w)
     return [n for n in keys for _ in range(1 << 7 - w)]
 
 
 # every W a modulus has, bit_length(255 // k): 2 at k = 127 to 7 at k = 3; the full-block
-# tables are built here, where no decode's memory bound counts them
+# tables are built here, as _KEYS is, where no decode's memory bound counts them, and an
+# edge block's on its cell count's first use
 for _w in range(2, 8):
     _advance(_w, _CELLS)
 del _w
@@ -498,8 +446,8 @@ def _bits_at(data: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
 
 def _first_odd(data: np.ndarray, at: np.ndarray, guess: int, w: int) -> int:
     """Index of the first key, of those whose first bits in data at gives, whose bit length
-    is not guess (1 to w + 1), or len(at); a key is a block's repetition bit and max_delta,
-    w + 1 bits, and has bit length g if its top w + 2 - g bits read 1."""
+    is not guess (1 to w + 1), or len(at); a key has bit length g if its top w + 2 - g bits
+    read 1."""
     wrong = _bits_at(data, at, w + 2 - guess) != 1
     return int(wrong.argmax()) if wrong.any() else len(at)
 
@@ -507,33 +455,27 @@ def _first_odd(data: np.ndarray, at: np.ndarray, guess: int, w: int) -> int:
 def _chase(
     stream: bytes | memoryview, height: int, width: int, top: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None.
+    """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None
+    where the pass runs past the stream or a check fails.
 
-    The pass reads the blocks in stream order. Each step goes from one block's
-    repetition bit q to the next block's in two lookups, table[_KEYS[q & 7][win[q >> 3]]]:
-    _KEYS[q & 7] takes the 8 bits from q out of the 16-bit window of q's byte and the
-    next, and the block's _advance table, one per cell count, of 256 entries, gives the
-    length by the top W + 1 of them, its repetition bit and max_delta. _KEYS (512 KiB) and
-    the full blocks' tables (about 2 KiB each) are built at import, an edge block's
-    (about 2 KiB) on first use. The windows are built for a chunk of two groups' reach,
-    or the rest of the stream, whenever the chunk left cannot hold the next group of
-    8 * STRIP_BLOCKS blocks. When a stepped group's total advance is what its blocks
-    would take if every (repetition, max_delta) key had one bit length, the blocks after
-    it are guessed to be such, a run at a time: numpy sums the guessed advances into
-    each block's repetition bit from the cells before each block, for a group's blocks
-    more than runs have proven the guess on, so runs double on noise, and _first_odd
-    reads every key there by _bits_at and takes the first whose bit length is not the
-    guess. The run's first bit is known, so each bit up to that block's is right, and
-    the steps go on from that block, a group at a time, which may make a guess again:
-    beside the runs that double, a plane turning mixed costs at most one numpy pass per
-    stepped group. Blocks whose keys would lie in the stream's last byte or past it are
-    stepped. A run whose proven end lies past the stream's end gives None too: the next
-    step reads past the windows, or the end check fails. _bits_at then reads every
-    header's 2 * W + 1 bits from its block's first bit, and numpy makes _decode_blocks'
-    header checks on them. starts holds each block's first bit and, last, the plane's
-    end; a repeated block's max_delta reads 0. None means the pass ran past the stream
-    or a check failed: only _decode_blocks defines which error that is. Bytes past the
-    blocks are left to decode_plane.
+    The pass steps the blocks in stream order, from one block's repetition bit q to the
+    next block's by table[_KEYS[q & 7][win[q >> 3]]], with the block's _advance table and
+    the 16-bit _windows of a chunk of two groups' reach, or of the rest of the stream,
+    built whenever the chunk left cannot hold the next group of 8 * STRIP_BLOCKS blocks.
+    When a stepped group's total advance is what its blocks would take if every key had
+    one bit length, the blocks after it are guessed to be such, a run at a time: numpy
+    sums the guessed advances into each block's repetition bit, for a group's blocks more
+    than runs have proven the guess on, so runs double on noise, and _first_odd finds the
+    first key there whose bit length is not the guess. The run's first bit is known, so
+    each bit up to that block's is right, and the steps go on from that block, a group at
+    a time, which may make a guess again: beside the runs that double, a plane turning
+    mixed costs at most one numpy pass per stepped group. Blocks whose keys would lie in
+    the stream's last byte or past it are stepped, and a run whose proven end lies past
+    the stream's makes the next step read past the windows or the end check fail. The
+    grammar does not resynchronise, so no guess is kept unchecked. _bits_at then reads
+    every header's 2 * W + 1 bits, and numpy makes _decode_blocks' header checks on them.
+    starts holds each block's first bit and, last, the plane's end; a repeated block's
+    max_delta reads 0.
     """
     w = top.bit_length()
     data = np.frombuffer(stream, dtype=np.uint8)
@@ -549,14 +491,11 @@ def _chase(
     reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
     chunks = []  # (first entry of reps, first byte) of each chunk
     base, win, q = 0, b"", w
-    # one bit length of every key, if a group's advance says so, and the block that runs
-    # prove it from
-    guess = since = None
+    guess = since = None  # every key's guessed bit length, and the block runs prove it from
     while (b := len(reps) - 1) < len(steps):
         if guess is not None:
-            # from block b's repetition bit to each next block's: w + 1 bits a block if
-            # every key has bit length w + 1, as a repeated block's, else 2 * w + 1 bits a
-            # block and guess bits a cell; for a group's blocks more than runs have proven
+            # the guessed advances, as below, summed from block b's repetition bit for a
+            # group's blocks more than runs have proven
             head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
             held = b - since
             at = np.multiply(before[b : min(len(steps), b + group + held) + 1], each)
@@ -612,7 +551,13 @@ def _decode_strips(
 ) -> int | None:
     """Decode a plane's strips from _chase's headers into samples, each index times k; returns
     the plane's end bit, or None if an index decodes above top, 255 // k, its strip left
-    unwritten."""
+    unwritten.
+
+    A block row is decoded in a 64-bit word: a row is at most 56 bits long, so the window at
+    its first bit, joined from two aligned words, holds it, and _unpack_rows spreads its
+    fields into 8 byte lanes. Lanes past an edge block's columns or rows hold whatever bits
+    follow and are sliced away.
+    """
     w = top.bit_length()
     starts, lows, spreads = chased
     height, width = plane.shape
@@ -674,12 +619,8 @@ def _decode_strips(
 
 
 def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, k: int, top: int) -> int:
-    """Decode a plane into out one block at a time, each index times k; returns the end bit.
-
-    Each block's header is checked against top, 255 // k, and its deltas decoded and
-    checked, before the next header is read, so the first fault in stream order is the
-    one raised.
-    """
+    """Decode a plane into out one block at a time, each index times k, and check each
+    header and index against top, 255 // k; returns the end bit."""
     w = top.bit_length()
     total, pos = 8 * len(stream), 0
     height, width = out.shape
@@ -721,7 +662,7 @@ def _decode_blocks(stream: bytes | memoryview, out: np.ndarray, k: int, top: int
             # a dw-bit delta may pass top even though lo + spread does not; as every delta is
             # < 128, adding 127 - top + lo to each byte lane sets its high bit, with no carry,
             # exactly when lo + delta > top. Past this check, each lane times k fits its byte
-            if lo + (1 << dw) - 1 > top and (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
+            if (deltas + (127 - top + lo) * _ONES[n]) & _HIGH[n]:
                 row, col = y // BLOCK_SIZE, x // BLOCK_SIZE
                 raise CorruptStreamError(
                     f"block {row},{col} decodes an index above limit {top} (bit {pos})"

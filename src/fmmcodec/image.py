@@ -58,12 +58,6 @@ class RasterImage:
     def channels(self) -> int:
         return self.pixels.shape[2]
 
-    def plane(self, channel: int = 0) -> np.ndarray:
-        """One channel as a read-only (height, width) view."""
-        if not 0 <= channel < self.channels:
-            raise ValueError(f"channel {channel} out of range for {self.channels}-channel image")
-        return self.pixels[:, :, channel]
-
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
             return NotImplemented

@@ -986,7 +986,7 @@ def test_strip_quantizer_matches_spec_on_channel_views(k):
     rising = np.tile(np.arange(256, dtype=np.uint8), 32).reshape(16, 512)
     pixels = np.stack([rising, rng.permutation(rising.ravel()).reshape(16, 512), 255 - rising], 2)
     for channel in range(3):
-        plane = RasterImage(pixels).plane(channel)
+        plane = RasterImage(pixels).pixels[:, :, channel]
         assert plane.strides[1] == 3
         out = bytearray()
         with pytest.MonkeyPatch.context() as patch:

@@ -82,7 +82,7 @@ class TestCompress:
             img = RasterImage(pixels)
             streams = [bytearray() for _ in range(channels)]
             for c, stream in enumerate(streams):
-                bitstream.append_samples(stream, core.quantize_plane(img.plane(c), k), k)
+                bitstream.append_samples(stream, core.quantize_plane(img.pixels[:, :, c], k), k)
             assert container.compress(img, k) == frame(streams, width, height, k)
 
 
@@ -118,7 +118,7 @@ class TestDecompress:
         blob = container.compress(RasterImage(pixels))
         out = container.decompress(blob)
         for ch in range(3):
-            assert np.array_equal(out.plane(ch), core.quantize_plane(pixels[:, :, ch]))
+            assert np.array_equal(out.pixels[:, :, ch], core.quantize_plane(pixels[:, :, ch]))
 
     @pytest.mark.parametrize(
         "shape, seed",

@@ -22,14 +22,6 @@ def test_rejects_shapes_that_are_not_an_image(shape, message):
         RasterImage(np.zeros(shape, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("channel", [-1, 3])
-def test_plane_rejects_a_channel_out_of_range(channel):
-    image = RasterImage(np.zeros((2, 2, 3), dtype=np.uint8))
-    message = f"channel {channel} out of range for 3-channel image"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        image.plane(channel)
-
-
 def test_equality_with_a_non_image_is_false():
     # __eq__ gives NotImplemented, so Python falls back to identity and == is False
     image = RasterImage(np.zeros((2, 2), dtype=np.uint8))

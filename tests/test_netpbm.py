@@ -17,7 +17,7 @@ class TestRead:
     def test_p5_basic(self):
         img = read_netpbm(b"P5 2 2 255 " + bytes([0, 85, 170, 255]))
         assert (img.width, img.height, img.channels) == (2, 2, 1)
-        assert img.plane().tolist() == [[0, 85], [170, 255]]
+        assert img.pixels[:, :, 0].tolist() == [[0, 85], [170, 255]]
 
     def test_p6_single_red_pixel(self):
         img = read_netpbm(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
@@ -27,11 +27,11 @@ class TestRead:
     def test_comments_tolerated(self):
         data = b"P5 # comment\n2 # another\n1\n# third\n255\n" + bytes([3, 4])
         img = read_netpbm(data)
-        assert img.plane().tolist() == [[3, 4]]
+        assert img.pixels[:, :, 0].tolist() == [[3, 4]]
 
     def test_trailing_bytes_ignored(self):
         img = read_netpbm(b"P5 1 1 255 \x07extra")
-        assert img.plane().tolist() == [[7]]
+        assert img.pixels[:, :, 0].tolist() == [[7]]
 
     def test_short_payload(self):
         with pytest.raises(NetpbmError, match="payload"):
@@ -53,7 +53,7 @@ class TestRead:
         data = bytearray(b"P5 2 1 255 " + bytes([3, 4]))
         image = read_netpbm(data)
         data[-2:] = bytes([9, 9])
-        assert image.plane().tolist() == [[3, 4]]
+        assert image.pixels[:, :, 0].tolist() == [[3, 4]]
 
     @pytest.mark.parametrize("maxval", [254, 256, 65535, 1])
     def test_wrong_maxval(self, maxval):
@@ -80,7 +80,7 @@ class TestRead:
 
     def test_leading_zeros_are_not_digits(self):
         img = read_netpbm(b"P5 " + b"0" * 5000 + b"2 1 255 " + bytes([3, 4]))
-        assert img.plane().tolist() == [[3, 4]]
+        assert img.pixels[:, :, 0].tolist() == [[3, 4]]
 
     def test_header_cut_short(self):
         with pytest.raises(NetpbmError):
@@ -178,7 +178,7 @@ def test_long_filler_is_fast():
     # a whitespace run is one step of the lexer, not one per byte
     data = b"P5" + b" " * 2**20 + b"2 1 255 " + bytes([3, 4])
     started = time.perf_counter()
-    assert read_netpbm(data).plane().tolist() == [[3, 4]]
+    assert read_netpbm(data).pixels[:, :, 0].tolist() == [[3, 4]]
     assert time.perf_counter() - started < 0.1
 
 
@@ -189,7 +189,7 @@ def test_comment_run_memory_is_bounded():
     data = b"P5" + b"#\n" * 2**16 + b"2 1 255 " + bytes([3, 4])
     with Peak() as peak:
         image = read_netpbm(data)
-    assert image.plane().tolist() == [[3, 4]]
+    assert image.pixels[:, :, 0].tolist() == [[3, 4]]
     assert peak.bytes < 16_384
 
 

@@ -1,5 +1,7 @@
-"""The README's library section: its example runs, and every name it gives exists."""
+"""Names in the docs: the README's library section runs, and every name it or a fmmcodec
+docstring gives exists."""
 
+import ast
 import builtins
 import functools
 import importlib
@@ -53,4 +55,22 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
 def test_library_names_exist():
     names = set(re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", library_section()))
     assert {"append_samples", "decode_plane", "quantize_plane"} <= names
+    assert [name for name in sorted(names) if not resolves(name)] == []
+
+
+def docstring_names() -> set[str]:
+    """Every ``name`` or ``name(...)`` in a fmmcodec module, class or function docstring;
+    other double-backticked text, such as ``block R,C: ... (bit N)``, is not a name."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef)
+    names = set()
+    for path in Path(fmmcodec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            doc = ast.get_docstring(node) if isinstance(node, kinds) else None
+            names.update(re.findall(r"``([A-Za-z_][\w.]*)(?:\([^`]*\))?``", doc or ""))
+    return names
+
+
+def test_docstring_names_exist():
+    names = docstring_names()
+    assert {"_chase", "_decode_blocks", "append_samples", "bitstream.append_samples"} <= names
     assert [name for name in sorted(names) if not resolves(name)] == []
