@@ -444,11 +444,11 @@ def _bits_at(data: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-def _first_odd(data: np.ndarray, at: np.ndarray, guess: int, w: int) -> int:
+def _first_odd(data: np.ndarray, at: np.ndarray, g: int, w: int) -> int:
     """Index of the first key, of those whose first bits in data at gives, whose bit length
-    is not guess (1 to w + 1), or len(at); a key has bit length g if its top w + 2 - g bits
+    is not g (1 to w + 1), or len(at); a key has bit length g if its top w + 2 - g bits
     read 1."""
-    wrong = _bits_at(data, at, w + 2 - guess) != 1
+    wrong = _bits_at(data, at, w + 2 - g) != 1
     return int(wrong.argmax()) if wrong.any() else len(at)
 
 
@@ -458,82 +458,68 @@ def _chase(
     """Checked headers of a whole plane in one pass: (starts, mins, max_deltas), or None
     where the pass runs past the stream or a check fails.
 
-    The pass steps the blocks in stream order, from one block's repetition bit q to the
-    next block's by table[_KEYS[q & 7][win[q >> 3]]], with the block's _advance table and
-    the 16-bit _windows of a chunk of two groups' reach, or of the rest of the stream,
-    built whenever the chunk left cannot hold the next group of 8 * STRIP_BLOCKS blocks.
-    When a stepped group's total advance is what its blocks would take if every key had
-    one bit length, the blocks after it are guessed to be such, a run at a time: numpy
-    sums the guessed advances into each block's repetition bit, for a group's blocks more
-    than runs have proven the guess on, so runs double on noise, and _first_odd finds the
-    first key there whose bit length is not the guess. The run's first bit is known, so
-    each bit up to that block's is right, and the steps go on from that block, a group at
-    a time, which may make a guess again: beside the runs that double, a plane turning
-    mixed costs at most one numpy pass per stepped group. Blocks whose keys would lie in
-    the stream's last byte or past it are stepped, and a run whose proven end lies past
-    the stream's makes the next step read past the windows or the end check fail. The
-    grammar does not resynchronise, so no guess is kept unchecked. _bits_at then reads
-    every header's 2 * W + 1 bits, and numpy makes _decode_blocks' header checks on them.
-    starts holds each block's first bit and, last, the plane's end; a repeated block's
-    max_delta reads 0.
+    A block's key is its repetition bit and max_delta. Where every key of a plane has one
+    bit length g, each block's start follows from the cells before it, and the plane's end
+    from g: blocks * (W + 1) bits if g is W + 1, every block repeated, else blocks *
+    (2 * W + 1) bits and g a cell, for g of 1 to W; g is never 0, as no valid block has the
+    key 0. So the stream's length, which ends in that end's byte, gives at most one g to
+    try. For it numpy builds those starts and _first_odd reads every key at them: block 0
+    starts at bit 0, so each start up to the first odd key is right, and with none, each is.
+
+    Every other plane, and one with an odd key, is stepped in full, in stream order: from
+    one block's repetition bit q to the next block's by table[_KEYS[q & 7][win[q >> 3]]],
+    with the block's _advance table and the 16-bit _windows of a chunk of two groups' reach,
+    or of the rest of the stream, built whenever the chunk left cannot hold the next group
+    of 8 * STRIP_BLOCKS blocks. A plane of one bit length but for a few blocks thus pays for
+    the check and for every step. _bits_at then reads every header's 2 * W + 1 bits, and
+    numpy makes _decode_blocks' header checks on them. starts holds each block's first bit
+    and, last, the plane's end; a repeated block's max_delta reads 0.
     """
     w = top.bit_length()
     data = np.frombuffer(stream, dtype=np.uint8)
-    # the cells before each block, and the plane's, as a view whose items are Python ints
-    before = memoryview(_cells_before_each(height, width))
-    # each block's table, by the cells of a full block row's blocks, then of the edge row's,
-    # which are all 0 where the plane has none
-    full, edge = np.outer([BLOCK_SIZE, height % BLOCK_SIZE], _sides(width)).tolist()
-    steps = [_advance(w, n) for n in full] * (height // BLOCK_SIZE)
-    steps += [_advance(w, n) for n in edge if n]  # in place, as a list's + would copy it
-    group = 8 * STRIP_BLOCKS
-    reach = (group * (2 * w + 1 + _CELLS * w) >> 3) + 2  # the bytes a group's headers can span
-    reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
-    chunks = []  # (first entry of reps, first byte) of each chunk
-    base, win, q = 0, b"", w
-    guess = since = None  # every key's guessed bit length, and the block runs prove it from
-    while (b := len(reps) - 1) < len(steps):
-        if guess is not None:
-            # the guessed advances, as below, summed from block b's repetition bit for a
-            # group's blocks more than runs have proven
-            head, each = (w + 1, 0) if guess > w else (2 * w + 1, guess)
-            held = b - since
-            at = np.multiply(before[b : min(len(steps), b + group + held) + 1], each)
-            at += np.arange(0, head * len(at), head) + (q - int(at[0]))
-            # the run's keys whose 2 bytes lie in the stream
-            fits = min(len(at) - 1, int(at.searchsorted(8 * (len(data) - 1 - base))))
-            if fits:
-                right = _first_odd(data[base:], at[:fits], guess, w)
-                q = int(at[right])  # the first odd key's true bit, or the next block's
-                reps.frombytes(at[1 : right + 1].tobytes())
-                if right == fits:
-                    continue
-                b += right  # the steps go on from the first odd block
-        if (q >> 3) + reach > len(win) and base + len(win) < len(data):
-            base += q >> 3
-            q &= 7
-            win = _windows(data, base, min(base + 2 * reach, len(data)))
-            chunks.append((len(reps), base))
-        first, stepped = q, steps[b : b + group]
-        try:
-            reps.fromlist([q := q + table[_KEYS[q & 7][win[q >> 3]]] for table in stepped])
-        except IndexError:  # a window past the stream's last byte
+    rows, cols = _grid(height, width)
+    blocks, cells = rows * cols, height * width
+    if (blocks * (w + 1) + 7) >> 3 == len(data):
+        g = w + 1
+    else:
+        g = (8 * len(data) - blocks * (2 * w + 1)) // cells
+    fixed, each = (w + 1, 0) if g > w else (2 * w + 1, g)  # bits a block, and a cell
+    starts = None
+    if g > 0 and (blocks * fixed + cells * each + 7) >> 3 == len(data):
+        starts = _cells_before_each(height, width)
+        starts *= each
+        starts += np.arange(w, w + fixed * (blocks + 1), fixed)  # each repetition bit
+        if _first_odd(data, starts[:-1], g, w) < blocks:
+            starts = None
+        else:
+            starts -= w
+    if starts is None:
+        # each block's table, by the cells of a full block row's blocks, then of the edge
+        # row's, which are all 0 where the plane has none
+        full, edge = np.outer([BLOCK_SIZE, height % BLOCK_SIZE], _sides(width)).tolist()
+        steps = [_advance(w, n) for n in full] * (height // BLOCK_SIZE)
+        steps += [_advance(w, n) for n in edge if n]  # in place, as a list's + would copy it
+        group = 8 * STRIP_BLOCKS
+        reach = (group * (2 * w + 1 + _CELLS * w) >> 3) + 2  # the bytes a group can span
+        reps = array("q", [w])  # each block's repetition bit, from its chunk's first byte
+        chunks = []  # (first entry of reps, first byte) of each chunk
+        base, win, q = 0, b"", w
+        for b in range(0, blocks, group):
+            if (q >> 3) + reach > len(win) and base + len(win) < len(data):
+                base += q >> 3
+                q &= 7
+                win = _windows(data, base, min(base + 2 * reach, len(data)))
+                chunks.append((b + 1, base))
+            try:
+                reps.fromlist([q := q + t[_KEYS[q & 7][win[q >> 3]]] for t in steps[b : b + group]])
+            except IndexError:  # a window past the stream's last byte
+                return None
+        if ((base << 3) + q - w + 7) >> 3 > len(stream):
             return None
-        # keys of one bit length g advance a group w + 1 bits a block if g is w + 1, as
-        # repeated blocks, else 2 * w + 1 bits a block and g a cell; g is never 0, as no
-        # valid block has the key 0 (repetition 0, max_delta 0)
-        size = before[b + len(stepped)] - before[b]
-        deltas, extra = divmod(q - first - len(stepped) * (2 * w + 1), size)
-        guess = deltas if not extra and 0 < deltas <= w else None
-        if q - first == len(stepped) * (w + 1):
-            guess = w + 1
-        since = len(reps) - 1
-    if ((base << 3) + q - w + 7) >> 3 > len(stream):
-        return None
-    starts = np.frombuffer(reps, dtype=np.int64)
-    starts -= w
-    for (first, offset), (last, _) in zip(chunks, chunks[1:] + [(len(reps), 0)]):
-        starts[first:last] += offset << 3
+        starts = np.frombuffer(reps, dtype=np.int64)
+        starts -= w
+        for (first, offset), (last, _) in zip(chunks, chunks[1:] + [(len(reps), 0)]):
+            starts[first:last] += offset << 3
     # each header's min, repetition bit and max_delta; only bits the end check rejects
     # come from past the stream's end
     head = _bits_at(data, starts[:-1], 2 * w + 1)

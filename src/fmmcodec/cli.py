@@ -98,7 +98,7 @@ def _cmd_compress(args) -> int:
     blob = container.compress(image, args.modulus)
     Path(args.output).write_bytes(blob)
     raw = image.width * image.height * image.channels
-    payload = len(blob) - container.HEADER_SIZE - 4 * image.channels
+    payload = len(blob) - container.framing_bytes(image.channels)
     cr = metrics.compression_ratio(raw, len(blob))
     if args.verbose:
         # no sample moves further than this, so the PSNR of any image is at least the floor

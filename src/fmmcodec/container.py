@@ -60,6 +60,12 @@ def compress(image: RasterImage, modulus: int = core.DEFAULT_MODULUS) -> bytearr
     return out
 
 
+def framing_bytes(channels: int) -> int:
+    """Bytes of a container of channels streams that are not block streams: the header and
+    each stream's length."""
+    return HEADER_SIZE + channels * _STREAM_LEN.size
+
+
 def read_header(data: bytes) -> ContainerHeader:
     """Parse and validate the 15-byte container header."""
     if len(data) < HEADER_SIZE:

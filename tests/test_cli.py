@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from fmmcodec import bitstream, cli, container, core
+from fmmcodec import cli, container, core
 from fmmcodec.errors import CorruptStreamError
 from fmmcodec.image import RasterImage
 from fmmcodec.netpbm import read_netpbm, write_netpbm
 
 from golden import ORIGINAL_BLOCK
 from peaks import Peak
-from spies import spy
 
 
 @pytest.fixture
@@ -220,32 +219,22 @@ class TestInspect:
         assert read_netpbm(back.read_bytes()) == RasterImage(core.quantize_plane(pixels))
 
     @pytest.mark.parametrize(
-        "width, height, runs, row, col, bit",
-        [
-            (1024, 64, [512], 5, 60, 277900),
-            (1024, 256, [512, 1024, 2048], 21, 100, 1106836),
-            (5000, 64, [512, 1024, 2048, 904], 3, 550, 962725),
-        ],
+        "width, height, row, col, bit",
+        [(1024, 64, 5, 60, 277900), (1024, 256, 21, 100, 1106836), (5000, 64, 3, 550, 962725)],
         ids=["1024x64", "1024x256", "5000x64"],
     )
-    def test_guessed_block_over_limit(
-        self, width, height, runs, row, col, bit, tmp_path, capsys, monkeypatch
-    ):
+    def test_guessed_block_over_limit(self, width, height, row, col, bit, tmp_path, capsys):
         # uniform noise at k = 5 gives every block 6-bit deltas, so 6 + 1 + 6 + 64 * 6 = 397
-        # bits, and block i starts at bit 397 * i; the header pass steps the first 512 blocks
-        # and guesses the rest. 1024x64 is 1,024 blocks, guessed over blocks 512-1023.
-        # 1024x256 is 4,096 blocks, guessed over runs of blocks 512-1023, 1024-2047 and
-        # 2048-4095. 5000x64 is 8 block rows of 625 blocks, encoded in strips of two block
-        # rows, 1,250 blocks each packed in three parts, and guessed over runs of 512, 1,024,
-        # 2,048 and 904 blocks, which start and end mid-row; its block 2425 lies in the
-        # second strip. The bad block's min_index is set to 63, above the limit 51
+        # bits, and block i starts at bit 397 * i; the header pass guesses every block's start
+        # from the stream's length. 5000x64 is 8 block rows of 625 blocks, encoded in strips
+        # of two block rows, 1,250 blocks each packed in three parts; its block 2425 lies in
+        # the second strip. The bad block's min_index is set to 63, above the limit 51, which
+        # leaves every block's length as it is
         pixels = np.random.default_rng(width + height).integers(0, 256, (height, width), np.uint8)
         blob = container.compress(RasterImage(pixels))
         blocks = width * height // 64
         assert len(blob) == container.HEADER_SIZE + 4 + blocks * 397 // 8
-        keys = spy(monkeypatch, bitstream, "_first_odd", lambda right, data, at, *_: len(at))
         assert container.decompress(bytes(blob)) == RasterImage(core.quantize_plane(pixels))
-        assert keys == runs
         assert 397 * (row * (width // 8) + col) == bit
         at = 8 * (container.HEADER_SIZE + 4) + bit
         for i in range(at, at + 6):

@@ -59,7 +59,8 @@ def test_library_names_exist():
 
 
 def docstring_names() -> set[str]:
-    """Every ``name`` or ``name(...)`` in a fmmcodec module, class or function docstring;
+    """Every ``name`` or ``name(...)`` in a fmmcodec module, class or function docstring,
+    and every private name there in plain text, such as _first_odd or RasterImage._own;
     other double-backticked text, such as ``block R,C: ... (bit N)``, is not a name."""
     kinds = (ast.Module, ast.ClassDef, ast.FunctionDef)
     names = set()
@@ -67,10 +68,12 @@ def docstring_names() -> set[str]:
         for node in ast.walk(ast.parse(path.read_text())):
             doc = ast.get_docstring(node) if isinstance(node, kinds) else None
             names.update(re.findall(r"``([A-Za-z_][\w.]*)(?:\([^`]*\))?``", doc or ""))
+            names.update(re.findall(r"(?<![\w.])((?:[A-Za-z_]\w*\.)*_[A-Za-z]\w*)", doc or ""))
     return names
 
 
 def test_docstring_names_exist():
     names = docstring_names()
     assert {"_chase", "_decode_blocks", "append_samples", "bitstream.append_samples"} <= names
+    assert {"_KEYS", "_bits_at"} <= names  # in plain text
     assert [name for name in sorted(names) if not resolves(name)] == []
