@@ -144,8 +144,11 @@ def _strip_buffers(blocks: int) -> Iterator[None]:
     """Code a plane of blocks blocks under numpy's 1,024-element ufunc buffer, not its
     default 8,192, if it has more than 32 * STRIP_BLOCKS blocks, so decoding strips of more
     than 8 * STRIP_BLOCKS: their broadcast operands then stay in cache and add less to the
-    peak (encode about 6% faster); a smaller plane would lose the 2 to 4 us the setting
-    costs, and a 256x256 one, encoded as one strip of 16 * STRIP_BLOCKS, gains nothing."""
+    peak. Without it 512x512x3 photo-like images decode 1.7% slower on a 2-core x86 VM (an
+    in-process A/B of 100 rounds, outside the A/A quartiles) and encode no faster, and warm
+    decode peaks rise from 1.718 to 1.729 bytes a sample (1.429 to 1.437 on 1024x1024
+    noise); a smaller plane would lose the 2 to 4 us the setting costs, and a 256x256 one,
+    encoded as one strip of 16 * STRIP_BLOCKS, gains nothing."""
     if blocks <= 32 * STRIP_BLOCKS:
         yield
         return
@@ -325,20 +328,6 @@ def _place(packed: np.ndarray, ends: np.ndarray, fields: np.ndarray) -> None:
     np.add.at(packed[1:], at, low)
 
 
-def _cells_before_each(height: int, width: int) -> np.ndarray:
-    """Index count of a height x width plane's blocks before each block, in stream order,
-    and, last, the plane's: its whole block rows, then 8 columns a block of its own row."""
-    rows, cols = _grid(height, width)
-    before = np.empty(rows * cols + 1, dtype=np.int64)
-    tops = np.arange(0, height, BLOCK_SIZE)  # the pixel rows above each block row
-    grid = before[:-1].reshape(rows, cols)
-    grid[...] = np.arange(0, width, BLOCK_SIZE)
-    grid *= _sides(height)[:, None]
-    grid += tops[:, None] * width
-    before[-1] = height * width
-    return before
-
-
 def decode_plane(
     stream: bytes | memoryview, height: int, width: int, k: int = DEFAULT_MODULUS
 ) -> np.ndarray:
@@ -363,7 +352,7 @@ def block_fields(
     # a plane that the per-block loop decoded has not been through the pass, which accepts it
     starts, lows, spreads = chased or _chase(stream, height, width, index_table(k)[-1])
     rows, cols = np.divmod(np.arange(len(lows)), _grid(height, width)[1])
-    cells = np.diff(_cells_before_each(height, width))
+    cells = np.outer(_sides(height), _sides(width)).ravel()
     return rows, cols, cells, lows, spreads, _BIT_LENGTH[spreads], np.diff(starts)
 
 
@@ -444,14 +433,6 @@ def _bits_at(data: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
-def _first_odd(data: np.ndarray, at: np.ndarray, g: int, w: int) -> int:
-    """Index of the first key, of those whose first bits in data at gives, whose bit length
-    is not g (1 to w + 1), or len(at); a key has bit length g if its top w + 2 - g bits
-    read 1."""
-    wrong = _bits_at(data, at, w + 2 - g) != 1
-    return int(wrong.argmax()) if wrong.any() else len(at)
-
-
 def _chase(
     stream: bytes | memoryview, height: int, width: int, top: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -459,12 +440,13 @@ def _chase(
     where the pass runs past the stream or a check fails.
 
     A block's key is its repetition bit and max_delta. Where every key of a plane has one
-    bit length g, each block's start follows from the cells before it, and the plane's end
-    from g: blocks * (W + 1) bits if g is W + 1, every block repeated, else blocks *
-    (2 * W + 1) bits and g a cell, for g of 1 to W; g is never 0, as no valid block has the
-    key 0. So the stream's length, which ends in that end's byte, gives at most one g to
-    try. For it numpy builds those starts and _first_odd reads every key at them: block 0
-    starts at bit 0, so each start up to the first odd key is right, and with none, each is.
+    bit length g, a block is fixed bits and each bits a cell: W + 1 and 0 if g is W + 1,
+    every block repeated, else 2 * W + 1 and g, for g of 1 to W; g is never 0, as no valid
+    block has the key 0. So the stream's length, which ends in the plane's last byte, gives
+    at most one g to try. For it the starts are a running sum of each block's size from bit
+    0, and one _bits_at call reads the top W + 2 - g bits of every key at them, which read 1
+    where a key has bit length g: block 0 starts at bit 0, so where every key does, each
+    start is right.
 
     Every other plane, and one with an odd key, is stepped in full, in stream order: from
     one block's repetition bit q to the next block's by table[_KEYS[q & 7][win[q >> 3]]],
@@ -478,21 +460,19 @@ def _chase(
     w = top.bit_length()
     data = np.frombuffer(stream, dtype=np.uint8)
     rows, cols = _grid(height, width)
-    blocks, cells = rows * cols, height * width
+    blocks = rows * cols
     if (blocks * (w + 1) + 7) >> 3 == len(data):
         g = w + 1
     else:
-        g = (8 * len(data) - blocks * (2 * w + 1)) // cells
+        g = (8 * len(data) - blocks * (2 * w + 1)) // (height * width)
     fixed, each = (w + 1, 0) if g > w else (2 * w + 1, g)  # bits a block, and a cell
     starts = None
-    if g > 0 and (blocks * fixed + cells * each + 7) >> 3 == len(data):
-        starts = _cells_before_each(height, width)
-        starts *= each
-        starts += np.arange(w, w + fixed * (blocks + 1), fixed)  # each repetition bit
-        if _first_odd(data, starts[:-1], g, w) < blocks:
+    if g > 0 and (blocks * fixed + height * width * each + 7) >> 3 == len(data):
+        cells = np.outer(_sides(height), _sides(width)).ravel()  # each block's, in stream order
+        starts = np.zeros(blocks + 1, dtype=np.int64)
+        np.cumsum(cells * each + fixed, out=starts[1:])
+        if (_bits_at(data, starts[:-1] + w, w + 2 - g) != 1).any():
             starts = None
-        else:
-            starts -= w
     if starts is None:
         # each block's table, by the cells of a full block row's blocks, then of the edge
         # row's, which are all 0 where the plane has none

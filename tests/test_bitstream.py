@@ -1001,7 +1001,7 @@ def test_decoder_matches_oracle(k):
     # decode_plane, block_fields and the header pass follow the spec on spec_mutants of
     # every strip shape and block rows of 513 blocks; on photo-like planes, whose streams the
     # spec reads in 0.05 s, whole and one byte short; and on 256x1024 noise, whose blocks'
-    # starts the header pass guesses from the stream's length
+    # starts the header pass takes in closed form
     rng = np.random.default_rng(k + 59)
     outcomes = set()
     for plane in strip_planes(k, rng):
@@ -1045,10 +1045,11 @@ def test_one_window_chunk_ends_at_the_stream_end():
         stream = encode_indices(plane)
         with pytest.MonkeyPatch.context() as patch:
             chunks = spy(patch, bitstream, "_windows", chunk_of)
-            calls = spy(patch, bitstream, "_first_odd", run_of)
+            reads = spy(patch, bitstream, "_bits_at", reads_of)
             assert np.array_equal(decode_indices(stream, size, size), plane)
         ends = [stop for _, stop in chunks].count(len(stream))
-        assert calls == [] and len(chunks) > 1 and ends <= 1
+        assert reads == [((size // 8) ** 2, 13)]  # the headers, and no key
+        assert len(chunks) > 1 and ends <= 1
 
 
 def uniform_plane(height: int, width: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -1112,18 +1113,18 @@ def test_guessed_strips_match_oracle(k):
     assert outcomes == {np.ndarray, CorruptStreamError, TruncatedStreamError}
 
 
-def test_noise_plane_is_guessed():
-    # every block of 1024x1024 uniform noise has 6-bit deltas at k = 5, so the pass guesses
-    # that bit length from the stream's length and takes every block's start from it
+def test_noise_plane_takes_the_closed_form():
+    # every block of 1024x1024 uniform noise has 6-bit deltas at k = 5, so the pass takes
+    # that bit length from the stream's length and every block's start in closed form
     samples = np.random.default_rng(97).integers(0, 256, (1024, 1024), dtype=np.uint8)
     stream = bytearray()
     bitstream.append_samples(stream, samples, 5)
     assert np.array_equal(decode_plane(stream, 1024, 1024, 5), core.quantize_plane(samples))
 
 
-def test_repeated_plane_is_guessed():
+def test_repeated_plane_takes_the_closed_form():
     # every block of a constant 1024x1024 plane is repeated, w + 1 bits, so the pass
-    # guesses that from the stream's length, the last two blocks' keys in its last byte
+    # takes that from the stream's length, the last two blocks' keys in its last byte
     samples = np.full((1024, 1024), 128, dtype=np.uint8)
     stream = bytearray()
     bitstream.append_samples(stream, samples, 5)
@@ -1131,32 +1132,32 @@ def test_repeated_plane_is_guessed():
 
 
 def test_one_length_plane_takes_the_closed_form():
-    # where every key has one bit length, the pass takes each block's start from the cells
-    # before it, with one _first_odd call over every block and no window: on 1024x1024
-    # noise, on 1020x1020 noise, whose edge blocks have 32 and 16 cells, and on a constant
-    # plane. A plane of 3-bit deltas where two full blocks trade widths, 4 and 2 bits, has
-    # the stream length of a 3-bit plane: the call finds the first of them, and the pass
-    # steps every block
+    # where every key has one bit length, the pass sums each block's size into its start and
+    # reads every key at those starts with one _bits_at call, before the headers, and builds
+    # no window: on 1024x1024 noise of 6-bit deltas, on 1020x1020 noise, whose edge blocks
+    # have 32 and 16 cells, and on a constant plane, repeated. A plane of 3-bit deltas where
+    # two full blocks trade widths, 4 and 2 bits, has the stream length of a 3-bit plane: a
+    # key reads odd, and the pass steps every block
     rng = np.random.default_rng(113)
     traded = uniform_plane(256, 256, 36, rng)  # indices 0 to 7, each block's first 0, last 7
     traded[8:16, 24:32] = rng.integers(0, 16, (8, 8))  # block 1,3, the 35th
     traded[8, 24] = 15
     traded[64:72, 40:48] %= 4  # block 8,5, the 261st
     traded[71, 47] = 3
-    planes = [  # each plane, its blocks and its first odd key's block
-        (rng.integers(0, 52, (1024, 1024)).astype(np.uint8), 16384, 16384),
-        (rng.integers(0, 52, (1020, 1020)).astype(np.uint8), 16384, 16384),
-        (np.full((1024, 1024), 9, np.uint8), 16384, 16384),
-        (traded, 1024, 35),
+    planes = [  # each plane, its blocks, the key bit length its length gives, if it holds
+        (rng.integers(0, 52, (1024, 1024)).astype(np.uint8), 16384, 6, True),
+        (rng.integers(0, 52, (1020, 1020)).astype(np.uint8), 16384, 6, True),
+        (np.full((1024, 1024), 9, np.uint8), 16384, 7, True),
+        (traded, 1024, 3, False),
     ]
-    for plane, blocks, odd in planes:
+    for plane, blocks, g, fits in planes:
         stream = encode_indices(plane, 5)
         with pytest.MonkeyPatch.context() as patch:
             chunks = spy(patch, bitstream, "_windows", chunk_of)
-            calls = spy(patch, bitstream, "_first_odd", run_of)
+            reads = spy(patch, bitstream, "_bits_at", reads_of)
             assert np.array_equal(decode_indices(stream, *plane.shape, 5), plane)
-        assert calls == [(blocks, odd)]
-        assert (chunks == []) == (odd == blocks)
+        assert reads == [(blocks, 6 + 2 - g), (blocks, 13)]  # the keys, then the headers
+        assert (chunks == []) == fits
     spec = chase_follows_spec(stream, 256, 256, 5)  # the traded plane's, the last
     assert decodes_like_spec(spec, stream, 256, 256, 5) is np.ndarray
     widths = [spread.bit_length() for spread in spec.spreads]
@@ -1167,18 +1168,35 @@ def test_one_length_plane_takes_the_closed_form():
 def test_zero_width_group_makes_no_guess(height, width):
     # 1,024 headers of min_index 0, repetition 0 and max_delta 0: every block is 2 * W + 1
     # bits, as a block of 0-bit deltas would be, but no valid block has that key, so the pass
-    # guesses no bit length 0 from the stream's length and decode_plane raises the spec's fault
+    # takes no bit length 0 from the stream's length: it reads no key, steps every block and
+    # reads the headers, and decode_plane raises the spec's fault
     stream = bits_to_bytes("0" * 13 * 1024)  # 6 + 1 + 6 bits a header
     with pytest.MonkeyPatch.context() as patch:
-        calls = spy(patch, bitstream, "_first_odd", run_of)
+        reads = spy(patch, bitstream, "_bits_at", reads_of)
         got = outcome(decode_plane, stream, height, width, 5)
-    assert calls == []
+    assert reads == [(1024, 13)]
     assert reference_decode(stream, height, width, 5)[:3] == (CorruptStreamError, (0, 0), 0)
     message = "block 0,0: non-repeated block with zero max_delta is not canonical (bit 0)"
     assert got == (CorruptStreamError, message)
 
 
-def test_noise_cut_past_guessed_strip_end():
+def test_closed_form_takes_no_delta_width_past_w():
+    # 64 blocks of 64 cells at k = 5 in 64 * 461 bits, the length of non-repeated blocks of
+    # 7-bit deltas, 2 * W + 1 + 64 * (W + 1) bits; from bit 461 * i each reads min 5 and
+    # repetition 1, every other bit 0. A delta width of W + 1 is no valid block's, and only
+    # an all-repeated plane's length gives the pass a key bit length of W + 1, so it steps the
+    # plane: block 0 is repeated, 7 bits, and block 0,1 at bit 7 has the key 0, as the spec
+    bits = ["0"] * (64 * 461)
+    for i in range(64):
+        bits[461 * i : 461 * i + 7] = "0001011"
+    stream = bits_to_bytes("".join(bits))
+    assert len(stream) == 3688
+    assert reference_decode(stream, 64, 64, 5)[:3] == (CorruptStreamError, (0, 1), 7)
+    message = "block 0,1: non-repeated block with zero max_delta is not canonical (bit 7)"
+    assert outcome(decode_plane, stream, 64, 64, 5) == (CorruptStreamError, message)
+
+
+def test_noise_cut_short_is_stepped_past_its_end():
     # every block of 1024x1024 uniform noise has 6-bit deltas at k = 5, 397 bits. The stream
     # cut at blocks 512 to 1023, 1024 to 2047, 2048 to 4095, 4096 to 8191 and 8192 to 16383,
     # in a block's header, in a block's deltas or in the last byte of the span: the pass,
@@ -1200,7 +1218,7 @@ def test_noise_cut_past_guessed_strip_end():
             assert decodes_like_spec(spec, data, 1024, 1024, 5) is TruncatedStreamError
 
 
-def test_odd_block_ends_the_guessed_run():
+def test_odd_block_steps_the_plane():
     # every block of a 1024x1024 plane has W-bit deltas; a repeated block at block row 9,
     # block 1189, makes the stream too short for a plane of one bit length, so the pass
     # steps every block, past block 1189 and the first chunk's reach
@@ -1220,9 +1238,9 @@ def chunk_of(_, data, start, stop) -> tuple[int, int]:
     return start, stop
 
 
-def run_of(right, data, at, g, w) -> tuple[int, int]:
-    """A _first_odd call's keys: how many it read and the index it returned."""
-    return len(at), right
+def reads_of(_, data, at, n) -> tuple[int, int]:
+    """A _bits_at call's reads: how many offsets and how many bits from each."""
+    return len(at), n
 
 
 def test_plane_turning_mixed_steps_each_group():
@@ -1248,18 +1266,22 @@ def test_plane_turning_mixed_steps_each_group():
     "height, width", [(1, 1), (5, 3), (17, 23), (65, 63), (9, 4100), (4100, 9)]
 )
 def test_cells_before_counts_block_sizes(height, width):
-    # the cells before each block, and last the plane's, from which the header pass takes
-    # the starts of a plane of one bit length and block_fields each block's cells: sums of
-    # each block's rows times its columns
+    # each block's cells, which block_fields gives, are its rows times its columns; and the
+    # header pass sums each block's size into the starts of a plane of one bit length, so
+    # on a plane of W-bit deltas block i starts 2 * W + 1 bits a block before it and W bits
+    # a cell before it from bit 0. A one-cell plane is one repeated block
     sizes = [
         min(8, height - y) * min(8, width - x)
         for y in range(0, height, 8)
         for x in range(0, width, 8)
     ]
     before = [0, *np.cumsum(sizes).tolist()]
-    assert bitstream._cells_before_each(height, width).tolist() == before
     stream = encode_indices(np.zeros((height, width), dtype=np.uint8))
     assert block_fields(stream, height, width)[2].tolist() == sizes
+    if height * width > 1:
+        plane = uniform_plane(height, width, 5, np.random.default_rng(height * width))
+        bits = block_fields(encode_indices(plane), height, width)[6]
+        assert [0, *np.cumsum(bits).tolist()] == [13 * i + 6 * n for i, n in enumerate(before)]
 
 
 def test_advance_tables_are_built_once_per_modulus():
@@ -1308,10 +1330,10 @@ def test_full_block_tables_are_built_at_import(monkeypatch):
 @pytest.mark.parametrize("height, width, strips", [(64, 5000, 16), (40, 4100, 10)])
 def test_guessed_runs_cross_strip_shapes(height, width, strips):
     # block rows of 625 and of 513 blocks cut strips of 8 * STRIP_BLOCKS blocks into 512
-    # and 113 blocks and into 512 and 1. Every block has W-bit deltas, so the pass guesses
-    # every block's start across those changes of shape. It must find the spec's starts; on
-    # a stream cut inside block 1600, which the steps reach past changes of shape, it gives
-    # up, and decode_plane gives the spec's plane or fault
+    # and 113 blocks and into 512 and 1. Every block has W-bit deltas, so the pass takes
+    # every block's start in closed form across those changes of shape. It must find the
+    # spec's starts; on a stream cut inside block 1600, which it steps past changes of shape,
+    # it gives up, and decode_plane gives the spec's plane or fault
     rng = np.random.default_rng(height + width)
     plane = uniform_plane(height, width, 5, rng)
     stream = encode_indices(plane, 5)
@@ -1328,10 +1350,10 @@ def test_guessed_runs_cross_strip_shapes(height, width, strips):
 @pytest.mark.parametrize("k", [3, 5, 127])
 def test_guessed_runs_match_spec(k):
     # with strips of 64 blocks, a 261x256 plane of W-bit deltas is 16 strips of 64 blocks
-    # and an edge-shaped strip of 32 blocks of 5x8 cells. The pass guesses every block's
-    # start; an odd block, repeated or of 1-bit deltas, at the first block of strip 8, a
-    # middle one of strip 11, the last of strip 15 or one of the edge strip makes it step
-    # every block. The pass must find the spec's starts; on streams cut inside block 1023 or
+    # and an edge-shaped strip of 32 blocks of 5x8 cells. The pass takes every block's
+    # start in closed form; an odd block, repeated or of 1-bit deltas, at the first block of
+    # strip 8, a middle one of strip 11, the last of strip 15 or one of the edge strip makes
+    # it step every block. The pass must find the spec's starts; on streams cut inside block 1023 or
     # the last block, after its key, or with a bit of a block's max_delta flipped, the
     # spec's starts or None, as decode_plane gives the spec's plane or its fault
     rng = np.random.default_rng(k + 107)

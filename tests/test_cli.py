@@ -225,10 +225,10 @@ class TestInspect:
     )
     def test_guessed_block_over_limit(self, width, height, row, col, bit, tmp_path, capsys):
         # uniform noise at k = 5 gives every block 6-bit deltas, so 6 + 1 + 6 + 64 * 6 = 397
-        # bits, and block i starts at bit 397 * i; the header pass guesses every block's start
-        # from the stream's length. 5000x64 is 8 block rows of 625 blocks, encoded in strips
-        # of two block rows, 1,250 blocks each packed in three parts; its block 2425 lies in
-        # the second strip. The bad block's min_index is set to 63, above the limit 51, which
+        # bits, and block i starts at bit 397 * i; the header pass takes that bit length from
+        # the stream's length and every block's start in closed form. 5000x64 is 8 block rows
+        # of 625 blocks, encoded in strips of two block rows, 1,250 blocks each packed in three
+        # parts; its block 2425 lies in the second strip. The bad block's min_index is set to 63, above the limit 51, which
         # leaves every block's length as it is
         pixels = np.random.default_rng(width + height).integers(0, 256, (height, width), np.uint8)
         blob = container.compress(RasterImage(pixels))

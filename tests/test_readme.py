@@ -60,7 +60,7 @@ def test_library_names_exist():
 
 def docstring_names() -> set[str]:
     """Every ``name`` or ``name(...)`` in a fmmcodec module, class or function docstring,
-    and every private name there in plain text, such as _first_odd or RasterImage._own;
+    and every private name there in plain text, such as _bits_at or RasterImage._own;
     other double-backticked text, such as ``block R,C: ... (bit N)``, is not a name."""
     kinds = (ast.Module, ast.ClassDef, ast.FunctionDef)
     names = set()
