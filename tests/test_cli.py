@@ -76,7 +76,7 @@ class TestCompress:
         values = np.arange(256)
         quoted = {5: "error bound 2, PSNR floor 42.11 dB", 13: "error bound 8, PSNR floor 30.07 dB"}
         for k in range(3, 128, 2):
-            out = str(tmp_path / "o.fmm")
+            out = str(tmp_path / f"o{k}.fmm")  # on ext4, truncating a file just written flushes it
             assert cli.main(["-v", "compress", str(uniform_pgm), out, "-k", str(k)]) == 0
             (line,) = [s for s in capsys.readouterr().out.splitlines() if "error bound" in s]
             moved = int(np.abs(core.quantize_plane(values, k).astype(int) - values).max())
@@ -223,13 +223,13 @@ class TestInspect:
         [(1024, 64, 5, 60, 277900), (1024, 256, 21, 100, 1106836), (5000, 64, 3, 550, 962725)],
         ids=["1024x64", "1024x256", "5000x64"],
     )
-    def test_guessed_block_over_limit(self, width, height, row, col, bit, tmp_path, capsys):
+    def test_closed_form_block_over_limit(self, width, height, row, col, bit, tmp_path, capsys):
         # uniform noise at k = 5 gives every block 6-bit deltas, so 6 + 1 + 6 + 64 * 6 = 397
         # bits, and block i starts at bit 397 * i; the header pass takes that bit length from
         # the stream's length and every block's start in closed form. 5000x64 is 8 block rows
         # of 625 blocks, encoded in strips of two block rows, 1,250 blocks each packed in three
-        # parts; its block 2425 lies in the second strip. The bad block's min_index is set to 63, above the limit 51, which
-        # leaves every block's length as it is
+        # parts; its block 2425 lies in the second strip. The bad block's min_index is set to
+        # 63, above the limit 51, which leaves every block's length as it is
         pixels = np.random.default_rng(width + height).integers(0, 256, (height, width), np.uint8)
         blob = container.compress(RasterImage(pixels))
         blocks = width * height // 64

@@ -320,6 +320,26 @@ class TestBlockHeaders:
         seen = [(ch, row, col) for ch, row, col, *_ in container.block_headers(blob)]
         assert seen == [(0, row, col) for row in range(2) for col in range(3)]
 
+    @pytest.mark.parametrize(
+        "height, width, k, cells",
+        [
+            (16, 8, 5, [8 * 8, 8 * 8]),
+            (1, 1, 5, [1 * 1]),
+            (10, 10, 5, [8 * 8, 8 * 2, 2 * 8, 2 * 2]),
+            (16, 16, 5, [8 * 8] * 4),
+            (8, 8, 3, [8 * 8]),
+        ],
+        ids=["16x8-k5", "1x1-k5", "10x10-k5", "16x16-k5", "8x8-k3"],
+    )
+    def test_grid_shapes(self, height, width, k, cells):
+        # row-major 8x8 blocks, an edge block keeping its true size; the image decodes back
+        rng = np.random.default_rng(5)
+        img = RasterImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        blob = container.compress(img, k)
+        seen = [(ch, row, col, n) for ch, row, col, n, *_ in container.block_headers(blob)]
+        assert seen == [(0, *divmod(i, -(-width // 8)), n) for i, n in enumerate(cells)]
+        assert container.decompress(blob) == RasterImage(core.quantize_plane(img.pixels, k))
+
     def test_strip_coded_fields_match_plane(self):
         # a 72x600 plane is strip-coded (675 whole blocks, 75 to a block row); inspect's
         # fields come from the fast header pass and must equal those of the plane's blocks

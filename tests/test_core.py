@@ -191,34 +191,12 @@ class TestBlocks:
         (block,) = cls.walk(plane, k)
         return block[3:5]
 
-    def test_grid_exact_fit(self):
-        grid = self.tiles(np.zeros((16, 8)))
-        assert grid == [(0, 0, 8 * 8), (1, 0, 8 * 8)]
-
     def test_grid_partial_edges(self):
         grid = self.tiles(np.zeros((13, 21)))
         assert len(grid) == 2 * 3
         assert grid[0] == (0, 0, 8 * 8)
         assert grid[2] == (0, 2, 8 * 5)
         assert grid[-1] == (1, 2, 5 * 5)
-
-    def test_grid_single_pixel(self):
-        assert self.tiles([[0]]) == [(0, 0, 1 * 1)]
-
-    def test_split_10x10(self):
-        plane = np.arange(100, dtype=np.uint8).reshape(10, 10) % 52
-        assert self.tiles(plane) == [(0, 0, 8 * 8), (0, 1, 8 * 2), (1, 0, 2 * 8), (1, 1, 2 * 2)]
-        assert np.array_equal(decode_indices(encode_indices(plane), 10, 10), plane)
-
-    def test_split_16x16(self):
-        grid = self.tiles(np.zeros((16, 16)))
-        assert len(grid) == 4
-        assert all(cells == 8 * 8 for _, _, cells in grid)
-
-    def test_split_exact_block_is_identity(self):
-        plane = np.arange(64, dtype=np.uint8).reshape(8, 8)
-        assert self.tiles(plane, k=3) == [(0, 0, 8 * 8)]
-        assert np.array_equal(decode_indices(encode_indices(plane, 3), 8, 8, 3), plane)
 
     @given(
         height=st.integers(min_value=1, max_value=40),
